@@ -1,6 +1,6 @@
 """Batch command-line front door: solve, sweep, check, seed.
 
-Exit codes: 0 converged / all checks pass, 1 configuration error,
+Exit codes: 0 converged / all checks pass, 1 configuration or usage error,
 2 iteration limit hit, 3 degenerate curve.
 All outputs are deterministic functions of the config (no timestamps, fixed
 float formatting), so reruns are byte-identical.
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -118,11 +117,7 @@ def cmd_sweep(args) -> int:
                     "residual": float("nan"), "iterations": 0,
                     "verdict": f"failed: {e}"}
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, values))
-    else:
-        rows = [run(v) for v in values]
+    rows = [run(v) for v in values]
 
     lines = ["value,objective,length,residual,iterations,verdict"]
     for row in rows:
@@ -176,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.add_argument("--param", required=True, choices=("tau", "winding"))
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--evaluate-only", action="store_true",
                    help="evaluate seeds without descending")
     p.set_defaults(fn=cmd_sweep)
@@ -193,7 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if e.code == 0 else EXIT_CONFIG
     try:
         return args.fn(args)
     except ConfigError as e:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, constraint_from_config, free_mask, seed
 from .curves import DiscreteCurve
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .functionals import FunctionalSpec
 from .manifolds import Manifold, make_manifold
 from .optimize import SolveOptions
@@ -89,7 +89,10 @@ def parse_config(data: dict) -> RunConfig:
     unknown = set(opts_cfg) - _SOLVE_KEYS
     if unknown:
         raise ConfigError(f"unknown solve options: {sorted(unknown)}")
-    options = SolveOptions(**opts_cfg)
+    try:
+        options = SolveOptions(**opts_cfg)
+    except (UsageError, TypeError) as e:
+        raise ConfigError(f"invalid solve options: {e}") from e
 
     return RunConfig(manifold, domain, n_grid, spec, constraint, hints,
                      multistart, options)

@@ -17,7 +17,9 @@ class (winding) tracking stays valid along the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import math
+import numbers
+from dataclasses import dataclass, field, fields, asdict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,10 +49,32 @@ class SolveOptions:
     record_every: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = f.type == "int"
+            kind = numbers.Integral if integral else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise UsageError(f"{f.name} must be "
+                                 f"{'an integer' if integral else 'a real number'}")
+            # an infinite initial step never halves below the floor
+            if not integral and not math.isfinite(value):
+                raise UsageError(f"{f.name} must be finite")
+        if self.max_iters < 0:
+            raise UsageError("max_iters must be >= 0")
+        if self.record_every < 1:
+            raise UsageError("record_every must be >= 1")
+        if self.grad_tol < 0:
+            raise UsageError("grad_tol must be >= 0")
         if not 0 < self.armijo_c1 < 1:
             raise UsageError("armijo_c1 must be in (0, 1)")
         if not 0 < self.backtrack < 1:
             raise UsageError("backtrack factor must be in (0, 1)")
+        # a zero floor would keep the backtracking loop alive once the step
+        # has halved down to 0.0
+        if self.step_floor <= 0:
+            raise UsageError("step_floor must be > 0")
+        if self.initial_step <= 0:
+            raise UsageError("initial_step must be > 0")
 
 
 @dataclass(frozen=True)
@@ -89,36 +113,45 @@ class SolveReport:
         }
 
 
+def _end_row(j: int, stencil, ns: int):
+    """Sorted columns (mod ns) and values of one stencil applied at row j."""
+    offsets, coeffs = stencil
+    cols = (j + np.asarray(offsets, dtype=np.intp)) % ns
+    order = np.argsort(cols)
+    return cols[order], np.asarray(coeffs, dtype=float)[order]
+
+
+def _stencil_csr(ns: int, first, inner, last) -> sp.csr_matrix:
+    """CSR matrix of a row stencil: `first` on row 0, `inner` on rows 1..ns-2 and
+    `last` on row ns-1, each given as (offsets, coefficients).
+
+    The inner offsets are ascending and keep rows 1..ns-2 inside the matrix;
+    only the end rows wrap (mod ns), which is all the circle needs.  Columns
+    are sorted within each row, so the arrays are exactly those that a COO or
+    LIL build followed by tocsr() gives.
+    """
+    offsets, coeffs = inner
+    (c0, v0), (c1, v1) = _end_row(0, first, ns), _end_row(ns - 1, last, ns)
+    cols = np.arange(1, ns - 1)[:, None] + np.asarray(offsets, dtype=np.intp)
+    indices = np.concatenate([c0, cols.ravel(), c1])
+    data = np.concatenate([v0, np.tile(np.asarray(coeffs, dtype=float), ns - 2), v1])
+    indptr = np.concatenate([[0], len(c0) + len(offsets) * np.arange(ns - 1),
+                             [len(indices)]])
+    return sp.csr_matrix((data, indices, indptr), shape=(ns, ns))
+
+
 def _stencil_matrices(curve: DiscreteCurve):
     """Sparse first/second difference operators matching the functional stencils."""
     n = curve.grid_n
     ns = curve.n_samples
+    vel = ((-1, 1), (-n / 2.0, n / 2.0))
+    acc = ((-1, 0, 1), (n * n, -2.0 * n * n, n * n))
     if curve.domain == "circle":
-        rows, cols, vals = [], [], []
-        for j in range(ns):
-            rows += [j, j]
-            cols += [(j + 1) % ns, (j - 1) % ns]
-            vals += [n / 2.0, -n / 2.0]
-        sv = sp.csr_matrix((vals, (rows, cols)), shape=(ns, ns))
-        rows, cols, vals = [], [], []
-        for j in range(ns):
-            rows += [j, j, j]
-            cols += [(j - 1) % ns, j, (j + 1) % ns]
-            vals += [n * n, -2.0 * n * n, n * n]
-        sa = sp.csr_matrix((vals, (rows, cols)), shape=(ns, ns))
-        return sv, sa
-    sv = sp.lil_matrix((ns, ns))
-    for j in range(1, ns - 1):
-        sv[j, j - 1] = -n / 2.0
-        sv[j, j + 1] = n / 2.0
-    sv[0, 0], sv[0, 1], sv[0, 2] = -1.5 * n, 2.0 * n, -0.5 * n
-    sv[-1, -1], sv[-1, -2], sv[-1, -3] = 1.5 * n, -2.0 * n, 0.5 * n
-    sa = sp.lil_matrix((ns, ns))
-    for j in range(1, ns - 1):
-        sa[j, j - 1] = n * n
-        sa[j, j] = -2.0 * n * n
-        sa[j, j + 1] = n * n
-    return sv.tocsr(), sa.tocsr()
+        return _stencil_csr(ns, vel, vel, vel), _stencil_csr(ns, acc, acc, acc)
+    empty = ((), ())
+    sv = _stencil_csr(ns, ((0, 1, 2), (-1.5 * n, 2.0 * n, -0.5 * n)), vel,
+                      ((-2, -1, 0), (0.5 * n, -2.0 * n, 1.5 * n)))
+    return sv, _stencil_csr(ns, empty, acc, empty)
 
 
 def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray):

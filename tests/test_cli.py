@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from varcurves import load_curve
+from varcurves import ConfigError, load_curve
 from varcurves.cli import main
+from varcurves.config import parse_config
 
 HERMITE_CFG = {
     "manifold": "euclidean:1",
@@ -65,6 +66,34 @@ def test_solve_unknown_key_rejected(tmp_path):
     cfg["misc"] = 1
     path = write_cfg(tmp_path, cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("key,value", [("record_every", 0), ("armijo_c1", "x"),
+                                       ("step_floor", 0), ("initial_step", float("inf"))])
+def test_bad_solve_option_is_config_error(key, value):
+    # parsed without solving: a zero step_floor or an infinite initial_step
+    # used to hang the line search
+    with pytest.raises(ConfigError, match=key):
+        parse_config(dict(HERMITE_CFG, solve={key: value}))
+
+
+def test_solve_bad_record_every_exit_code(tmp_path, capsys):
+    path = write_cfg(tmp_path, dict(HERMITE_CFG, solve={"record_every": 0}))
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "record_every" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--values", "1", "--jobs", "2"],  # unknown flag
+                                   []])                               # missing --values
+def test_usage_error_exit_code(tmp_path, extra):
+    path = write_cfg(tmp_path, CIRCLE_CFG)
+    assert main(["sweep", "--config", path, "--param", "tau", *extra,
+                 "--out", str(tmp_path / "sw")]) == 1
+
+
+def test_help_exit_code(capsys):
+    assert main(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out
 
 
 def test_multistart_solve(tmp_path):
@@ -132,11 +161,11 @@ def test_sweep_empty_values_is_config_error(tmp_path):
                  "--values", "", "--out", str(tmp_path / "sw")]) == 1
 
 
-def test_sweep_jobs_parallel_rows_ordered(tmp_path):
+def test_sweep_rows_follow_input_order(tmp_path):
     path = write_cfg(tmp_path, CIRCLE_CFG)
     out = tmp_path / "swp"
     assert main(["sweep", "--config", path, "--param", "tau",
-                 "--values", "2,0.5,1", "--jobs", "3", "--out", str(out)]) == 0
+                 "--values", "2,0.5,1", "--out", str(out)]) == 0
     values = [float(ln.split(",")[0]) for ln in
               (out / "sweep.csv").read_text().strip().splitlines()[1:]]
     assert values == [2.0, 0.5, 1.0]

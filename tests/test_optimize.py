@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOptions,
                        evaluate_family, geodesic, hermite_cubic, impose, length,
                        make_manifold, minimize, multistart, ps_diagnostics, seed,
                        sup_distance, tension_1d)
+from varcurves.curves import first_difference, second_difference
+from varcurves.optimize import _stencil_matrices
 
 
 def hermite_setup(n=200):
@@ -165,3 +168,49 @@ def test_tension_solve_against_ode_oracle():
         rep = minimize(FunctionalSpec.tension_cost(tau), c, seed(c, m, 200))
         oracle = tension_1d([0.0], [1.0], tau, "clamped", [0.0], [0.0])
         assert sup_distance(rep.minimizer, oracle.sample(200)) <= 1e-2
+
+
+def _loop_stencil_matrices(curve):
+    """Reference build of the stencil matrices, one entry at a time."""
+    n, ns = curve.grid_n, curve.n_samples
+    sv, sa = sp.lil_matrix((ns, ns)), sp.lil_matrix((ns, ns))
+    for j in range(ns):
+        if curve.domain == "circle" or 0 < j < ns - 1:
+            sv[j, (j - 1) % ns] = -n / 2.0
+            sv[j, (j + 1) % ns] = n / 2.0
+            sa[j, (j - 1) % ns] = n * n
+            sa[j, j] = -2.0 * n * n
+            sa[j, (j + 1) % ns] = n * n
+    if curve.domain == "interval":
+        sv[0, 0], sv[0, 1], sv[0, 2] = -1.5 * n, 2.0 * n, -0.5 * n
+        sv[-1, -1], sv[-1, -2], sv[-1, -3] = 1.5 * n, -2.0 * n, 0.5 * n
+    return sv.tocsr(), sa.tocsr()
+
+
+def _euclid_curve(domain, n):
+    ns = n + 1 if domain == "interval" else n
+    x = np.random.default_rng(n).normal(size=(ns, 1))
+    return DiscreteCurve(make_manifold("euclidean:1"), domain, x)
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 64])
+def test_stencil_matrices_match_forward_stencils(domain, n):
+    curve = _euclid_curve(domain, n)
+    sv, sa = _stencil_matrices(curve)
+    x = curve.samples
+    for got, want in ((sv @ x, first_difference(curve)), (sa @ x, second_difference(curve))):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    if domain == "interval":
+        assert np.all(sa[[0, -1]].toarray() == 0)
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 64, 1000])
+def test_stencil_matrices_bit_identical_to_loop_build(domain, n):
+    curve = _euclid_curve(domain, n)
+    for got, want in zip(_stencil_matrices(curve), _loop_stencil_matrices(curve)):
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
