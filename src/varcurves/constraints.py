@@ -45,7 +45,10 @@ class ConstraintSet:
                      "knot_times", "knot_points"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, np.asarray(v, float))
+                v = np.asarray(v, float)
+                if not np.all(np.isfinite(v)):
+                    raise ConfigError(f"constraint data {name} must be finite")
+                object.__setattr__(self, name, v)
         if self.kind == "clamped":
             if self.k not in (1, 2):
                 raise ConfigError("clamped constraints support k in {1, 2}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,11 @@ class DiscreteCurve:
 
     samples has shape (n, ambient_dim): n = N+1 on the interval, n = N on the
     circle.  Immutable; all operations return new curves.
+
+    The derived arrays below (forward steps, segment distances, raw difference
+    stencils and their tangent projections) form a memo: each is computed on
+    first use, made read-only and kept for the life of the curve, so
+    validation, functionals and history statistics share one computation.
     """
 
     manifold: Manifold
@@ -45,13 +51,21 @@ class DiscreteCurve:
             raise UsageError("samples must have shape (n, ambient_dim)")
         if self.grid_n < MIN_GRID:
             raise UsageError(f"grid too coarse: N = {self.grid_n} < {MIN_GRID}")
+        if not np.isfinite(x).all():   # a NaN would pass the residual test below
+            j = int(np.argmin(np.isfinite(x).all(axis=1)))
+            raise UsageError(f"sample {j} is not finite")
         res = self.manifold.constraint_residual(x)
         if np.any(res > _SAMPLE_TOL):
             j = int(np.argmax(res))
             raise UsageError(f"sample {j} is off the manifold (residual {res[j]:.2e})")
-        bad = _steps_degenerate(self.manifold, x, self.domain)
-        if np.any(bad):
-            raise DegenerateCurveError(int(np.argmax(bad)))
+        m = self.manifold
+        if m.compact:
+            if isinstance(m, Torus):
+                bad = np.any(np.abs(self.steps) >= np.pi - CUT_LOCUS_TOL, axis=-1)
+            else:
+                bad = self.step_dists >= m.injectivity_radius - CUT_LOCUS_TOL
+            if np.any(bad):
+                raise DegenerateCurveError(int(np.argmax(bad)))
 
     @property
     def n_samples(self) -> int:
@@ -71,6 +85,70 @@ class DiscreteCurve:
 
     def with_samples(self, samples: np.ndarray) -> "DiscreteCurve":
         return DiscreteCurve(self.manifold, self.domain, samples)
+
+    # -- memo of derived arrays ---------------------------------------------
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """Forward steps, shape (N, m); see forward_steps."""
+        p, q = _consecutive(self.samples, self.domain)
+        return _read_only(self.manifold.relative_step(p, q))
+
+    @cached_property
+    def step_dists(self) -> np.ndarray:
+        """Geodesic distances between consecutive samples, shape (N,)."""
+        if isinstance(self.manifold, Torus):   # Torus.dist is the norm of the wrapped step
+            return _read_only(np.linalg.norm(self.steps, axis=-1))
+        p, q = _consecutive(self.samples, self.domain)
+        return _read_only(self.manifold.dist(p, q))
+
+    @cached_property
+    def first_diff(self) -> np.ndarray:
+        """Raw first-difference stencil values; see first_difference."""
+        n = self.grid_n
+        d = self.steps
+        if self.domain == "circle":
+            return _read_only(n * (d + np.roll(d, 1, axis=0)) / 2.0)
+        out = np.empty_like(self.samples)
+        out[1:-1] = n * (d[1:] + d[:-1]) / 2.0
+        out[0] = n * (3.0 * d[0] - d[1]) / 2.0
+        out[-1] = n * (3.0 * d[-1] - d[-2]) / 2.0
+        return _read_only(out)
+
+    @cached_property
+    def second_diff(self) -> np.ndarray:
+        """Raw second-difference stencil values; see second_difference."""
+        n = self.grid_n
+        d = self.steps
+        if self.domain == "circle":
+            return _read_only(n * n * (d - np.roll(d, 1, axis=0)))
+        out = np.zeros_like(self.samples)
+        out[1:-1] = n * n * (d[1:] - d[:-1])
+        return _read_only(out)
+
+    @cached_property
+    def velocity_vectors(self) -> np.ndarray:
+        """Tangent projection of first_diff: the vectors of velocity()."""
+        return _read_only(self.manifold.project_tangent(self.samples, self.first_diff))
+
+    @cached_property
+    def accel_vectors(self) -> np.ndarray:
+        """Tangent projection of second_diff: the vectors of covariant_accel()."""
+        return _read_only(self.manifold.project_tangent(self.samples, self.second_diff))
+
+    def clear_memo(self) -> None:
+        """Drop the memoized arrays; they are recomputed on next use."""
+        for name in _MEMO:
+            self.__dict__.pop(name, None)
+
+
+_MEMO = ("steps", "step_dists", "first_diff", "second_diff", "velocity_vectors",
+         "accel_vectors")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -92,16 +170,6 @@ class TangentField:
             raise UsageError("field vectors are not tangent at their base samples")
 
 
-def _steps_degenerate(manifold: Manifold, x: np.ndarray, domain: str) -> np.ndarray:
-    if not manifold.compact:
-        return np.zeros(0, bool)
-    p, q = _consecutive(x, domain)
-    if isinstance(manifold, Torus):
-        d = np.abs(Torus.wrap(q - p))
-        return np.any(d >= np.pi - CUT_LOCUS_TOL, axis=-1)
-    return manifold.dist(p, q) >= manifold.injectivity_radius - CUT_LOCUS_TOL
-
-
 def _consecutive(x: np.ndarray, domain: str):
     if domain == "interval":
         return x[:-1], x[1:]
@@ -112,43 +180,31 @@ def forward_steps(curve: DiscreteCurve) -> np.ndarray:
     """Per-segment ambient displacements (wrapped on the torus).
 
     Shape (N, m): row j is the displacement of sample j+1 relative to sample j
-    (mod N on the circle).
+    (mod N on the circle).  Returns the curve's memoized, read-only array.
     """
-    p, q = _consecutive(curve.samples, curve.domain)
-    return curve.manifold.relative_step(p, q)
+    return curve.steps
 
 
 def first_difference(curve: DiscreteCurve) -> np.ndarray:
-    """Ambient first-derivative stencil values (unprojected), one row per sample."""
-    n = curve.grid_n
-    d = forward_steps(curve)
-    if curve.domain == "circle":
-        return n * (d + np.roll(d, 1, axis=0)) / 2.0
-    out = np.empty_like(curve.samples)
-    out[1:-1] = n * (d[1:] + d[:-1]) / 2.0
-    out[0] = n * (3.0 * d[0] - d[1]) / 2.0
-    out[-1] = n * (3.0 * d[-1] - d[-2]) / 2.0
-    return out
+    """Ambient first-derivative stencil values (unprojected), one row per sample.
+
+    Returns the curve's memoized, read-only array.
+    """
+    return curve.first_diff
 
 
 def second_difference(curve: DiscreteCurve) -> np.ndarray:
     """Ambient second-derivative stencil values (unprojected).
 
     Interval endpoints are zero; only interior rows carry stencil values.
+    Returns the curve's memoized, read-only array.
     """
-    n = curve.grid_n
-    d = forward_steps(curve)
-    if curve.domain == "circle":
-        return n * n * (d - np.roll(d, 1, axis=0))
-    out = np.zeros_like(curve.samples)
-    out[1:-1] = n * n * (d[1:] - d[:-1])
-    return out
+    return curve.second_diff
 
 
 def velocity(curve: DiscreteCurve) -> TangentField:
     """Discrete velocity field: projected difference stencils, exact on affine data."""
-    raw = first_difference(curve)
-    return TangentField(curve, curve.manifold.project_tangent(curve.samples, raw))
+    return TangentField(curve, curve.velocity_vectors)
 
 
 def covariant_accel(curve: DiscreteCurve) -> TangentField:
@@ -156,8 +212,7 @@ def covariant_accel(curve: DiscreteCurve) -> TangentField:
 
     Zero (by convention, not by computation) at interval endpoints.
     """
-    raw = second_difference(curve)
-    return TangentField(curve, curve.manifold.project_tangent(curve.samples, raw))
+    return TangentField(curve, curve.accel_vectors)
 
 
 def node_weights(curve: DiscreteCurve) -> np.ndarray:
@@ -242,8 +297,7 @@ def sup_norm(f: TangentField, k: int) -> float:
 
 def length(curve: DiscreteCurve) -> float:
     """Geodesic segment length: sum of distances between consecutive samples."""
-    p, q = _consecutive(curve.samples, curve.domain)
-    return float(np.sum(curve.manifold.dist(p, q)))
+    return float(np.sum(curve.step_dists))
 
 
 def quadrature_length(curve: DiscreteCurve) -> float:
@@ -254,8 +308,7 @@ def quadrature_length(curve: DiscreteCurve) -> float:
     the discrete form of the length-domination bound used by the diagnostics.
     """
     w = node_weights(curve)
-    v = velocity(curve).vectors
-    return float(np.sum(w * np.linalg.norm(v, axis=1)))
+    return float(np.sum(w * np.linalg.norm(curve.velocity_vectors, axis=1)))
 
 
 def winding_vector(curve: DiscreteCurve) -> np.ndarray:

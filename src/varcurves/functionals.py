@@ -23,8 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import (DiscreteCurve, TangentField, first_difference, interior_weights,
-                     node_weights, second_difference)
+from .curves import DiscreteCurve, TangentField, interior_weights, node_weights
 from .errors import ConfigError, UsageError
 from .fields import PriorField, field_from_config
 
@@ -114,14 +113,12 @@ def _check_field(spec: FunctionalSpec, curve: DiscreteCurve) -> None:
 def evaluate(spec: FunctionalSpec, curve: DiscreteCurve) -> float:
     """Value of the discrete action functional; always >= 0."""
     _check_field(spec, curve)
-    m = curve.manifold
     x = curve.samples
     total = 0.0
 
     if spec.kind == "tension" or (spec.kind == "energy" and spec.k == 2) or \
             (spec.kind == "conditional" and spec.k == 2):
-        c = second_difference(curve)
-        a = m.project_tangent(x, c)
+        a = curve.accel_vectors
         wa = interior_weights(curve)
         if spec.kind == "conditional" and spec.field is not None:
             a = a - spec.field.eval_many(curve.times, x)
@@ -130,8 +127,7 @@ def evaluate(spec: FunctionalSpec, curve: DiscreteCurve) -> float:
     needs_vel = (spec.kind == "tension" and spec.tau != 0.0) or \
         spec.kind == "energy" or (spec.kind == "conditional" and spec.k == 1)
     if needs_vel:
-        d = first_difference(curve)
-        v = m.project_tangent(x, d)
+        v = curve.velocity_vectors
         wv = node_weights(curve)
         if spec.kind == "conditional":
             r = v - (spec.field.eval_many(curve.times, x) if spec.field is not None
@@ -192,8 +188,8 @@ def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> TangentField:
     use_accel = spec.kind == "tension" or (spec.kind == "energy" and spec.k == 2) or \
         (spec.kind == "conditional" and spec.k == 2)
     if use_accel:
-        c = second_difference(curve)
-        a = m.project_tangent(x, c)
+        c = curve.second_diff
+        a = curve.accel_vectors
         wa = interior_weights(curve)[:, None]
         if spec.kind == "conditional":
             r = a - (spec.field.eval_many(t, x) if spec.field is not None
@@ -210,8 +206,8 @@ def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> TangentField:
     use_vel = (spec.kind == "tension" and spec.tau != 0.0) or spec.kind == "energy" or \
         (spec.kind == "conditional" and spec.k == 1)
     if use_vel:
-        d = first_difference(curve)
-        v = m.project_tangent(x, d)
+        d = curve.first_diff
+        v = curve.velocity_vectors
         wv = node_weights(curve)[:, None]
         if spec.kind == "conditional":
             r = v - (spec.field.eval_many(t, x) if spec.field is not None

@@ -173,7 +173,7 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
 
 
 def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:
-    v = velocity(curve).vectors
+    v = curve.velocity_vectors
     sup_v = float(np.max(np.linalg.norm(v, axis=1)))
     return length(curve), quadrature_length(curve), sup_v
 
@@ -275,6 +275,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
 
     if not history or history[-1].iteration != it:
         record(it, obj, resid, last_step)
+    x.clear_memo()   # the report keeps the minimizer, not its derived arrays
     return SolveReport(x, spec, verdict, it, obj, resid, tuple(history),
                        winding_drift=w_drift, message=message)
 

@@ -54,6 +54,19 @@ def test_solve_off_grid_knot_exit_code(tmp_path, capsys):
     assert "knot time not on grid" in capsys.readouterr().err
 
 
+def test_solve_nan_knot_exit_code(tmp_path, capsys):
+    cfg = dict(HERMITE_CFG)
+    cfg["constraints"] = {"kind": "interpolation",
+                          "knots": [{"t": 0.0, "position": [0.0]},
+                                    {"t": 0.5, "position": [float("nan")]},
+                                    {"t": 1.0, "position": [1.0]}]}
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    assert "knot_points must be finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_solve_zero_budget_exit_code(tmp_path):
     cfg = dict(HERMITE_CFG)
     cfg["solve"] = {"max_iters": 0}

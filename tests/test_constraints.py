@@ -190,3 +190,15 @@ def test_clamped_k1_rejects_velocities():
     with pytest.raises(ConfigError):
         ConstraintSet("clamped", k=1, left_pos=[0.0], left_vel=[1.0],
                       right_pos=[1.0], right_vel=None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_constraint_data_rejected(bad):
+    with pytest.raises(ConfigError, match="knot_points must be finite"):
+        ConstraintSet.interpolation([(0.0, [0.0]), (0.5, [bad]), (1.0, [1.0])])
+    with pytest.raises(ConfigError, match="knot_times must be finite"):
+        ConstraintSet.interpolation([(0.0, [0.0]), (bad, [1.0])])
+    with pytest.raises(ConfigError, match="right_pos must be finite"):
+        ConstraintSet.clamped([0.0], [bad])
+    with pytest.raises(ConfigError, match="left_vel must be finite"):
+        ConstraintSet.clamped([0.0], [1.0], [bad], [0.0])

@@ -217,6 +217,28 @@ def test_off_manifold_samples_rejected():
         DiscreteCurve(m, "interval", x)
 
 
+@pytest.mark.parametrize("mid", ["euclidean:2", "sphere:2", "torus:2", "so3"])
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_rejected(mid, domain, bad):
+    m = make_manifold(mid)
+    x = np.array(_random_curve(m, np.random.default_rng(2), 8).samples)
+    if domain == "circle":
+        x = x[:-1]
+    x[5, -1] = bad
+    with pytest.raises(UsageError, match="sample 5 is not finite"):
+        DiscreteCurve(m, domain, x)
+
+
+def test_parse_curve_rejects_nan_row():
+    m = make_manifold("euclidean:1")
+    text = dump_curve(DiscreteCurve(m, "interval", np.zeros((5, 1))))
+    lines = text.splitlines()
+    lines[3] = "0.5,nan"
+    with pytest.raises(UsageError, match="sample 2 is not finite"):
+        parse_curve("\n".join(lines) + "\n")
+
+
 # -- file round trip ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("mid,domain", [("euclidean:2", "interval"), ("sphere:2", "interval"),

@@ -1,0 +1,111 @@
+"""The per-curve memo of derived arrays: shared, read-only, invisible in results."""
+
+import json
+
+import numpy as np
+import pytest
+
+from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOptions,
+                       covariant_accel, evaluate, gradient, length, make_manifold,
+                       minimize, quadrature_length, seed, velocity)
+from varcurves.checks import _random_curve
+from varcurves.curves import _MEMO, first_difference, forward_steps, second_difference
+
+MANIFOLDS = ("euclidean:2", "sphere:2", "torus:2", "so3")
+CASES = [(mid, domain) for mid in MANIFOLDS for domain in ("interval", "circle")]
+SPECS = (FunctionalSpec.tension_cost(1.5), FunctionalSpec.conditional(1),
+         FunctionalSpec.energy(2))
+
+
+def make_curve(mid, domain, n=16):
+    m = make_manifold(mid)
+    rng = np.random.default_rng(11)
+    if domain == "interval":
+        return _random_curve(m, rng, n)
+    hint = None if mid.startswith("euclidean") else [1, 0] if mid.startswith("torus") else 1
+    x = seed(ConstraintSet.periodic(), m, n, "circle", hint).samples
+    pert = m.project_tangent(x, 0.05 * rng.normal(size=x.shape))
+    return DiscreteCurve(m, "circle", m.exp(x, pert))
+
+
+def free_of(curve):
+    return np.arange(1, curve.n_samples - 1) if curve.domain == "interval" \
+        else np.arange(curve.n_samples)
+
+
+def results(curve):
+    """Every memo-reading entry point, as exact bytes."""
+    free = free_of(curve)
+    out = [np.float64(evaluate(s, curve)).tobytes() for s in SPECS]
+    out += [gradient(s, curve, free).vectors.tobytes() for s in SPECS]
+    out += [velocity(curve).vectors.tobytes(), covariant_accel(curve).vectors.tobytes(),
+            np.float64(length(curve)).tobytes(),
+            np.float64(quadrature_length(curve)).tobytes()]
+    return out
+
+
+def memo_arrays(curve):
+    return [getattr(curve, name) for name in _MEMO]
+
+
+@pytest.mark.parametrize("mid,domain", CASES)
+def test_filled_memo_gives_bitwise_fresh_results(mid, domain):
+    warm = make_curve(mid, domain)
+    first = results(warm)
+    assert first_difference(warm) is first_difference(warm)   # memoized, not rebuilt
+    fresh = DiscreteCurve(warm.manifold, warm.domain, warm.samples)
+    assert results(warm) == first == results(fresh)
+
+
+@pytest.mark.parametrize("mid,domain", CASES)
+def test_memo_arrays_are_read_only(mid, domain):
+    curve = make_curve(mid, domain)
+    arrays = memo_arrays(curve) + [forward_steps(curve), first_difference(curve),
+                                   second_difference(curve)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("mid,domain", CASES)
+def test_with_samples_never_shares_the_memo(mid, domain):
+    src = make_curve(mid, domain)
+    before = memo_arrays(src)
+    same = src.with_samples(src.samples)
+    for a, b in zip(before, memo_arrays(same)):
+        assert a is not b
+        assert a.tobytes() == b.tobytes()
+    moved = src.manifold.exp(src.samples, src.manifold.project_tangent(
+        src.samples, np.full(src.samples.shape, 1e-3)))
+    other = src.with_samples(moved)
+    fresh = DiscreteCurve(src.manifold, src.domain, moved)
+    assert results(other) == results(fresh)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(memo_arrays(src), before))
+
+
+@pytest.mark.parametrize("mid,domain", [("sphere:2", "interval"), ("so3", "interval"),
+                                        ("torus:1", "circle"), ("sphere:2", "circle")])
+def test_prewarmed_seed_gives_byte_identical_solve(mid, domain):
+    m = make_manifold(mid)
+    n = 32
+    if domain == "circle":
+        c = ConstraintSet.periodic()
+        hint = [1] if mid.startswith("torus") else 1
+        base = seed(c, m, n, "circle", hint).samples
+        rng = np.random.default_rng(5)
+        base = m.exp(base, m.project_tangent(base, 0.1 * rng.normal(size=base.shape)))
+    else:
+        pts = m.random_point(np.random.default_rng(3), 3)
+        c = ConstraintSet.interpolation(list(zip((0.0, 0.5, 1.0), pts)))
+        base = seed(c, m, n).samples
+    spec, opts = FunctionalSpec.tension_cost(1.0), SolveOptions(max_iters=30)
+    warm = DiscreteCurve(m, domain, base)
+    results(warm)
+    cold = DiscreteCurve(m, domain, base)
+    rw = minimize(spec, c, warm, opts)
+    rc = minimize(spec, c, cold, opts)
+    assert rw.iterations > 0
+    assert json.dumps(rw.to_dict(), sort_keys=True) == json.dumps(rc.to_dict(), sort_keys=True)
+    assert rw.minimizer.samples.tobytes() == rc.minimizer.samples.tobytes()
+    # the report does not carry the minimizer's derived arrays
+    assert not any(name in vars(rw.minimizer) for name in _MEMO)
