@@ -11,7 +11,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .constraints import ConstraintSet, free_mask, seed
+from .constraints import ConstraintSet, seed
 from .curves import DiscreteCurve
 from .fields import PriorField
 from .functionals import FunctionalSpec, evaluate, gradient

@@ -20,7 +20,7 @@ from .config import RunConfig, load_config
 from .constraints import free_mask, seed
 from .curves import length, save_curve
 from .errors import ConfigError, DegenerateCurveError, VarcurvesError
-from .functionals import FunctionalSpec, el_residual, evaluate
+from .functionals import el_residual, evaluate
 from . import checks
 from .optimize import minimize, multistart
 
@@ -30,7 +30,7 @@ EXIT_ITER_LIMIT = 2
 EXIT_DEGENERATE = 3
 
 _VERDICT_CODE = {"converged": EXIT_OK, "evaluated": EXIT_OK,
-                 "iter_limit": EXIT_ITER_LIMIT, "degenerate": EXIT_DEGENERATE}
+                 "iter_limit": EXIT_ITER_LIMIT}
 
 
 def _write_json(path: Path, payload: dict) -> None:

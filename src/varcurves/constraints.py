@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .curves import DiscreteCurve
-from .errors import ConfigError, CutLocusError, UsageError
+from .errors import ConfigError, CutLocusError
 from .manifolds import SO3, Euclidean, Manifold, Sphere, Torus
 
 _KNOT_SNAP_TOL = 1e-9

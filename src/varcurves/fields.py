@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .manifolds import SO3, Euclidean, Manifold, Sphere, Torus
+from .manifolds import SO3, Manifold, Sphere, Torus
 
 _SPOT_CHECK_DRAWS = 10_000
 _SPOT_CHECK_SEED = 20260810

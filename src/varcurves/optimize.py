@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 from .constraints import ConstraintSet, free_mask, impose
 from .curves import (DiscreteCurve, interior_weights, length, node_weights,
                      quadrature_length, velocity, winding_vector,
-                     covariant_accel, sobolev_norm_sq)
+                     covariant_accel)
 from .errors import DegenerateCurveError, CutLocusError, UsageError
 from .functionals import FunctionalSpec, el_residual, evaluate, gradient
 from .manifolds import Torus
@@ -92,7 +92,7 @@ class HistoryRecord:
 class SolveReport:
     minimizer: DiscreteCurve
     spec: FunctionalSpec
-    verdict: str                    # converged | iter_limit | degenerate | evaluated
+    verdict: str                    # converged | iter_limit | evaluated
     iterations: int
     final_objective: float
     final_residual: float
@@ -178,6 +178,11 @@ def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:
     return length(curve), quadrature_length(curve), sup_v
 
 
+def _same_samples(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two sample arrays are equal bit for bit (so -0.0 != 0.0)."""
+    return a.tobytes() == b.tobytes()
+
+
 def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
              opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Armijo-backtracked preconditioned descent from a feasible start.
@@ -199,13 +204,10 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         ln, ql, sv = _curve_stats(x)
         history.append(HistoryRecord(it, obj, resid, ln, ql, sv, step))
 
-    try:
-        lu = _flat_model_factor(spec, x, free)
-        obj = evaluate(spec, x)
-        g = gradient(spec, x, free).vectors
-    except DegenerateCurveError as e:
-        return SolveReport(x, spec, "degenerate", 0, np.nan, np.nan, tuple(),
-                           winding_drift=w_drift, message=str(e))
+    # with no free sample the residual is exactly 0 and nothing is factorized
+    lu = _flat_model_factor(spec, x, free) if len(free) else None
+    obj = evaluate(spec, x)
+    g = gradient(spec, x, free).vectors
 
     wq = node_weights(x)
     it = 0
@@ -232,27 +234,38 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             d = g
             gd = float(np.sum(g * g))
 
+        x_free, d_free = x.samples[free], d[free]
         step = opts.initial_step
         if m.compact:
-            max_disp = float(np.max(np.linalg.norm(d[free], axis=1))) if len(free) else 0.0
+            max_disp = float(np.max(np.linalg.norm(d_free, axis=1)))
             if max_disp > 0:
                 step = min(step, STEP_CAP / max_disp)
 
+        # Once step*|d| is below what the samples resolve, exp returns x or the
+        # previous trial bit for bit; such a trial reuses the last evaluated
+        # curve and its objective (evaluate is deterministic).
+        last, obj_last = x, obj
         accepted = False
         while step >= opts.step_floor:
             trial = np.array(x.samples)
-            trial[free] = m.exp(x.samples[free], -step * d[free])
-            try:
-                x_trial = x.with_samples(trial)
-                obj_trial = evaluate(spec, x_trial)
-            except DegenerateCurveError:
-                step *= opts.backtrack
-                continue
+            trial[free] = m.exp(x_free, -step * d_free)
+            if _same_samples(trial, last.samples):
+                x_trial, obj_trial = last, obj_last
+            else:
+                try:
+                    x_trial = x.with_samples(trial)
+                    obj_trial = evaluate(spec, x_trial)
+                except DegenerateCurveError:
+                    step *= opts.backtrack
+                    continue
+                last, obj_last = x_trial, obj_trial
             if obj_trial <= obj - opts.armijo_c1 * step * gd and obj_trial < obj:
                 x = x_trial
                 obj = obj_trial
                 accepted = True
                 break
+            if x_trial is not x:
+                x_trial.clear_memo()   # its samples stay for the comparison
             step *= opts.backtrack
         if not accepted:
             verdict = "iter_limit"
@@ -263,12 +276,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         last_step = step
         if track_winding:
             w_drift = max(w_drift, float(np.max(np.abs(winding_vector(x) - w_ref))))
-        try:
-            g = gradient(spec, x, free).vectors
-        except DegenerateCurveError as e:
-            verdict = "degenerate"
-            message = str(e)
-            break
+        g = gradient(spec, x, free).vectors
         resid = float(np.sqrt(np.sum(wq * np.sum(g * g, axis=1))))
         if it % opts.record_every == 0:
             record(it, obj, resid, step)

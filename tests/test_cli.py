@@ -67,6 +67,37 @@ def test_solve_nan_knot_exit_code(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+# 5 knots at t = k/4 on a grid of N = 4: every sample is fixed
+ALL_FIXED_CFG = {
+    "manifold": "euclidean:1",
+    "grid_n": 4,
+    "functional": {"kind": "tension", "tau": 1.0},
+    "constraints": {"kind": "interpolation",
+                    "knots": [{"t": k / 4, "position": [float(k * k)]}
+                              for k in range(5)]},
+}
+
+
+def test_solve_no_free_samples(tmp_path):
+    path = write_cfg(tmp_path, ALL_FIXED_CFG)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdict"] == "converged"
+    assert report["iterations"] == 0
+    assert report["final_residual"] == 0.0
+    assert np.array_equal(load_curve(out / "minimizer.curve").samples[:, 0],
+                          [0.0, 1.0, 4.0, 9.0, 16.0])
+
+
+def test_sweep_no_free_samples(tmp_path):
+    path = write_cfg(tmp_path, ALL_FIXED_CFG)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", path, "--param", "tau",
+                 "--values", "0,1", "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[3:] for r in rows] == [["0", "0", "converged"]] * 2
+
 def test_solve_zero_budget_exit_code(tmp_path):
     cfg = dict(HERMITE_CFG)
     cfg["solve"] = {"max_iters": 0}

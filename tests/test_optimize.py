@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import varcurves.optimize as opt
 
 from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOptions,
                        evaluate_family, geodesic, hermite_cubic, impose, length,
                        make_manifold, minimize, multistart, ps_diagnostics, seed,
                        sup_distance, tension_1d)
 from varcurves.curves import first_difference, second_difference
-from varcurves.optimize import _stencil_matrices
+from varcurves.optimize import _same_samples, _stencil_matrices
 
 
 def hermite_setup(n=200):
@@ -115,6 +119,95 @@ def test_iter_limit_verdict_on_zero_budget():
                    SolveOptions(max_iters=0))
     assert rep.verdict == "iter_limit"
 
+
+
+def test_no_free_samples_converges_without_factorizing(monkeypatch):
+    m = make_manifold("euclidean:1")
+    c = ConstraintSet.interpolation([(k / 4, [float(k * k)]) for k in range(5)])
+    x0 = seed(c, m, 4)   # every sample is a knot
+
+    def no_factor(*args):
+        raise AssertionError("factorized a problem with no free sample")
+
+    monkeypatch.setattr(opt, "_flat_model_factor", no_factor)
+    rep = minimize(FunctionalSpec.tension_cost(1.0), c, x0)
+    assert (rep.verdict, rep.iterations, rep.final_residual) == ("converged", 0, 0.0)
+    assert rep.minimizer.samples.tobytes() == x0.samples.tobytes()
+
+
+def test_same_samples_compares_bits():
+    a = np.array([[0.0, 1.0], [2.0, 3.0]])
+    assert _same_samples(a, a.copy())
+    assert not _same_samples(a, np.nextafter(a, 4.0))
+    assert not _same_samples(a, np.array([[-0.0, 1.0], [2.0, 3.0]]))   # equal values
+
+
+def _repeat_problem(mid):
+    """Small solves whose final line search repeats curves bit for bit.
+
+    On torus:1 the trials fall back onto the iterate; on S^2 and SO(3) a trial
+    also repeats an earlier trial that differs from the iterate.
+    """
+    m = make_manifold(mid)
+    times = (0.0, 0.25, 0.5, 0.75, 1.0)
+    if mid == "torus:1":
+        c = ConstraintSet.interpolation(list(zip(times, [[4.28], [5.07], [4.62],
+                                                         [5.43], [4.54]])))
+        return FunctionalSpec.tension_cost(1.0), c, seed(c, m, 100, hint=[3])
+    n, s = {"sphere:2": (40, 0), "so3": (20, 1)}[mid]
+    c = ConstraintSet.interpolation(list(zip(times, m.random_point(np.random.default_rng(s), 5))))
+    return FunctionalSpec.tension_cost(0.0), c, seed(c, m, n)
+
+
+def _counted_solve(monkeypatch, mid, reuse):
+    """Solve with evaluate and exp counted; reuse=False forces every trial to be
+    validated and evaluated.  Reuses are split by whether the repeated curve
+    is bitwise the current iterate (the curve gradient was last called on)."""
+    spec, c, x0 = _repeat_problem(mid)
+    counts = {"evaluate": 0, "exp": 0, "onto_iterate": 0, "onto_trial": 0}
+    iterate = [x0]
+    real_evaluate, real_gradient = opt.evaluate, opt.gradient
+    real_exp = type(x0.manifold).exp
+
+    def evaluate(*args):
+        counts["evaluate"] += 1
+        return real_evaluate(*args)
+
+    def gradient(spec, curve, free):
+        iterate[0] = curve
+        return real_gradient(spec, curve, free)
+
+    def exp(self, p, v):
+        counts["exp"] += 1
+        return real_exp(self, p, v)
+
+    def same(a, b):
+        hit = reuse and _same_samples(a, b)
+        if hit:
+            onto = "iterate" if _same_samples(b, iterate[0].samples) else "trial"
+            counts["onto_" + onto] += 1
+        return hit
+
+    with monkeypatch.context() as mp:
+        mp.setattr(opt, "evaluate", evaluate)
+        mp.setattr(opt, "gradient", gradient)
+        mp.setattr(opt, "_same_samples", same)
+        mp.setattr(type(x0.manifold), "exp", exp)
+        rep = minimize(spec, c, x0)
+    return rep, counts
+
+
+@pytest.mark.parametrize("mid,onto", [("torus:1", "onto_iterate"), ("sphere:2", "onto_trial"),
+                                      ("so3", "onto_trial")])
+def test_repeated_trial_reuses_objective(monkeypatch, mid, onto):
+    rep, counts = _counted_solve(monkeypatch, mid, reuse=True)
+    ref, ref_counts = _counted_solve(monkeypatch, mid, reuse=False)
+    assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(ref.to_dict(), sort_keys=True)
+    assert rep.minimizer.samples.tobytes() == ref.minimizer.samples.tobytes()
+    assert rep.message == "line search step underflow"
+    assert counts["evaluate"] < ref_counts["evaluate"]
+    assert counts["exp"] == ref_counts["exp"]
+    assert counts[onto] > 0
 
 def test_history_records_have_diagnostics():
     spec, c, x0 = hermite_setup(100)
