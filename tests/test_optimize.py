@@ -120,7 +120,6 @@ def test_iter_limit_verdict_on_zero_budget():
     assert rep.verdict == "iter_limit"
 
 
-
 def test_no_free_samples_converges_without_factorizing(monkeypatch):
     m = make_manifold("euclidean:1")
     c = ConstraintSet.interpolation([(k / 4, [float(k * k)]) for k in range(5)])
@@ -208,6 +207,7 @@ def test_repeated_trial_reuses_objective(monkeypatch, mid, onto):
     assert counts["evaluate"] < ref_counts["evaluate"]
     assert counts["exp"] == ref_counts["exp"]
     assert counts[onto] > 0
+
 
 def test_history_records_have_diagnostics():
     spec, c, x0 = hermite_setup(100)
