@@ -74,11 +74,13 @@ def _sweep_values(args):
     vals = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not vals:
         raise ConfigError("sweep needs a non-empty --values list")
-    if args.param == "tau":
-        return [float(v) for v in vals]
-    if args.param == "winding":
-        return [int(v) for v in vals]
-    raise ConfigError(f"unknown sweep parameter {args.param!r}")
+    convert = {"tau": float, "winding": int}.get(args.param)
+    if convert is None:
+        raise ConfigError(f"unknown sweep parameter {args.param!r}")
+    try:
+        return [convert(v) for v in vals]
+    except ValueError as e:
+        raise ConfigError(f"bad --values for {args.param}: {e}") from None
 
 
 def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool) -> dict:

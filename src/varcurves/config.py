@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -57,10 +58,10 @@ def parse_config(data: dict) -> RunConfig:
     domain = data.get("domain", "interval")
     if domain not in ("interval", "circle"):
         raise ConfigError(f"unknown domain {domain!r}")
-    try:
-        n_grid = int(data["grid_n"])
-    except (TypeError, ValueError):
-        raise ConfigError("grid_n must be an integer")
+    n_grid = data["grid_n"]
+    if isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral):
+        raise ConfigError(f"grid_n must be an integer, got {n_grid!r}")
+    n_grid = int(n_grid)
     if n_grid < 4:
         raise ConfigError("grid_n must be at least 4")
 
@@ -78,10 +79,10 @@ def parse_config(data: dict) -> RunConfig:
         raw = data["winding_hints"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("winding_hints must be a non-empty list")
-        hints = [np.atleast_1d(np.asarray(h)) for h in raw]
+        hints = [_hint(h, "winding_hints") for h in raw]
         multistart = len(hints) > 1
     elif "winding_hint" in data:
-        hints = [np.atleast_1d(np.asarray(data["winding_hint"]))]
+        hints = [_hint(data["winding_hint"], "winding_hint")]
 
     opts_cfg = data.get("solve", {})
     if not isinstance(opts_cfg, dict):
@@ -96,6 +97,19 @@ def parse_config(data: dict) -> RunConfig:
 
     return RunConfig(manifold, domain, n_grid, spec, constraint, hints,
                      multistart, options)
+
+
+def _hint(value, key: str) -> np.ndarray:
+    """One winding hint as a 1-d numeric array; whether it is integral is
+    checked when the seed is built."""
+    try:
+        h = np.atleast_1d(np.asarray(value))
+    except ValueError:   # a ragged list
+        h = None
+    if h is None or not (np.issubdtype(h.dtype, np.integer) or
+                         np.issubdtype(h.dtype, np.floating)):
+        raise ConfigError(f"{key} must be an integer or a list of integers, got {value!r}")
+    return h
 
 
 def _validate_geometry(manifold: Manifold, c: ConstraintSet) -> None:

@@ -15,6 +15,7 @@ the first free segment.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,7 +46,10 @@ class ConstraintSet:
                      "knot_times", "knot_points"):
             v = getattr(self, name)
             if v is not None:
-                v = np.asarray(v, float)
+                try:
+                    v = np.asarray(v, float)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"constraint data {name} must be numeric") from None
                 if not np.all(np.isfinite(v)):
                     raise ConfigError(f"constraint data {name} must be finite")
                 object.__setattr__(self, name, v)
@@ -160,7 +164,8 @@ def _normalize_hint(m: Manifold, hint) -> np.ndarray:
         return np.zeros(m.ambient_dim if isinstance(m, Torus) else 1, int)
     h = np.atleast_1d(np.asarray(hint))
     if not np.issubdtype(h.dtype, np.integer):
-        if np.any(h != np.rint(h)):
+        # NaN, an infinity or a value beyond int64 would cast to a wrong integer
+        if not (np.all(np.abs(h) < 2.0**63) and np.all(h == np.rint(h))):
             raise ConfigError("winding hints must be integers")
         h = np.rint(h).astype(int)
     if isinstance(m, Torus):
@@ -301,7 +306,9 @@ def constraint_from_config(cfg: dict) -> ConstraintSet:
         raise ConfigError("constraints config must be an object with a 'kind'")
     kind = cfg["kind"]
     if kind == "clamped":
-        k = int(cfg.get("k", 1))
+        k = cfg.get("k", 1)
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ConfigError(f"constraints k must be an integer, got {k!r}")
         left, right = cfg.get("left"), cfg.get("right")
         if not isinstance(left, dict) or not isinstance(right, dict):
             raise ConfigError("clamped constraints need 'left' and 'right' objects")
@@ -314,8 +321,13 @@ def constraint_from_config(cfg: dict) -> ConstraintSet:
                              right_pos=right.get("position"), right_vel=rv)
     if kind == "interpolation":
         knots = cfg.get("knots")
-        if not knots:
+        if not knots or not isinstance(knots, list):
             raise ConfigError("interpolation needs a 'knots' list")
+        for i, kn in enumerate(knots):
+            if not isinstance(kn, dict) or "t" not in kn or "position" not in kn:
+                raise ConfigError(f"knot {i} must be an object with 't' and 'position'")
+            if isinstance(kn["t"], bool) or not isinstance(kn["t"], numbers.Real):
+                raise ConfigError(f"knot {i} 't' must be a real number, got {kn['t']!r}")
         return ConstraintSet.interpolation([(kn["t"], kn["position"]) for kn in knots])
     if kind == "periodic":
         return ConstraintSet.periodic()

@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCurveError, UsageError
-from .manifolds import CUT_LOCUS_TOL, Manifold, ManifoldPoint, Torus, make_manifold
+from .manifolds import (CUT_LOCUS_TOL, Manifold, ManifoldPoint, Torus, make_manifold,
+                        row_dot, row_norm)
 
 _SAMPLE_TOL = 1e-8   # allowed constraint residual for curve samples
 MIN_GRID = 4
@@ -98,7 +99,7 @@ class DiscreteCurve:
     def step_dists(self) -> np.ndarray:
         """Geodesic distances between consecutive samples, shape (N,)."""
         if isinstance(self.manifold, Torus):   # Torus.dist is the norm of the wrapped step
-            return _read_only(np.linalg.norm(self.steps, axis=-1))
+            return _read_only(row_norm(self.steps))
         p, q = _consecutive(self.samples, self.domain)
         return _read_only(self.manifold.dist(p, q))
 
@@ -278,7 +279,7 @@ def sobolev_norm_sq(f: TangentField, k: int) -> float:
     for i in range(k + 1):
         if i > 0:
             g = field_covariant_derivative(g)
-        total += float(np.sum(w * np.sum(g.vectors**2, axis=1)))
+        total += float(np.sum(w * row_dot(g.vectors, g.vectors)))
     return total
 
 
@@ -291,7 +292,7 @@ def sup_norm(f: TangentField, k: int) -> float:
     for i in range(k + 1):
         if i > 0:
             g = field_covariant_derivative(g)
-        acc += np.linalg.norm(g.vectors, axis=1)
+        acc += row_norm(g.vectors)
     return float(np.max(acc))
 
 
@@ -308,7 +309,7 @@ def quadrature_length(curve: DiscreteCurve) -> float:
     the discrete form of the length-domination bound used by the diagnostics.
     """
     w = node_weights(curve)
-    return float(np.sum(w * np.linalg.norm(curve.velocity_vectors, axis=1)))
+    return float(np.sum(w * row_norm(curve.velocity_vectors)))
 
 
 def winding_vector(curve: DiscreteCurve) -> np.ndarray:
@@ -356,10 +357,9 @@ def dump_curve(curve: DiscreteCurve) -> str:
         "domain_kind": curve.domain,
         "n_samples": curve.n_samples,
     }, sort_keys=True)
-    rows = []
-    for t, row in zip(curve.times, curve.samples):
-        rows.append(",".join(f"{v:.17g}" for v in (t, *row)))
-    return header + "\n" + "\n".join(rows) + "\n"
+    table = np.column_stack([curve.times, curve.samples])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
 def save_curve(curve: DiscreteCurve, path) -> None:

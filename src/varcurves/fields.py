@@ -13,10 +13,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .manifolds import SO3, Manifold, Sphere, Torus
+from .manifolds import SO3, Manifold, Sphere, Torus, row_norm
 
 _SPOT_CHECK_DRAWS = 10_000
 _SPOT_CHECK_SEED = 20260810
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of 3-vectors along the last axis, with broadcasting.
+
+    The arithmetic of np.cross (so bit for bit its result) without its axis
+    moves and broadcast copies.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _cross_matrix(w: np.ndarray) -> np.ndarray:
@@ -102,7 +113,7 @@ class PriorField:
             base = self.manifold.project_tangent(points, np.broadcast_to(self.params, points.shape))
             return m * base
         if self.kind == "sphere_rotation":
-            return m * np.cross(np.broadcast_to(self.params, points.shape), points)
+            return m * _cross(self.params, points)
         if self.kind == "so3_left_invariant":
             omega = _cross_matrix(self.params)
             mats = points.reshape(points.shape[:-1] + (3, 3))
@@ -122,7 +133,7 @@ class PriorField:
             v = np.broadcast_to(self.params, points.shape)
             return m * self.manifold.dproj_bilinear(points, c, v)
         if self.kind == "sphere_rotation":
-            return m * (-np.cross(np.broadcast_to(self.params, points.shape), c))
+            return m * (-_cross(self.params, c))
         if self.kind == "so3_left_invariant":
             omega = _cross_matrix(self.params)
             cm = c.reshape(c.shape[:-1] + (3, 3))
@@ -139,8 +150,7 @@ class PriorField:
             v = np.broadcast_to(self.params, points.shape)
             return m2 * self.manifold.dproj_bilinear(points, v, v)
         if self.kind == "sphere_rotation":
-            a = np.cross(np.broadcast_to(self.params, points.shape), points)
-            return m2 * (-2.0 * np.cross(np.broadcast_to(self.params, points.shape), a))
+            return m2 * (-2.0 * _cross(self.params, _cross(self.params, points)))
         if self.kind == "so3_left_invariant":
             omega = _cross_matrix(self.params)
             mats = points.reshape(points.shape[:-1] + (3, 3))
@@ -174,7 +184,7 @@ class PriorField:
         else:
             n = self.modulation.shape[0] - 1
             t = rng.integers(0, n + 1, size=_SPOT_CHECK_DRAWS) / n
-        norms = np.linalg.norm(self.eval_many(t, pts), axis=-1)
+        norms = row_norm(self.eval_many(t, pts))
         b = self.bound()
         if np.max(norms) > b * (1.0 + 1e-12) + 1e-15:
             raise ConfigError(f"field bound() = {b} violated by random sample "
@@ -189,9 +199,11 @@ def field_from_config(manifold: Manifold, cfg: dict) -> PriorField:
     """Build a field from {"kind": ..., "params": [...], "modulation": [...]}."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("field config must be an object with a 'kind'")
-    kind = cfg["kind"]
-    params = cfg.get("params")
-    modulation = cfg.get("modulation")
-    return PriorField(manifold, kind,
-                      None if params is None else np.asarray(params, float),
-                      None if modulation is None else np.asarray(modulation, float))
+    arrays = {}
+    for key in ("params", "modulation"):
+        if cfg.get(key) is not None:
+            try:
+                arrays[key] = np.asarray(cfg[key], float)
+            except (TypeError, ValueError):
+                raise ConfigError(f"field {key} must be a list of numbers") from None
+    return PriorField(manifold, cfg["kind"], arrays.get("params"), arrays.get("modulation"))

@@ -18,6 +18,8 @@ bitwise on every curve.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +28,7 @@ import numpy as np
 from .curves import DiscreteCurve, TangentField, interior_weights, node_weights
 from .errors import ConfigError, UsageError
 from .fields import PriorField, field_from_config
+from .manifolds import row_dot
 
 _VALID_KINDS = ("tension", "conditional", "energy")
 
@@ -41,14 +44,25 @@ class FunctionalSpec:
 
     def __post_init__(self):
         if self.kind == "tension":
-            if self.tau < 0:
+            tau = self.tau
+            if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+                raise ConfigError(f"tau must be a real number, got {tau!r}")
+            tau = float(tau)
+            # NaN passes tau < 0, and an infinite tau**2 makes the model
+            # Hessian singular
+            if not math.isfinite(tau * tau):
+                raise ConfigError(f"tau must be finite with a finite square, got {tau!r}")
+            if tau < 0:
                 raise ConfigError("tension parameter must be >= 0")
-        elif self.kind == "conditional":
+            object.__setattr__(self, "tau", tau)
+        elif self.kind in ("conditional", "energy"):
+            if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+                raise ConfigError(f"k must be an integer, got {self.k!r}")
             if self.k not in (1, 2):
-                raise ConfigError("conditional extremals support k in {1, 2}")
-        elif self.kind == "energy":
-            if self.k not in (1, 2):
-                raise ConfigError("energy order must be 1 or 2")
+                raise ConfigError("conditional extremals support k in {1, 2}"
+                                  if self.kind == "conditional" else
+                                  "energy order must be 1 or 2")
+            object.__setattr__(self, "k", int(self.k))
         else:
             raise ConfigError(f"unknown functional kind {self.kind!r}")
 
@@ -56,15 +70,15 @@ class FunctionalSpec:
 
     @staticmethod
     def tension_cost(tau: float) -> "FunctionalSpec":
-        return FunctionalSpec("tension", tau=float(tau))
+        return FunctionalSpec("tension", tau=tau)
 
     @staticmethod
     def conditional(k: int, field: Optional[PriorField] = None) -> "FunctionalSpec":
-        return FunctionalSpec("conditional", k=int(k), field=field)
+        return FunctionalSpec("conditional", k=k, field=field)
 
     @staticmethod
     def energy(k: int) -> "FunctionalSpec":
-        return FunctionalSpec("energy", k=int(k))
+        return FunctionalSpec("energy", k=k)
 
     @staticmethod
     def from_config(cfg: dict, manifold=None) -> "FunctionalSpec":
@@ -76,6 +90,8 @@ class FunctionalSpec:
         if kind == "conditional":
             fld = cfg.get("field")
             field = None
+            if fld is not None and not isinstance(fld, dict):
+                raise ConfigError("field must be an object with a 'kind'")
             if fld is not None and fld.get("kind") != "zero":
                 if manifold is None:
                     raise ConfigError("a manifold is required to build the prior field")
@@ -122,7 +138,7 @@ def evaluate(spec: FunctionalSpec, curve: DiscreteCurve) -> float:
         wa = interior_weights(curve)
         if spec.kind == "conditional" and spec.field is not None:
             a = a - spec.field.eval_many(curve.times, x)
-        total += 0.5 * float(np.sum(wa * np.sum(a * a, axis=1)))
+        total += 0.5 * float(np.sum(wa * row_dot(a, a)))
 
     needs_vel = (spec.kind == "tension" and spec.tau != 0.0) or \
         spec.kind == "energy" or (spec.kind == "conditional" and spec.k == 1)
@@ -132,10 +148,10 @@ def evaluate(spec: FunctionalSpec, curve: DiscreteCurve) -> float:
         if spec.kind == "conditional":
             r = v - (spec.field.eval_many(curve.times, x) if spec.field is not None
                      else np.zeros_like(v))
-            total += 0.5 * float(np.sum(wv * np.sum(r * r, axis=1)))
+            total += 0.5 * float(np.sum(wv * row_dot(r, r)))
         else:
             coef = spec.tau**2 if spec.kind == "tension" else 1.0
-            total += 0.5 * coef * float(np.sum(wv * np.sum(v * v, axis=1)))
+            total += 0.5 * coef * float(np.sum(wv * row_dot(v, v)))
     return total
 
 
@@ -234,4 +250,4 @@ def el_residual(spec: FunctionalSpec, curve: DiscreteCurve, free) -> float:
     discrete critical points; the convergence certificate of the solver."""
     g = gradient(spec, curve, free).vectors
     w = node_weights(curve)
-    return float(np.sqrt(np.sum(w * np.sum(g * g, axis=1))))
+    return float(np.sqrt(np.sum(w * row_dot(g, g))))

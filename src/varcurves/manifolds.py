@@ -27,6 +27,33 @@ from .errors import ConfigError, CutLocusError, UsageError
 # silently picking a branch.
 CUT_LOCUS_TOL = 1e-8
 
+# numpy adds the rows of np.sum(u * v, axis=-1) left to right while they are
+# narrower than 8 columns, and pairwise from 8 columns up
+_FOLD_MAX_WIDTH = 7
+
+
+def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, with broadcasting.
+
+    Bit for bit np.sum(u * v, axis=-1): rows narrower than 8 columns are
+    summed as the same left fold over the columns, without the reduction
+    machinery; wider rows go to np.sum.
+    """
+    u = np.asarray(u, float)
+    v = np.asarray(v, float)
+    w = u.shape[-1]
+    if not 0 < w <= _FOLD_MAX_WIDTH or v.shape[-1] != w:
+        return np.sum(u * v, axis=-1)
+    out = u[..., 0] * v[..., 0]
+    for i in range(1, w):
+        out += u[..., i] * v[..., i]
+    return out
+
+
+def row_norm(u: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis; bit for bit np.linalg.norm(u, axis=-1)."""
+    return np.sqrt(row_dot(u, u))
+
 
 class Manifold:
     """Base class; concrete manifolds implement the array-level geometry.
@@ -98,12 +125,6 @@ class Manifold:
 
     # -- helpers -------------------------------------------------------------
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.sum(np.asarray(u, float) * np.asarray(v, float), axis=-1)
-
-    def norm(self, u: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(np.asarray(u, float), axis=-1)
-
     def check_point(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         return bool(np.all(self.constraint_residual(x) < tol))
 
@@ -137,7 +158,7 @@ class Euclidean(Manifold):
         return np.asarray(q, float) - np.asarray(p, float)
 
     def dist(self, p, q):
-        return np.linalg.norm(np.asarray(q, float) - np.asarray(p, float), axis=-1)
+        return row_norm(np.asarray(q, float) - np.asarray(p, float))
 
     def transport(self, p, q, u):
         return np.array(u, float, copy=True)
@@ -158,10 +179,10 @@ class Sphere(Manifold):
 
     def canonicalize(self, x):
         x = np.asarray(x, float)
-        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+        return x / row_norm(x)[..., None]
 
     def constraint_residual(self, x):
-        return np.abs(np.linalg.norm(np.asarray(x, float), axis=-1) - 1.0)
+        return np.abs(row_norm(x) - 1.0)
 
     def random_point(self, rng, n=1):
         return self.canonicalize(rng.normal(size=(n, self.ambient_dim)))
@@ -169,20 +190,20 @@ class Sphere(Manifold):
     def project_tangent(self, p, a):
         p = np.asarray(p, float)
         a = np.asarray(a, float)
-        return a - np.sum(a * p, axis=-1, keepdims=True) * p
+        return a - row_dot(a, p)[..., None] * p
 
     def dproj_bilinear(self, p, u, w):
         p = np.asarray(p, float)
         u = np.asarray(u, float)
         w = np.asarray(w, float)
-        pu = np.sum(p * u, axis=-1, keepdims=True)
-        pw = np.sum(p * w, axis=-1, keepdims=True)
+        pu = row_dot(p, u)[..., None]
+        pw = row_dot(p, w)[..., None]
         return -(pw * u + pu * w)
 
     def exp(self, p, v):
         p = np.asarray(p, float)
         v = np.asarray(v, float)
-        theta = np.linalg.norm(v, axis=-1, keepdims=True)
+        theta = row_norm(v)[..., None]
         # sin(theta)/theta via sinc, exact at theta = 0
         out = np.cos(theta) * p + np.sinc(theta / np.pi) * v
         return self.canonicalize(out)
@@ -191,8 +212,8 @@ class Sphere(Manifold):
         # atan2 form: well-conditioned at angle 0 (arccos loses half the digits there)
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        c = np.sum(p * q, axis=-1)
-        s = np.linalg.norm(q - c[..., None] * p, axis=-1)
+        c = row_dot(p, q)
+        s = row_norm(q - c[..., None] * p)
         return np.arctan2(s, c)
 
     def log(self, p, q):
@@ -202,7 +223,7 @@ class Sphere(Manifold):
         if np.any(theta >= np.pi - CUT_LOCUS_TOL):
             raise CutLocusError("sphere log: points are (nearly) antipodal")
         u = self.project_tangent(p, q - p)
-        nu = np.linalg.norm(u, axis=-1, keepdims=True)
+        nu = row_norm(u)[..., None]
         scale = np.where(nu > 1e-300, theta[..., None] / np.where(nu > 1e-300, nu, 1.0), 0.0)
         return scale * u
 
@@ -220,9 +241,9 @@ class Sphere(Manifold):
         if np.all(small):
             return np.array(u, float, copy=True)
         e = self.project_tangent(p, q - p)
-        ne = np.linalg.norm(e, axis=-1, keepdims=True)
+        ne = row_norm(e)[..., None]
         e = e / np.where(ne > 0, ne, 1.0)
-        ue = np.sum(u * e, axis=-1, keepdims=True)
+        ue = row_dot(u, e)[..., None]
         th = theta[..., None]
         out = u + ue * ((np.cos(th) - 1.0) * e - np.sin(th) * p)
         return np.where(small[..., None], u, out)
@@ -270,7 +291,7 @@ class Torus(Manifold):
         return d
 
     def dist(self, p, q):
-        return np.linalg.norm(self.wrap(np.asarray(q, float) - np.asarray(p, float)), axis=-1)
+        return row_norm(self.wrap(np.asarray(q, float) - np.asarray(p, float)))
 
     def transport(self, p, q, u):
         return np.array(u, float, copy=True)

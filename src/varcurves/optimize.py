@@ -32,7 +32,7 @@ from .curves import (DiscreteCurve, interior_weights, length, node_weights,
                      covariant_accel)
 from .errors import DegenerateCurveError, CutLocusError, UsageError
 from .functionals import FunctionalSpec, el_residual, evaluate, gradient
-from .manifolds import Torus
+from .manifolds import Torus, row_dot, row_norm
 
 STEP_CAP = np.pi / 2  # max per-sample displacement on compact manifolds
 CLUSTER_TOL = 0.1     # sup-distance threshold for distinctness clustering
@@ -174,7 +174,7 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
 
 def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:
     v = curve.velocity_vectors
-    sup_v = float(np.max(np.linalg.norm(v, axis=1)))
+    sup_v = float(np.max(row_norm(v)))
     return length(curve), quadrature_length(curve), sup_v
 
 
@@ -214,7 +214,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     verdict = "iter_limit"
     message = ""
     last_step = 0.0
-    resid = float(np.sqrt(np.sum(wq * np.sum(g * g, axis=1))))
+    resid = float(np.sqrt(np.sum(wq * row_dot(g, g))))
     record(0, obj, resid, 0.0)
 
     while True:
@@ -237,13 +237,14 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         x_free, d_free = x.samples[free], d[free]
         step = opts.initial_step
         if m.compact:
-            max_disp = float(np.max(np.linalg.norm(d_free, axis=1)))
+            max_disp = float(np.max(row_norm(d_free)))
             if max_disp > 0:
                 step = min(step, STEP_CAP / max_disp)
 
         # Once step*|d| is below what the samples resolve, exp returns x or the
-        # previous trial bit for bit; such a trial reuses the last evaluated
-        # curve and its objective (evaluate is deterministic).
+        # previous trial bit for bit; such a trial reuses that curve and its
+        # objective (evaluate is deterministic), and one equal to x is rejected
+        # by obj_trial < obj without being evaluated.
         last, obj_last = x, obj
         accepted = False
         while step >= opts.step_floor:
@@ -251,6 +252,8 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             trial[free] = m.exp(x_free, -step * d_free)
             if _same_samples(trial, last.samples):
                 x_trial, obj_trial = last, obj_last
+            elif last is not x and _same_samples(trial, x.samples):
+                x_trial, obj_trial = last, obj_last = x, obj
             else:
                 try:
                     x_trial = x.with_samples(trial)
@@ -277,7 +280,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         if track_winding:
             w_drift = max(w_drift, float(np.max(np.abs(winding_vector(x) - w_ref))))
         g = gradient(spec, x, free).vectors
-        resid = float(np.sqrt(np.sum(wq * np.sum(g * g, axis=1))))
+        resid = float(np.sqrt(np.sum(wq * row_dot(g, g))))
         if it % opts.record_every == 0:
             record(it, obj, resid, step)
 
@@ -397,9 +400,10 @@ def _h2_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
         aa, ab = covariant_accel(a).vectors, covariant_accel(b).vectors
         vb_t = m.transport(b.samples, a.samples, vb)
         ab_t = m.transport(b.samples, a.samples, ab)
+        dv, da = va - vb_t, aa - ab_t
         total = np.sum(w * d0**2)
-        total += np.sum(w * np.sum((va - vb_t) ** 2, axis=1))
-        total += np.sum(w * np.sum((aa - ab_t) ** 2, axis=1))
+        total += np.sum(w * row_dot(dv, dv))
+        total += np.sum(w * row_dot(da, da))
         return float(np.sqrt(total))
     except CutLocusError:
         return float("nan")

@@ -127,8 +127,58 @@ def test_solve_bad_record_every_exit_code(tmp_path, capsys):
     assert "record_every" in capsys.readouterr().err
 
 
+def _with(cfg, path, value):
+    """A copy of cfg with the entry at the key path set to value."""
+    out = json.loads(json.dumps(cfg))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("path,value,key", [
+    (("functional", "tau"), float("nan"), "tau"),
+    (("functional", "tau"), float("inf"), "tau"),
+    (("functional", "tau"), 1e300, "tau"),        # tau**2 overflows
+    (("functional", "tau"), "x", "tau"),
+    (("functional", "tau"), None, "tau"),
+    (("functional",), {"kind": "conditional", "k": "two"}, "k"),
+    (("functional",), {"kind": "conditional", "k": 2, "field": "zero"}, "field"),
+    (("functional",), {"kind": "conditional", "k": 2,
+                       "field": {"kind": "constant_ambient", "params": "x"}}, "params"),
+    (("constraints", "knots", 1, "t"), "a", "'t'"),
+    (("constraints", "knots", 1, "position"), ["a"], "knot_points"),
+    (("winding_hint",), "abc", "winding_hint"),
+    (("winding_hint",), 1e30, "winding hints"),   # beyond int64
+    (("grid_n",), 16.7, "grid_n"),
+], ids=["tau-nan", "tau-inf", "tau-1e300", "tau-str", "tau-null", "k-str", "field-str",
+        "field-params-str", "knot-t-str", "knot-position-str", "winding_hint-str", "winding_hint-huge",
+        "grid_n-float"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, path, value, key):
+    cfg = write_cfg(tmp_path, _with(CIRCLE_CFG, path, value))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not (out / "report.json").exists()
+
+
+def test_sweep_non_finite_tau_rows_fail(tmp_path):
+    path = write_cfg(tmp_path, CIRCLE_CFG)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", path, "--param", "tau",
+                 "--values=nan,inf,1e300,1", "--out", str(out)]) == 2
+    rows = [ln.split(",", 5) for ln in
+            (out / "sweep.csv").read_text().strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["nan", "inf", "1.0000000000000001e+300", "1"]
+    assert all(r[5].startswith("failed: tau must be finite") for r in rows[:3])
+    assert rows[3][5] == "converged"
+
+
 @pytest.mark.parametrize("extra", [["--values", "1", "--jobs", "2"],  # unknown flag
-                                   []])                               # missing --values
+                                   [],                                # missing --values
+                                   ["--values", "1,a"]])              # not a number
 def test_usage_error_exit_code(tmp_path, extra):
     path = write_cfg(tmp_path, CIRCLE_CFG)
     assert main(["sweep", "--config", path, "--param", "tau", *extra,

@@ -258,3 +258,17 @@ def test_curve_file_bit_exact_roundtrip(mid, domain):
     assert back.manifold.name == c.manifold.name
     assert np.array_equal(back.samples, c.samples)
     assert dump_curve(back) == text
+
+
+def test_dump_curve_matches_per_value_format():
+    # each value written as f"{v:.17g}", also for -0.0, subnormals and huge values
+    edge = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0, 2.0**-1074 * 3]
+    x = np.tile(np.array(edge)[:, None], (1, 3))
+    x[:, 1] = np.roll(edge, 1)
+    x[:, 2] = np.roll(edge, 2)
+    c = DiscreteCurve(make_manifold("euclidean:3"), "interval", x)
+    lines = dump_curve(c).split("\n")
+    assert lines[1:] == [",".join(f"{v:.17g}" for v in (t, *row))
+                         for t, row in zip(c.times, c.samples)] + [""]
+    cells = {v for line in lines[1:] for v in line.split(",")}
+    assert {"-0", "4.9406564584124654e-324", "1.0000000000000001e+300"} <= cells

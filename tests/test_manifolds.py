@@ -4,6 +4,8 @@ import pytest
 from varcurves import (CutLocusError, ManifoldPoint, TangentVector, UsageError,
                        dist, exp, inner, log, make_manifold, project_tangent,
                        transport)
+from varcurves.fields import _cross
+from varcurves.manifolds import row_dot, row_norm
 
 ALL_IDS = ["euclidean:2", "sphere:2", "torus:2", "so3"]
 
@@ -276,3 +278,30 @@ def test_make_manifold_rejects_unknown():
         make_manifold("hyperbolic:2")
     with pytest.raises(ConfigError):
         make_manifold("sphere:x")
+
+
+# -- row kernels ----------------------------------------------------------------
+
+def _spread(rng, shape):
+    """Random values with magnitudes spread over 1e-6 .. 1e6 and both signs."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_kernels_match_numpy_bitwise(width):
+    # the kernels keep numpy's summation order: a left fold below 8 columns,
+    # np.sum itself from 8 up; a numpy that changes its order fails here
+    rng = np.random.default_rng(width)
+    u, v = _spread(rng, (1001, width)), _spread(rng, (1001, width))
+    row = v[17]
+    for a, b in ((u, v), (u, row), (row, u), (u[3], v[3])):
+        assert row_dot(a, b).tobytes() == np.sum(a * b, axis=-1).tobytes()
+    for a in (u, u[3]):
+        assert row_norm(a).tobytes() == np.linalg.norm(a, axis=-1).tobytes()
+
+
+def test_cross_matches_numpy_bitwise():
+    rng = np.random.default_rng(5)
+    a, b = _spread(rng, (1001, 3)), _spread(rng, (1001, 3))
+    for x, y in ((a, b), (a[7], b), (a, b[7]), (a[7], b[7])):
+        assert _cross(x, y).tobytes() == np.cross(x, y).tobytes()

@@ -144,8 +144,9 @@ def test_same_samples_compares_bits():
 def _repeat_problem(mid):
     """Small solves whose final line search repeats curves bit for bit.
 
-    On torus:1 the trials fall back onto the iterate; on S^2 and SO(3) a trial
-    also repeats an earlier trial that differs from the iterate.
+    On the tori the trials fall back onto the iterate, also after a trial that
+    differs from it; on S^2 and SO(3) a trial also repeats an earlier trial
+    that differs from the iterate.
     """
     m = make_manifold(mid)
     times = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -153,24 +154,29 @@ def _repeat_problem(mid):
         c = ConstraintSet.interpolation(list(zip(times, [[4.28], [5.07], [4.62],
                                                          [5.43], [4.54]])))
         return FunctionalSpec.tension_cost(1.0), c, seed(c, m, 100, hint=[3])
-    n, s = {"sphere:2": (40, 0), "so3": (20, 1)}[mid]
+    n, s, tau = {"torus:2": (100, 1, 1.0), "sphere:2": (40, 0, 0.0), "so3": (20, 1, 0.0)}[mid]
     c = ConstraintSet.interpolation(list(zip(times, m.random_point(np.random.default_rng(s), 5))))
-    return FunctionalSpec.tension_cost(0.0), c, seed(c, m, n)
+    return FunctionalSpec.tension_cost(tau), c, seed(c, m, n)
 
 
 def _counted_solve(monkeypatch, mid, reuse):
     """Solve with evaluate and exp counted; reuse=False forces every trial to be
     validated and evaluated.  Reuses are split by whether the repeated curve
-    is bitwise the current iterate (the curve gradient was last called on)."""
+    is bitwise the current iterate (the curve gradient was last called on);
+    evaluate_iterate counts trials evaluated although they equal the iterate."""
     spec, c, x0 = _repeat_problem(mid)
-    counts = {"evaluate": 0, "exp": 0, "onto_iterate": 0, "onto_trial": 0}
+    counts = {"evaluate": 0, "exp": 0, "onto_iterate": 0, "onto_trial": 0,
+              "evaluate_iterate": 0}
     iterate = [x0]
     real_evaluate, real_gradient = opt.evaluate, opt.gradient
     real_exp = type(x0.manifold).exp
 
-    def evaluate(*args):
+    def evaluate(spec, curve):
         counts["evaluate"] += 1
-        return real_evaluate(*args)
+        # the first call, on the start curve, comes before any gradient call
+        if counts["evaluate"] > 1 and _same_samples(curve.samples, iterate[0].samples):
+            counts["evaluate_iterate"] += 1
+        return real_evaluate(spec, curve)
 
     def gradient(spec, curve, free):
         iterate[0] = curve
@@ -196,8 +202,8 @@ def _counted_solve(monkeypatch, mid, reuse):
     return rep, counts
 
 
-@pytest.mark.parametrize("mid,onto", [("torus:1", "onto_iterate"), ("sphere:2", "onto_trial"),
-                                      ("so3", "onto_trial")])
+@pytest.mark.parametrize("mid,onto", [("torus:1", "onto_iterate"), ("torus:2", "onto_iterate"),
+                                      ("sphere:2", "onto_trial"), ("so3", "onto_trial")])
 def test_repeated_trial_reuses_objective(monkeypatch, mid, onto):
     rep, counts = _counted_solve(monkeypatch, mid, reuse=True)
     ref, ref_counts = _counted_solve(monkeypatch, mid, reuse=False)
@@ -207,6 +213,9 @@ def test_repeated_trial_reuses_objective(monkeypatch, mid, onto):
     assert counts["evaluate"] < ref_counts["evaluate"]
     assert counts["exp"] == ref_counts["exp"]
     assert counts[onto] > 0
+    # a trial that falls back onto the iterate after a different trial is
+    # rejected without being evaluated
+    assert counts["evaluate_iterate"] == 0
 
 
 def test_history_records_have_diagnostics():
