@@ -46,9 +46,10 @@ def _out_dir(args) -> Path:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
+    seeds = cfg.seed_list()   # a seeding error exits before --out is created
     out = _out_dir(args)
     if cfg.multistart:
-        result = multistart(cfg.spec, cfg.constraint, cfg.seed_list(), cfg.options)
+        result = multistart(cfg.spec, cfg.constraint, seeds, cfg.options)
         payload = {
             "reports": [r.to_dict() for r in result.reports],
             "labels": list(result.labels),
@@ -61,7 +62,7 @@ def cmd_solve(args) -> int:
         for rep, label in zip(result.reports, result.labels):
             save_curve(rep.minimizer, out / f"minimizer_{label.replace(',', '_')}.curve")
         return max(_VERDICT_CODE[r.verdict] for r in result.reports)
-    (x0, _), = cfg.seed_list()
+    (x0, _), = seeds
     report = minimize(cfg.spec, cfg.constraint, x0, cfg.options)
     _write_json(out / "report.json", report.to_dict())
     save_curve(report.minimizer, out / "minimizer.curve")
@@ -149,8 +150,9 @@ def cmd_check(args) -> int:
 
 def cmd_seed(args) -> int:
     cfg = load_config(args.config)
+    seeds = cfg.seed_list()
     out = _out_dir(args)
-    for curve, label in cfg.seed_list():
+    for curve, label in seeds:
         name = "seed.curve" if label == "seed" else f"seed_{label.replace(',', '_')}.curve"
         save_curve(curve, out / name)
     return EXIT_OK

@@ -36,6 +36,10 @@ class DiscreteCurve:
     stencils and their tangent projections) form a memo: each is computed on
     first use, made read-only and kept for the life of the curve, so
     validation, functionals and history statistics share one computation.
+    Validation reads the segment distances only where a step may be near the
+    cut locus (`Manifold.may_reach_cut_locus`); on the sphere that is a pair
+    with a negative dot product, so there they are usually computed on first
+    use instead.
     """
 
     manifold: Manifold
@@ -63,8 +67,10 @@ class DiscreteCurve:
         if m.compact:
             if isinstance(m, Torus):
                 bad = np.any(np.abs(self.steps) >= np.pi - CUT_LOCUS_TOL, axis=-1)
-            else:
+            elif m.may_reach_cut_locus(*_consecutive(x, self.domain)):
                 bad = self.step_dists >= m.injectivity_radius - CUT_LOCUS_TOL
+            else:
+                bad = False
             if np.any(bad):
                 raise DegenerateCurveError(int(np.argmax(bad)))
 

@@ -86,14 +86,18 @@ class PriorField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _modulation_at(self, t: np.ndarray) -> np.ndarray:
+    def _modulation_at(self, t: np.ndarray) -> Optional[np.ndarray]:
+        """Modulation at grid times t, shape (..., 1); None when unmodulated.
+
+        Unmodulated values are returned as they are: 1.0 * v == v bit for bit.
+        """
         if self.modulation is None:
-            return np.ones(np.shape(t))
+            return None
         n = self.modulation.shape[0] - 1
         idx = np.rint(np.asarray(t, float) * n).astype(int)
         if np.any(np.abs(np.asarray(t) * n - idx) > 1e-9):
             raise UsageError("modulated fields are defined at grid times only")
-        return self.modulation[idx]
+        return self.modulation[idx][..., None]
 
     def eval(self, t: float, point) -> "TangentVector":
         """Field value at a single (t, p) as a typed tangent vector."""
@@ -106,56 +110,61 @@ class PriorField:
     def eval_many(self, t: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Field values at (t_j, x_j); rows of points are manifold points."""
         points = np.asarray(points, float)
-        m = self._modulation_at(t)[..., None]
+        m = self._modulation_at(t)
         if self.kind == "zero":
             return np.zeros_like(points)
         if self.kind == "constant_ambient":
-            base = self.manifold.project_tangent(points, np.broadcast_to(self.params, points.shape))
-            return m * base
-        if self.kind == "sphere_rotation":
-            return m * _cross(self.params, points)
-        if self.kind == "so3_left_invariant":
+            v = self.manifold.project_tangent(points, np.broadcast_to(self.params, points.shape))
+        elif self.kind == "sphere_rotation":
+            v = _cross(self.params, points)
+        elif self.kind == "so3_left_invariant":
             omega = _cross_matrix(self.params)
             mats = points.reshape(points.shape[:-1] + (3, 3))
-            return m * (mats @ omega).reshape(points.shape)
-        if self.kind == "torus_constant":
-            return m * np.broadcast_to(self.params, points.shape)
-        raise UsageError(f"unknown field kind {self.kind!r}")
+            v = (mats @ omega).reshape(points.shape)
+        elif self.kind == "torus_constant":
+            v = np.broadcast_to(self.params, points.shape).copy()   # not a view of params
+        else:
+            raise UsageError(f"unknown field kind {self.kind!r}")
+        return v if m is None else m * v
 
     def grad_inner(self, c: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Ambient gradient in x of <c, A(t, x)> with c held fixed."""
         points = np.asarray(points, float)
         c = np.asarray(c, float)
-        m = self._modulation_at(t)[..., None]
+        m = self._modulation_at(t)
         if self.kind in ("zero", "torus_constant"):
             return np.zeros_like(points)
         if self.kind == "constant_ambient":
             v = np.broadcast_to(self.params, points.shape)
-            return m * self.manifold.dproj_bilinear(points, c, v)
-        if self.kind == "sphere_rotation":
-            return m * (-_cross(self.params, c))
-        if self.kind == "so3_left_invariant":
+            g = self.manifold.dproj_bilinear(points, c, v)
+        elif self.kind == "sphere_rotation":
+            g = -_cross(self.params, c)
+        elif self.kind == "so3_left_invariant":
             omega = _cross_matrix(self.params)
             cm = c.reshape(c.shape[:-1] + (3, 3))
-            return m * (cm @ omega.T).reshape(points.shape)
-        raise UsageError(f"unknown field kind {self.kind!r}")
+            g = (cm @ omega.T).reshape(points.shape)
+        else:
+            raise UsageError(f"unknown field kind {self.kind!r}")
+        return g if m is None else m * g
 
     def grad_sq(self, t: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Ambient gradient in x of ||A(t, x)||^2."""
         points = np.asarray(points, float)
-        m2 = self._modulation_at(t)[..., None] ** 2
+        m = self._modulation_at(t)
         if self.kind in ("zero", "torus_constant"):
             return np.zeros_like(points)
         if self.kind == "constant_ambient":
             v = np.broadcast_to(self.params, points.shape)
-            return m2 * self.manifold.dproj_bilinear(points, v, v)
-        if self.kind == "sphere_rotation":
-            return m2 * (-2.0 * _cross(self.params, _cross(self.params, points)))
-        if self.kind == "so3_left_invariant":
+            g = self.manifold.dproj_bilinear(points, v, v)
+        elif self.kind == "sphere_rotation":
+            g = -2.0 * _cross(self.params, _cross(self.params, points))
+        elif self.kind == "so3_left_invariant":
             omega = _cross_matrix(self.params)
             mats = points.reshape(points.shape[:-1] + (3, 3))
-            return m2 * (2.0 * mats @ omega @ omega.T).reshape(points.shape)
-        raise UsageError(f"unknown field kind {self.kind!r}")
+            g = (2.0 * mats @ omega @ omega.T).reshape(points.shape)
+        else:
+            raise UsageError(f"unknown field kind {self.kind!r}")
+        return g if m is None else m**2 * g
 
     # -- boundedness ----------------------------------------------------------
 

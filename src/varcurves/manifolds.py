@@ -115,6 +115,14 @@ class Manifold:
         """Parallel transport of u along the minimal geodesic from p to q."""
         raise NotImplementedError
 
+    def may_reach_cut_locus(self, p: np.ndarray, q: np.ndarray) -> bool:
+        """False only if no pair (p, q) is within CUT_LOCUS_TOL of the cut locus.
+
+        A cheap screen in front of the exact test on dist(p, q); True (run the
+        exact test) unless a manifold knows better.
+        """
+        return True
+
     def relative_step(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Ambient displacement of q relative to p used by difference stencils.
 
@@ -200,6 +208,13 @@ class Sphere(Manifold):
         pw = row_dot(p, w)[..., None]
         return -(pw * u + pu * w)
 
+    def dproj_quad(self, p, c):
+        # dproj_bilinear(p, c, c) with its two equal terms computed once
+        p = np.asarray(p, float)
+        c = np.asarray(c, float)
+        half = row_dot(p, c)[..., None] * c
+        return -(half + half)
+
     def exp(self, p, v):
         p = np.asarray(p, float)
         v = np.asarray(v, float)
@@ -229,6 +244,11 @@ class Sphere(Manifold):
 
     def dist(self, p, q):
         return self._angle(p, q)
+
+    def may_reach_cut_locus(self, p, q):
+        # the angle exceeds pi/2 only where p . q < 0, and the cut locus
+        # is at pi
+        return bool(np.any(row_dot(p, q) < 0.0))
 
     def transport(self, p, q, u):
         p = np.asarray(p, float)

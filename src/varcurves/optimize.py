@@ -26,10 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .constraints import ConstraintSet, free_mask, impose
+from .constraints import ConstraintSet, fixed_indices, free_mask, impose
 from .curves import (DiscreteCurve, interior_weights, length, node_weights,
-                     quadrature_length, velocity, winding_vector,
-                     covariant_accel)
+                     velocity, winding_vector, covariant_accel)
 from .errors import DegenerateCurveError, CutLocusError, UsageError
 from .functionals import FunctionalSpec, el_residual, evaluate, gradient
 from .manifolds import Torus, row_dot, row_norm
@@ -173,9 +172,10 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
 
 
 def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:
-    v = curve.velocity_vectors
-    sup_v = float(np.max(row_norm(v)))
-    return length(curve), quadrature_length(curve), sup_v
+    """length, quadrature_length and sup speed, from one evaluation of the speed."""
+    speed = row_norm(curve.velocity_vectors)
+    quad_length = float(np.sum(node_weights(curve) * speed))
+    return length(curve), quad_length, float(np.max(speed))
 
 
 def _same_samples(a: np.ndarray, b: np.ndarray) -> bool:
@@ -194,6 +194,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     x = impose(constraint, x0)
     m = x.manifold
     free = free_mask(constraint, x.grid_n, x.domain)
+    fixed = fixed_indices(constraint, x.grid_n, x.domain)
     track_winding = isinstance(m, Torus)
     w_ref = winding_vector(x) if track_winding else None
     w_drift = 0.0 if track_winding else None
@@ -227,20 +228,21 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             break
 
         d = np.zeros_like(g)
-        d[free] = lu.solve(g[free])
+        d[free] = lu.solve(np.take(g, free, axis=0))
         d = m.project_tangent(x.samples, d)
         gd = float(np.sum(g * d))
         if gd <= 0.0:  # cannot happen for an SPD model, kept as a safe fallback
             d = g
             gd = float(np.sum(g * g))
 
-        x_free, d_free = x.samples[free], d[free]
         step = opts.initial_step
         if m.compact:
-            max_disp = float(np.max(row_norm(d_free)))
+            max_disp = float(np.max(row_norm(d)))   # d is zero on fixed rows
             if max_disp > 0:
                 step = min(step, STEP_CAP / max_disp)
 
+        # exp acts row by row; d is zero on the fixed rows, but exp may still
+        # round them, so they are copied back and never move.
         # Once step*|d| is below what the samples resolve, exp returns x or the
         # previous trial bit for bit; such a trial reuses that curve and its
         # objective (evaluate is deterministic), and one equal to x is rejected
@@ -248,8 +250,8 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         last, obj_last = x, obj
         accepted = False
         while step >= opts.step_floor:
-            trial = np.array(x.samples)
-            trial[free] = m.exp(x_free, -step * d_free)
+            trial = m.exp(x.samples, -step * d)
+            trial[fixed] = x.samples[fixed]
             if _same_samples(trial, last.samples):
                 x_trial, obj_trial = last, obj_last
             elif last is not x and _same_samples(trial, x.samples):

@@ -152,16 +152,27 @@ def _with(cfg, path, value):
     (("winding_hint",), "abc", "winding_hint"),
     (("winding_hint",), 1e30, "winding hints"),   # beyond int64
     (("grid_n",), 16.7, "grid_n"),
+    (("winding_hint",), 0.5, "winding hints"),    # fails only at seeding
+    (("winding_hints",), [0, 0.5], "winding hints"),   # multistart seeding
 ], ids=["tau-nan", "tau-inf", "tau-1e300", "tau-str", "tau-null", "k-str", "field-str",
         "field-params-str", "knot-t-str", "knot-position-str", "winding_hint-str", "winding_hint-huge",
-        "grid_n-float"])
+        "grid_n-float", "winding_hint-half", "winding_hints-half"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, path, value, key):
     cfg = write_cfg(tmp_path, _with(CIRCLE_CFG, path, value))
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hints", [{"winding_hint": 0.5}, {"winding_hints": [0, 0.5]}])
+def test_seed_bad_winding_hint_leaves_no_out_dir(tmp_path, capsys, hints):
+    cfg = write_cfg(tmp_path, dict(CIRCLE_CFG, **hints))
+    out = tmp_path / "o"
+    assert main(["seed", "--config", cfg, "--out", str(out)]) == 1
+    assert "winding hints must be integers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_non_finite_tau_rows_fail(tmp_path):

@@ -6,6 +6,7 @@ from varcurves import (DegenerateCurveError, DiscreteCurve, TangentField, UsageE
                        length, make_manifold, parse_curve, quadrature_length,
                        sobolev_norm_sq, sup_norm, velocity, winding_vector)
 from varcurves.checks import _random_curve
+from varcurves.manifolds import CUT_LOCUS_TOL, row_dot
 
 
 def euclid_curve(fn, n=100, dim=1):
@@ -207,6 +208,58 @@ def test_degenerate_steps_carry_index():
     with pytest.raises(DegenerateCurveError) as err:
         DiscreteCurve(m, "interval", x)
     assert err.value.index == 1
+
+
+def _sphere_pair_curve(q, domain, p=(1.0, 0.0, 0.0)):
+    """S^2 curve p, p, p, q, q: only the step from sample 2 to 3 (and, on the
+    circle, the closing step from sample 4 to 0) is large."""
+    x = np.array([p, p, p, q, q], float)
+    return DiscreteCurve(make_manifold("sphere:2"), domain, x)
+
+
+def _sphere_dists(x, domain):
+    """Sphere.dist of consecutive samples: the exact cut-locus test's input."""
+    q = x[1:] if domain == "interval" else np.roll(x, -1, axis=0)
+    return make_manifold("sphere:2").dist(x[:len(q)], q)
+
+
+TINY = 5e-324   # one ulp of 0.0
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+@pytest.mark.parametrize("p,q,dot", [
+    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0),
+    ((1.0, -0.0, -0.0), (-0.0, 1.0, 0.0), -0.0),
+    ((1.0, 0.0, 0.0), (TINY, 1.0, 0.0), TINY),
+    ((1.0, 0.0, 0.0), (-TINY, 1.0, 0.0), -TINY),
+], ids=["+0", "-0", "+ulp", "-ulp"])
+def test_quarter_turn_step_is_accepted(domain, p, q, dot):
+    c = _sphere_pair_curve(q, domain, p)
+    d = row_dot(np.array(p), np.array(q))
+    assert d.tobytes() == np.float64(dot).tobytes()
+    # a step with a non-negative dot product is at most pi/2 long, so
+    # validation leaves the distances to their first use
+    assert ("step_dists" in c.__dict__) == (d < 0)
+    assert c.step_dists.tobytes() == _sphere_dists(c.samples, domain).tobytes()
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_near_antipodal_step_raises_at_first_bad_index(domain):
+    a = np.pi - 1e-9
+    q = (np.cos(a), np.sin(a), 0.0)
+    x = np.array([(1.0, 0.0, 0.0)] * 3 + [q] * 2)
+    bad = _sphere_dists(x, domain) >= np.pi - CUT_LOCUS_TOL
+    with pytest.raises(DegenerateCurveError) as err:
+        _sphere_pair_curve(q, domain)
+    assert err.value.index == int(np.argmax(bad)) == 2
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_step_short_of_cut_locus_is_accepted(domain):
+    a = np.pi - 1e-7
+    c = _sphere_pair_curve((np.cos(a), np.sin(a), 0.0), domain)
+    assert c.step_dists.tobytes() == _sphere_dists(c.samples, domain).tobytes()
+    assert np.max(c.step_dists) < np.pi - CUT_LOCUS_TOL
 
 
 def test_off_manifold_samples_rejected():

@@ -88,3 +88,29 @@ def test_field_from_config():
         field_from_config(m, {"params": [1, 2, 3]})
     with pytest.raises(ConfigError):
         field_from_config(m, {"kind": "mystery"})
+
+
+@pytest.mark.parametrize("mid,kind,params", [
+    ("sphere:2", "zero", None),
+    ("sphere:2", "sphere_rotation", [0.3, -0.2, 0.9]),
+    ("sphere:2", "constant_ambient", [1.0, 2.0, -0.5]),
+    ("so3", "constant_ambient", [0.1, -0.4, 0.2, 0.7, 0.0, 1.5, -0.3, 0.6, 0.9]),
+    ("torus:2", "torus_constant", [0.4, -1.1]),
+    ("so3", "so3_left_invariant", [0.2, 0.5, -0.3]),
+])
+def test_unmodulated_field_equals_unit_modulation_bitwise(mid, kind, params):
+    # an unmodulated field skips the multiplication by ones: 1.0 * v == v
+    m = make_manifold(mid)
+    p = None if params is None else np.asarray(params, float)
+    n = 30
+    plain = PriorField(m, kind, p)
+    ones = PriorField(m, kind, p, modulation=np.ones(n + 1))
+    rng = np.random.default_rng(12)
+    pts = m.random_point(rng, n + 1)
+    c = rng.normal(size=pts.shape)
+    t = np.arange(n + 1) / n
+    for a, b in [(plain.eval_many(t, pts), ones.eval_many(t, pts)),
+                 (plain.grad_inner(c, t, pts), ones.grad_inner(c, t, pts)),
+                 (plain.grad_sq(t, pts), ones.grad_sq(t, pts))]:
+        assert a.shape == b.shape == pts.shape
+        assert a.tobytes() == b.tobytes()

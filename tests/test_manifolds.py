@@ -209,6 +209,15 @@ def test_projection_idempotent_and_self_adjoint(mid):
         assert np.dot(pa, b) == pytest.approx(np.dot(a, m.project_tangent(p, b)), abs=1e-10)
 
 
+@pytest.mark.parametrize("mid", ["sphere:1"] + ALL_IDS)
+def test_dproj_quad_is_dproj_bilinear_bitwise(mid):
+    m = mk(mid)
+    rng = np.random.default_rng(16)
+    p = m.random_point(rng, 50)
+    c = rng.normal(size=p.shape)
+    assert m.dproj_quad(p, c).tobytes() == m.dproj_bilinear(p, c, c.copy()).tobytes()
+
+
 # -- dist ----------------------------------------------------------------------
 
 def test_dist_examples():

@@ -10,8 +10,12 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        evaluate_family, geodesic, hermite_cubic, impose, length,
                        make_manifold, minimize, multistart, ps_diagnostics, seed,
                        sup_distance, tension_1d)
-from varcurves.curves import first_difference, second_difference
-from varcurves.optimize import _same_samples, _stencil_matrices
+from varcurves.checks import _random_curve
+from varcurves.constraints import fixed_indices, free_mask
+from varcurves.curves import first_difference, quadrature_length, second_difference, velocity
+from varcurves.functionals import gradient
+from varcurves.manifolds import row_norm
+from varcurves.optimize import _curve_stats, _same_samples, _stencil_matrices
 
 
 def hermite_setup(n=200):
@@ -95,6 +99,15 @@ def test_monotone_descent_and_certificate():
     assert rep.final_residual <= SolveOptions().grad_tol
 
 
+def _five_knot_problem(mid, n=200):
+    """Interpolation through five random knots at t = k/4: the fixed rows
+    0, n/4, n/2, 3n/4 and n, three of them inside the sample array."""
+    m = make_manifold(mid)
+    knots = m.random_point(np.random.default_rng(3), 5)
+    c = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)))
+    return c, impose(c, seed(c, m, n))
+
+
 def test_fixed_samples_bit_identical():
     m = make_manifold("sphere:2")
     c = ConstraintSet.clamped([1, 0, 0], [0, 1, 0], [0, 1.0, 0], [0.5, 0, 0.1])
@@ -102,6 +115,46 @@ def test_fixed_samples_bit_identical():
     rep = minimize(FunctionalSpec.tension_cost(0.5), c, x0)
     for j in (0, 1, -2, -1):
         assert np.array_equal(rep.minimizer.samples[j], x0.samples[j])
+    for mid in ("sphere:2", "so3", "torus:2", "euclidean:2"):
+        c, x0 = _five_knot_problem(mid)
+        rep = minimize(FunctionalSpec.tension_cost(0.5), c, x0, SolveOptions(max_iters=10))
+        assert rep.iterations > 0
+        fixed = fixed_indices(c, 200)
+        assert rep.minimizer.samples[fixed].tobytes() == x0.samples[fixed].tobytes()
+
+
+@pytest.mark.parametrize("mid", ["sphere:2", "so3", "torus:2", "euclidean:2"])
+def test_whole_array_trial_matches_free_row_scatter(mid):
+    # minimize builds each trial with exp over all rows and copies the fixed
+    # rows back; that must equal exp over the free rows scattered into x
+    c, x = _five_knot_problem(mid)
+    m = x.manifold
+    spec = FunctionalSpec.tension_cost(0.5)
+    free, fixed = free_mask(c, x.grid_n), fixed_indices(c, x.grid_n)
+    g = gradient(spec, x, free).vectors
+    d = np.zeros_like(g)
+    d[free] = opt._flat_model_factor(spec, x, free).solve(g[free])
+    d = m.project_tangent(x.samples, d)
+    assert np.all(row_norm(d[fixed]) == 0.0)
+    cap = min(1.0, opt.STEP_CAP / np.max(row_norm(d))) if m.compact else 1.0
+    for scale in (1.0, 2.0**-20, 2.0**-45):
+        step = cap * scale
+        whole = m.exp(x.samples, -step * d)
+        whole[fixed] = x.samples[fixed]
+        scatter = np.array(x.samples)
+        scatter[free] = m.exp(x.samples[free], -step * d[free])
+        assert whole.tobytes() == scatter.tobytes()
+
+
+@pytest.mark.parametrize("mid", ["euclidean:2", "sphere:2", "torus:2", "so3"])
+def test_curve_stats_match_their_definitions(mid):
+    m = make_manifold(mid)
+    curve = _random_curve(m, np.random.default_rng(4), 40)
+    ref = (length(curve), quadrature_length(curve),
+           float(np.max(row_norm(velocity(curve).vectors))))
+    fresh = DiscreteCurve(m, "interval", curve.samples)   # nothing memoized yet
+    got = _curve_stats(fresh)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
 
 
 def test_determinism():
