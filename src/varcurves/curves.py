@@ -36,10 +36,13 @@ class DiscreteCurve:
     stencils and their tangent projections) form a memo: each is computed on
     first use, made read-only and kept for the life of the curve, so
     validation, functionals and history statistics share one computation.
-    Validation reads the segment distances only where a step may be near the
-    cut locus (`Manifold.may_reach_cut_locus`); on the sphere that is a pair
-    with a negative dot product, so there they are usually computed on first
-    use instead.
+    Validation runs the exact residual test only where a cheap screen cannot
+    rule out a sample off the manifold (`Manifold.may_be_off_manifold`; on
+    SO(3) a row-wise bound on m m^T - I and the sign of det m). It reads the
+    segment distances only where a step may be near the cut locus
+    (`Manifold.may_reach_cut_locus`); on the sphere and on SO(3) that is a
+    pair with a negative row-wise dot product, so there they are usually
+    computed on first use instead.
     """
 
     manifold: Manifold
@@ -59,11 +62,12 @@ class DiscreteCurve:
         if not np.isfinite(x).all():   # a NaN would pass the residual test below
             j = int(np.argmin(np.isfinite(x).all(axis=1)))
             raise UsageError(f"sample {j} is not finite")
-        res = self.manifold.constraint_residual(x)
-        if np.any(res > _SAMPLE_TOL):
-            j = int(np.argmax(res))
-            raise UsageError(f"sample {j} is off the manifold (residual {res[j]:.2e})")
         m = self.manifold
+        if m.may_be_off_manifold(x, _SAMPLE_TOL):
+            res = m.constraint_residual(x)
+            if np.any(res > _SAMPLE_TOL):
+                j = int(np.argmax(res))
+                raise UsageError(f"sample {j} is off the manifold (residual {res[j]:.2e})")
         if m.compact:
             if isinstance(m, Torus):
                 bad = np.any(np.abs(self.steps) >= np.pi - CUT_LOCUS_TOL, axis=-1)

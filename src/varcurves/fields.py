@@ -13,21 +13,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .manifolds import SO3, Manifold, Sphere, Torus, row_norm
+from .manifolds import SO3, Manifold, Sphere, Torus, row_cross, row_norm
 
 _SPOT_CHECK_DRAWS = 10_000
 _SPOT_CHECK_SEED = 20260810
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products of 3-vectors along the last axis, with broadcasting.
-
-    The arithmetic of np.cross (so bit for bit its result) without its axis
-    moves and broadcast copies.
-    """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _cross_matrix(w: np.ndarray) -> np.ndarray:
@@ -116,7 +105,7 @@ class PriorField:
         if self.kind == "constant_ambient":
             v = self.manifold.project_tangent(points, np.broadcast_to(self.params, points.shape))
         elif self.kind == "sphere_rotation":
-            v = _cross(self.params, points)
+            v = row_cross(self.params, points)
         elif self.kind == "so3_left_invariant":
             omega = _cross_matrix(self.params)
             mats = points.reshape(points.shape[:-1] + (3, 3))
@@ -138,7 +127,7 @@ class PriorField:
             v = np.broadcast_to(self.params, points.shape)
             g = self.manifold.dproj_bilinear(points, c, v)
         elif self.kind == "sphere_rotation":
-            g = -_cross(self.params, c)
+            g = -row_cross(self.params, c)
         elif self.kind == "so3_left_invariant":
             omega = _cross_matrix(self.params)
             cm = c.reshape(c.shape[:-1] + (3, 3))
@@ -157,7 +146,7 @@ class PriorField:
             v = np.broadcast_to(self.params, points.shape)
             g = self.manifold.dproj_bilinear(points, v, v)
         elif self.kind == "sphere_rotation":
-            g = -2.0 * _cross(self.params, _cross(self.params, points))
+            g = -2.0 * row_cross(self.params, row_cross(self.params, points))
         elif self.kind == "so3_left_invariant":
             omega = _cross_matrix(self.params)
             mats = points.reshape(points.shape[:-1] + (3, 3))

@@ -55,6 +55,17 @@ def row_norm(u: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(u, u))
 
 
+def row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of 3-vectors along the last axis, with broadcasting.
+
+    The arithmetic of np.cross (so bit for bit its result) without its axis
+    moves and broadcast copies.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 class Manifold:
     """Base class; concrete manifolds implement the array-level geometry.
 
@@ -75,6 +86,14 @@ class Manifold:
     def constraint_residual(self, x: np.ndarray) -> np.ndarray:
         """Distance of x from satisfying the defining constraint (0 on-manifold)."""
         return np.zeros(np.shape(x)[:-1])
+
+    def may_be_off_manifold(self, x: np.ndarray, tol: float) -> bool:
+        """False only if constraint_residual(x) <= tol on every row of x.
+
+        A cheap screen in front of the exact residual test; True (run the
+        exact test) unless a manifold knows better, as SO(3) does.
+        """
+        return True
 
     def random_point(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         raise NotImplementedError
@@ -119,7 +138,8 @@ class Manifold:
         """False only if no pair (p, q) is within CUT_LOCUS_TOL of the cut locus.
 
         A cheap screen in front of the exact test on dist(p, q); True (run the
-        exact test) unless a manifold knows better.
+        exact test) unless a manifold knows better, as the sphere and SO(3)
+        do from the sign of the row-wise dot product.
         """
         return True
 
@@ -347,10 +367,8 @@ class SO3(Manifold):
         m = self._mat(x)
         u, _, vt = np.linalg.svd(m)
         det = np.linalg.det(u @ vt)
-        fix = np.ones(np.shape(det) + (3,))
-        fix[..., 2] = det
-        r = (u * fix[..., None, :]) @ vt
-        return self._vec(r)
+        u[..., 2] *= det[..., None]   # flip the last column where u @ vt reflects
+        return self._vec(u @ vt)
 
     def constraint_residual(self, x):
         m = self._mat(x)
@@ -359,6 +377,21 @@ class SO3(Manifold):
             np.swapaxes(m, -1, -2) @ m - eye, axis=(-2, -1))
         det = np.abs(np.linalg.det(m) - 1.0)
         return np.maximum(ortho, det)
+
+    def may_be_off_manifold(self, x, tol):
+        # With e the largest |r_i . r_j - delta_ij| over the rows r_i of a
+        # sample m, ||m^T m - I||_F = ||m m^T - I||_F <= 3e, so every squared
+        # singular value lies in [1 - 3e, 1 + 3e]; the triple product
+        # r0 . (r1 x r2) is det(m), and when it is positive
+        # |det(m) - 1| <= 4.5e + O(e^2).  e <= tol / 100 thus keeps both parts
+        # of constraint_residual far below tol.  A NaN fails both tests.
+        x = np.asarray(x, float)
+        r = [x[..., 3 * i:3 * i + 3] for i in range(3)]
+        e = np.abs(row_dot(r[0], r[0]) - 1.0)
+        for i, j in ((1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+            e = np.maximum(e, np.abs(row_dot(r[i], r[j]) - float(i == j)))
+        det = row_dot(r[0], row_cross(r[1], r[2]))
+        return not (np.all(e <= tol / 100) and np.all(det > 0.5))
 
     def random_point(self, rng, n=1):
         return self.canonicalize(rng.normal(size=(n, 9)))
@@ -375,6 +408,12 @@ class SO3(Manifold):
         # <u, P(p) w>_F = (<u, w> - tr(u^T p w^T p)) / 2
         g = um @ np.swapaxes(pm, -1, -2) @ wm + wm @ np.swapaxes(pm, -1, -2) @ um
         return self._vec(-0.5 * g)
+
+    def dproj_quad(self, p, c):
+        # dproj_bilinear(p, c, c) with its two equal terms computed once
+        pm, cm = self._mat(p), self._mat(c)
+        half = cm @ np.swapaxes(pm, -1, -2) @ cm
+        return self._vec(-0.5 * (half + half))
 
     @staticmethod
     def _expm_skew(omega):
@@ -423,6 +462,12 @@ class SO3(Manifold):
         pm, qm = self._mat(p), self._mat(q)
         r = np.swapaxes(pm, -1, -2) @ qm
         return np.sqrt(2.0) * self._rotation_angle(r)
+
+    def may_reach_cut_locus(self, p, q):
+        # the row-wise dot product of the 9-vectors is tr(p^T q) =
+        # 1 + 2 cos(angle), negative only beyond an angle of 2 pi / 3; the
+        # cut locus is at pi
+        return bool(np.any(row_dot(p, q) < 0.0))
 
     def transport(self, p, q, u):
         om, _ = self._rel_rotation_log(p, q)

@@ -156,15 +156,16 @@ def _stencil_matrices(curve: DiscreteCurve):
 def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray):
     """Factorized flat-space model Hessian restricted to the free samples."""
     sv, sa = _stencil_matrices(curve)
-    wv = sp.diags(node_weights(curve))
-    wa = sp.diags(interior_weights(curve))
     if spec.kind == "tension":
         ca, cv = 1.0, spec.tau**2
     elif spec.kind == "conditional":
         ca, cv = (1.0, 0.0) if spec.k == 2 else (0.0, 1.0)
     else:
         ca, cv = (1.0 if spec.k == 2 else 0.0), 1.0
-    h = ca * (sa.T @ wa @ sa) + cv * (sv.T @ wv @ sv)
+    # a term times 0.0 would hold only explicit zeros, which the sum drops
+    terms = [c * (s.T @ sp.diags(w(curve)) @ s)
+             for c, s, w in ((ca, sa, interior_weights), (cv, sv, node_weights)) if c != 0.0]
+    h = sum(terms[1:], terms[0])
     h = h.tocsc()[free][:, free].tocsc()
     diag_scale = max(float(h.diagonal().max()), 1.0)
     h = h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from varcurves import (DegenerateCurveError, DiscreteCurve, TangentField, UsageE
                        length, make_manifold, parse_curve, quadrature_length,
                        sobolev_norm_sq, sup_norm, velocity, winding_vector)
 from varcurves.checks import _random_curve
-from varcurves.manifolds import CUT_LOCUS_TOL, row_dot
+from varcurves.curves import _SAMPLE_TOL
+from varcurves.manifolds import CUT_LOCUS_TOL, SO3, row_dot
 
 
 def euclid_curve(fn, n=100, dim=1):
@@ -268,6 +271,136 @@ def test_off_manifold_samples_rejected():
     x[3] = [2.0, 0.0, 0.0]
     with pytest.raises(UsageError):
         DiscreteCurve(m, "interval", x)
+
+
+# -- SO(3) screens in front of the exact residual and cut-locus tests ---------------------
+
+def _count_residual_calls(monkeypatch):
+    calls = []
+    exact = SO3.constraint_residual
+
+    def counted(self, x):
+        calls.append(len(x))
+        return exact(self, x)
+
+    monkeypatch.setattr(SO3, "constraint_residual", counted)
+    return calls
+
+
+def _so3_curve_samples(n=1000):
+    return np.array(_random_curve(make_manifold("so3"), np.random.default_rng(6), n).samples)
+
+
+def test_so3_sample_off_by_1e_7_rejected_with_exact_message():
+    m = make_manifold("so3")
+    x = _so3_curve_samples(40)
+    x[7, 0] += 1e-7
+    res = m.constraint_residual(x)
+    assert np.flatnonzero(res > _SAMPLE_TOL).tolist() == [7]
+    msg = f"sample 7 is off the manifold (residual {res[7]:.2e})"
+    with pytest.raises(UsageError, match=f"^{re.escape(msg)}$"):
+        DiscreteCurve(m, "interval", x)
+
+
+@pytest.mark.parametrize("move,screened", [(1e-12, True), (1e-9, False), (5e-9, False)])
+def test_so3_small_moves_accepted(monkeypatch, move, screened):
+    # a move the screen cannot clear is left to the exact test, which accepts it
+    m = make_manifold("so3")
+    x = _so3_curve_samples(40)
+    x[7, 0] += move
+    assert np.max(m.constraint_residual(x)) <= _SAMPLE_TOL
+    assert m.may_be_off_manifold(x, _SAMPLE_TOL) != screened
+    calls = _count_residual_calls(monkeypatch)
+    DiscreteCurve(m, "interval", x)
+    assert calls == ([] if screened else [len(x)])
+
+
+def test_so3_reflection_rejected():
+    m = make_manifold("so3")
+    x = _so3_curve_samples(40)
+    x[11] = -x[11]   # orthonormal rows, det -1
+    assert np.abs(row_dot(x[11], x[11]) - 3.0) < 1e-14
+    with pytest.raises(UsageError, match=r"^sample 11 is off the manifold \(residual 2\.00e\+00\)$"):
+        DiscreteCurve(m, "interval", x)
+
+
+def test_canonical_so3_curve_skips_exact_tests(monkeypatch):
+    m = make_manifold("so3")
+    x = _so3_curve_samples(1000)
+    calls = _count_residual_calls(monkeypatch)
+    c = DiscreteCurve(m, "interval", x)
+    assert calls == []
+    assert "step_dists" not in c.__dict__
+    assert c.step_dists.tobytes() == m.dist(x[:-1], x[1:]).tobytes()
+
+
+def _so3_pair_curve(q, domain, p=np.eye(3).ravel()):
+    """SO(3) curve p, p, p, q, q: only the step from sample 2 to 3 (and, on
+    the circle, the closing step from sample 4 to 0) is large."""
+    x = np.array([p, p, p, q, q], float)
+    return DiscreteCurve(make_manifold("so3"), domain, x)
+
+
+def _so3_dists(x, domain):
+    """SO3.dist of consecutive samples: the exact cut-locus test's input."""
+    q = x[1:] if domain == "interval" else np.roll(x, -1, axis=0)
+    return make_manifold("so3").dist(x[:len(q)], q)
+
+
+def _z_rotation(a):
+    return np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0],
+                     [0.0, 0.0, 1.0]]).ravel()
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_so3_near_half_turn_step_raises_at_first_bad_index(domain):
+    q = _z_rotation(np.pi - 1e-9)
+    x = np.array([np.eye(3).ravel()] * 3 + [q] * 2)
+    bad = _so3_dists(x, domain) >= SO3.injectivity_radius - CUT_LOCUS_TOL
+    with pytest.raises(DegenerateCurveError) as err:
+        _so3_pair_curve(q, domain)
+    assert err.value.index == int(np.argmax(bad)) == 2
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_so3_step_short_of_half_turn_is_accepted(domain):
+    c = _so3_pair_curve(_z_rotation(np.pi - 1e-7), domain)
+    assert c.step_dists.tobytes() == _so3_dists(c.samples, domain).tobytes()
+    assert np.max(c.step_dists) < SO3.injectivity_radius - CUT_LOCUS_TOL
+
+
+# the cyclic permutation: a rotation by 2 pi / 3 about (1, 1, 1), trace 0
+_CYCLE = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+_EYE = np.eye(3).ravel()
+
+
+def _with_diagonal(a, value):
+    a = np.array(a)
+    a[[0, 4, 8]] = value
+    return a
+
+
+def _zeros_negative(a):
+    return np.where(a == 0.0, -0.0, a)
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+@pytest.mark.parametrize("p,q,dot", [
+    (_EYE, _CYCLE, 0.0),
+    # every product is -0.0, but numpy's 9-wide sum starts from +0.0
+    (_zeros_negative(_EYE), _with_diagonal(_CYCLE, -0.0), 0.0),
+    (_EYE, _with_diagonal(_CYCLE, [TINY, 0.0, 0.0]), TINY),
+    (_EYE, _with_diagonal(_CYCLE, [-TINY, 0.0, 0.0]), -TINY),
+], ids=["+0", "-0-products", "+ulp", "-ulp"])
+def test_so3_trace_zero_step_is_accepted(domain, p, q, dot):
+    c = _so3_pair_curve(q, domain, p)
+    d = row_dot(p, q)
+    assert d.tobytes() == np.float64(dot).tobytes()
+    # tr(p^T q) >= 0 bounds the rotation angle by 2 pi / 3, so validation
+    # leaves the distances to their first use
+    assert ("step_dists" in c.__dict__) == (d < 0)
+    assert c.step_dists.tobytes() == _so3_dists(c.samples, domain).tobytes()
+    assert np.max(c.step_dists) < SO3.injectivity_radius - CUT_LOCUS_TOL
 
 
 @pytest.mark.parametrize("mid", ["euclidean:2", "sphere:2", "torus:2", "so3"])

@@ -4,8 +4,7 @@ import pytest
 from varcurves import (CutLocusError, ManifoldPoint, TangentVector, UsageError,
                        dist, exp, inner, log, make_manifold, project_tangent,
                        transport)
-from varcurves.fields import _cross
-from varcurves.manifolds import row_dot, row_norm
+from varcurves.manifolds import row_cross, row_dot, row_norm
 
 ALL_IDS = ["euclidean:2", "sphere:2", "torus:2", "so3"]
 
@@ -281,6 +280,45 @@ def test_so3_point_invariant():
     assert p.residual() < 1e-12
 
 
+def _canonicalize_with_fix(x):
+    """SO3.canonicalize written with a ones array that carries det in column 2."""
+    m = np.asarray(x, float).reshape(np.shape(x)[:-1] + (3, 3))
+    u, _, vt = np.linalg.svd(m)
+    det = np.linalg.det(u @ vt)
+    fix = np.ones(np.shape(det) + (3,))
+    fix[..., 2] = det
+    return ((u * fix[..., None, :]) @ vt).reshape(np.shape(x))
+
+
+def test_so3_canonicalize_matches_fix_formula_bitwise():
+    m = mk("so3")
+    rng = np.random.default_rng(19)
+    rot = m.random_point(rng, 500)
+    near = rot + 1e-9 * rng.normal(size=rot.shape)
+    assert np.all(np.linalg.det(-near.reshape(-1, 3, 3)) < 0)   # reflections
+    cases = (rng.normal(size=(1000, 9)), near, -near, -rot, rng.normal(size=9), -rot[0])
+    for x in cases:
+        assert m.canonicalize(x).tobytes() == _canonicalize_with_fix(x).tobytes()
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-7, 1e-3])
+def test_so3_off_manifold_screen_clears_only_tiny_residuals(scale):
+    m = mk("so3")
+    rng = np.random.default_rng(20)
+    x = m.random_point(rng, 200) + scale * rng.normal(size=(200, 9))
+    tol = 1e-8
+    for y in (x, -x):
+        cleared = np.array([not m.may_be_off_manifold(row, tol) for row in y])
+        # residual <= 4.5 e + O(e^2) with e <= tol / 100, plus rounding
+        assert np.all(m.constraint_residual(y)[cleared] <= 5e-10)
+        assert m.may_be_off_manifold(y, tol) == (not np.all(cleared))
+    if scale <= 1e-12:
+        assert not m.may_be_off_manifold(x, tol)
+    assert m.may_be_off_manifold(-x, tol)   # det -1
+    x[3, 4] = np.nan
+    assert m.may_be_off_manifold(x, tol)
+
+
 def test_make_manifold_rejects_unknown():
     from varcurves import ConfigError
     with pytest.raises(ConfigError):
@@ -313,4 +351,4 @@ def test_cross_matches_numpy_bitwise():
     rng = np.random.default_rng(5)
     a, b = _spread(rng, (1001, 3)), _spread(rng, (1001, 3))
     for x, y in ((a, b), (a[7], b), (a, b[7]), (a[7], b[7])):
-        assert _cross(x, y).tobytes() == np.cross(x, y).tobytes()
+        assert row_cross(x, y).tobytes() == np.cross(x, y).tobytes()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import varcurves.optimize as opt
 
@@ -12,9 +13,11 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        sup_distance, tension_1d)
 from varcurves.checks import _random_curve
 from varcurves.constraints import fixed_indices, free_mask
-from varcurves.curves import first_difference, quadrature_length, second_difference, velocity
+from varcurves.curves import (first_difference, interior_weights, node_weights,
+                              quadrature_length, second_difference, velocity)
+from varcurves.fields import PriorField
 from varcurves.functionals import gradient
-from varcurves.manifolds import row_norm
+from varcurves.manifolds import SO3, Manifold, row_norm
 from varcurves.optimize import _curve_stats, _same_samples, _stencil_matrices
 
 
@@ -369,3 +372,71 @@ def test_stencil_matrices_bit_identical_to_loop_build(domain, n):
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _two_term_factor(ca, cv, curve, free):
+    """The flat model built as the sum of both terms, zero coefficients included."""
+    sv, sa = _stencil_matrices(curve)
+    wv, wa = sp.diags(node_weights(curve)), sp.diags(interior_weights(curve))
+    h = ca * (sa.T @ wa @ sa) + cv * (sv.T @ wv @ sv)
+    h = h.tocsc()[free][:, free].tocsc()
+    diag_scale = max(float(h.diagonal().max()), 1.0)
+    h = h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale)
+    return spla.splu(h)
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+@pytest.mark.parametrize("spec,coef", [
+    (FunctionalSpec.tension_cost(0.0), (1.0, 0.0)),
+    (FunctionalSpec.conditional(2), (1.0, 0.0)),
+    (FunctionalSpec.conditional(1), (0.0, 1.0)),
+    (FunctionalSpec.energy(1), (0.0, 1.0)),
+], ids=["tension0", "conditional2", "conditional1", "energy1"])
+def test_flat_model_without_zero_term_solves_bitwise(domain, spec, coef):
+    # the term with coefficient 0 is not built; its explicit zeros never
+    # reached the factor, as the sparse sums drop them
+    curve = _euclid_curve(domain, 200)
+    free = np.setdiff1d(np.arange(curve.n_samples), [0, 50, 100, 150, 200])
+    b = np.random.default_rng(8).normal(size=(len(free), 3))
+    got = opt._flat_model_factor(spec, curve, free).solve(b)
+    assert got.tobytes() == _two_term_factor(*coef, curve, free).solve(b).tobytes()
+
+
+class _ExactSO3(SO3):
+    """SO(3) that runs every exact test and forms c p^T c twice in dproj_quad:
+    the reference that the screens and shortcuts of SO3 must match bit for bit."""
+
+    def may_be_off_manifold(self, x, tol):
+        return True
+
+    def may_reach_cut_locus(self, p, q):
+        return True
+
+    dproj_quad = Manifold.dproj_quad
+
+    def canonicalize(self, x):
+        m = self._mat(x)
+        u, _, vt = np.linalg.svd(m)
+        det = np.linalg.det(u @ vt)
+        fix = np.ones(np.shape(det) + (3,))
+        fix[..., 2] = det
+        return self._vec((u * fix[..., None, :]) @ vt)
+
+
+def _so3_solve(m, kind, n=200):
+    knots = SO3().random_point(np.random.default_rng(12), 5)
+    c = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)))
+    if kind == "tension":
+        spec = FunctionalSpec.tension_cost(0.0)
+    else:
+        field = PriorField(m, "so3_left_invariant", np.array([2.17, 0.18, -2.34]))
+        spec = FunctionalSpec.conditional(2, field)
+    return minimize(spec, c, seed(c, m, n))
+
+
+@pytest.mark.parametrize("kind", ["tension", "conditional"])
+def test_so3_solve_matches_exact_reference_bitwise(kind):
+    got, want = _so3_solve(SO3(), kind), _so3_solve(_ExactSO3(), kind)
+    assert want.iterations > 0
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.minimizer.samples.tobytes() == want.minimizer.samples.tobytes()
