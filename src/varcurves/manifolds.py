@@ -83,6 +83,21 @@ class Manifold:
         """Return the canonical representative of x (renormalisation)."""
         return np.asarray(x, float)
 
+    def canonicalize_after(self, x: np.ndarray, x_prev: np.ndarray,
+                           canon_prev: np.ndarray) -> np.ndarray:
+        """canonicalize(x), given canon_prev == canonicalize(x_prev).
+
+        x and x_prev have one shape.  Returns canon_prev itself when x equals
+        x_prev bit for bit (so -0.0 and 0.0 differ), and canonicalize(x)
+        otherwise.  The whole-array compare costs far less than one
+        canonicalize; a manifold whose canonicalize is dear enough to pay a
+        per-row compare overrides this, as SO(3) does.
+        """
+        x = np.asarray(x, float)
+        if x.tobytes() == np.asarray(x_prev, float).tobytes():
+            return canon_prev
+        return self.canonicalize(x)
+
     def constraint_residual(self, x: np.ndarray) -> np.ndarray:
         """Distance of x from satisfying the defining constraint (0 on-manifold)."""
         return np.zeros(np.shape(x)[:-1])
@@ -118,9 +133,22 @@ class Manifold:
 
     # -- exponential geometry ------------------------------------------------
 
+    def exp_ambient(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The exponential's ambient formula, before canonicalize.
+
+        p + v here, which is the whole exponential of the flat manifolds;
+        curved manifolds override it.  Acts row by row.
+        """
+        return np.asarray(p, float) + np.asarray(v, float)
+
     def exp(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Riemannian exponential; result is renormalised onto the manifold."""
-        raise NotImplementedError
+        """Riemannian exponential: canonicalize(exp_ambient(p, v)).
+
+        The one definition of the retraction; subclasses override its two
+        parts, never exp itself, so that the line search of `minimize`, which
+        calls the parts, steps exactly as exp does.
+        """
+        return self.canonicalize(self.exp_ambient(p, v))
 
     def log(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Inverse of exp; raises CutLocusError within CUT_LOCUS_TOL of the cut locus."""
@@ -179,9 +207,6 @@ class Euclidean(Manifold):
     def project_tangent(self, p, a):
         return np.array(a, float, copy=True)
 
-    def exp(self, p, v):
-        return np.asarray(p, float) + np.asarray(v, float)
-
     def log(self, p, q):
         return np.asarray(q, float) - np.asarray(p, float)
 
@@ -235,13 +260,12 @@ class Sphere(Manifold):
         half = row_dot(p, c)[..., None] * c
         return -(half + half)
 
-    def exp(self, p, v):
+    def exp_ambient(self, p, v):
         p = np.asarray(p, float)
         v = np.asarray(v, float)
         theta = row_norm(v)[..., None]
         # sin(theta)/theta via sinc, exact at theta = 0
-        out = np.cos(theta) * p + np.sinc(theta / np.pi) * v
-        return self.canonicalize(out)
+        return np.cos(theta) * p + np.sinc(theta / np.pi) * v
 
     def _angle(self, p, q):
         # atan2 form: well-conditioned at angle 0 (arccos loses half the digits there)
@@ -309,7 +333,10 @@ class Torus(Manifold):
         return np.where(d == -np.pi, np.pi, d)
 
     def canonicalize(self, x):
-        return np.mod(np.asarray(x, float), 2 * np.pi)
+        # np.mod rounds a coordinate in (-4.4e-16, 0) up to exactly 2*pi
+        x = np.mod(np.asarray(x, float), 2 * np.pi)
+        np.copyto(x, 0.0, where=x == 2 * np.pi)
+        return x
 
     def constraint_residual(self, x):
         x = np.asarray(x, float)
@@ -320,9 +347,6 @@ class Torus(Manifold):
 
     def project_tangent(self, p, a):
         return np.array(a, float, copy=True)
-
-    def exp(self, p, v):
-        return self.canonicalize(np.asarray(p, float) + np.asarray(v, float))
 
     def log(self, p, q):
         d = self.wrap(np.asarray(q, float) - np.asarray(p, float))
@@ -369,6 +393,20 @@ class SO3(Manifold):
         det = np.linalg.det(u @ vt)
         u[..., 2] *= det[..., None]   # flip the last column where u @ vt reflects
         return self._vec(u @ vt)
+
+    def canonicalize_after(self, x, x_prev, canon_prev):
+        # Row by row: an SVD per row dwarfs the compare, and canonicalize
+        # treats each row on its own, so the rows of canon_prev whose x_prev
+        # row equals x's bit for bit are already canonicalize(x)'s.  The
+        # uint64 view tells -0.0 from 0.0; a NaN row of x cannot equal a row
+        # that canonicalize accepted, so it is redone (and raises as there).
+        x = np.ascontiguousarray(x, float)
+        x_prev = np.ascontiguousarray(x_prev, float)
+        moved = np.any(x.view(np.uint64) != x_prev.view(np.uint64), axis=-1)
+        out = np.array(canon_prev, float)
+        if np.any(moved):
+            out[moved] = self.canonicalize(x[moved])
+        return out
 
     def constraint_residual(self, x):
         m = self._mat(x)
@@ -427,11 +465,11 @@ class SO3(Manifold):
                          0.5 - t * t / 24.0)
         return eye + a * omega + b * (omega @ omega)
 
-    def exp(self, p, v):
+    def exp_ambient(self, p, v):
         pm = self._mat(p)
         om = np.swapaxes(pm, -1, -2) @ self._mat(v)
         om = 0.5 * (om - np.swapaxes(om, -1, -2))
-        return self.canonicalize(self._vec(pm @ self._expm_skew(om)))
+        return self._vec(pm @ self._expm_skew(om))
 
     @staticmethod
     def _rotation_angle(r):

@@ -242,17 +242,28 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             if max_disp > 0:
                 step = min(step, STEP_CAP / max_disp)
 
-        # exp acts row by row; d is zero on the fixed rows, but exp may still
-        # round them, so they are copied back and never move.
-        # Once step*|d| is below what the samples resolve, exp returns x or the
-        # previous trial bit for bit; such a trial reuses that curve and its
-        # objective (evaluate is deterministic), and one equal to x is rejected
-        # by obj_trial < obj without being evaluated.
+        # Each trial is exp(x, -step*d) in its two parts: the ambient formula,
+        # then canonicalize.  Both act row by row.  From the second trial on,
+        # canonicalize_after keeps the canonical rows of the previous trial
+        # wherever the ambient rows are bit for bit the previous trial's
+        # (once step*|d| is below what a sample resolves, its row stops
+        # changing), which is exact since canonicalize is a function of each
+        # row's bits.  d is zero on the fixed rows, but exp may still round
+        # them, so they are copied back and never move; the previous trial
+        # thus differs from its canonical rows only on fixed rows, which are
+        # overwritten again.
+        # Once no row changes, exp returns x or the previous trial bit for
+        # bit; such a trial reuses that curve and its objective (evaluate is
+        # deterministic), and one equal to x is rejected by obj_trial < obj
+        # without being evaluated.
         last, obj_last = x, obj
         accepted = False
+        prev = None
         while step >= opts.step_floor:
-            trial = m.exp(x.samples, -step * d)
+            raw = m.exp_ambient(x.samples, -step * d)
+            trial = m.canonicalize(raw) if prev is None else m.canonicalize_after(raw, *prev)
             trial[fixed] = x.samples[fixed]
+            prev = raw, trial
             if _same_samples(trial, last.samples):
                 x_trial, obj_trial = last, obj_last
             elif last is not x and _same_samples(trial, x.samples):

@@ -111,6 +111,16 @@ def test_seed_feasibility_bitwise():
         assert np.array_equal(impose(c, s).samples, s.samples)
 
 
+def test_seed_torus_knot_just_below_zero():
+    # np.mod once rounded -1e-17 up to 2*pi, which the residual test rejected
+    m = make_manifold("torus:1")
+    c = ConstraintSet.interpolation([(0.0, [-1e-17]), (0.25, [1.0]), (0.5, [2.0]),
+                                     (0.75, [3.0]), (1.0, [4.0])])
+    s = seed(c, m, 200)
+    assert np.all((s.samples >= 0.0) & (s.samples < 2 * np.pi))
+    assert s.samples[0, 0] == 0.0
+
+
 def test_seed_distinct_hints_distinct_winding():
     c = ConstraintSet.interpolation([(0.0, [0.5]), (1.0, [0.5 + np.pi / 3])])
     m = make_manifold("torus:1")

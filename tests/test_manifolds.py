@@ -319,6 +319,114 @@ def test_so3_off_manifold_screen_clears_only_tiny_residuals(scale):
     assert m.may_be_off_manifold(x, tol)
 
 
+# -- retraction parts and canonical-row reuse ------------------------------------
+
+def test_torus_canonicalize_stays_below_two_pi():
+    # np.mod rounds a coordinate in (-4.4e-16, 0) up to exactly 2*pi
+    m = mk("torus:2")
+    x = np.array([[-1e-17, -4e-16], [-0.0, 2 * np.pi], [-2 * np.pi - 1e-16, 1e3]])
+    c = m.canonicalize(x)
+    assert np.all((c >= 0.0) & (c < 2 * np.pi))
+    assert np.all(c[0] == 0.0)
+    assert np.all(m.constraint_residual(c) == 0.0)
+
+
+def _ambient_rows(m, rng, n):
+    """Rows as an exponential's ambient formula leaves them: near the manifold
+    but not on it, plus a few far off it (on the torus, below 0 and past 2*pi)."""
+    p = m.random_point(rng, n)
+    x = m.exp_ambient(p, m.project_tangent(p, 0.3 * rng.normal(size=p.shape)))
+    x[: n // 10] += 3.0 * rng.normal(size=(n // 10, m.ambient_dim))
+    return x
+
+
+def _result(f, *args):
+    """Bytes of f(*args), or the type of the LinAlgError it raises."""
+    try:
+        return f(*args).tobytes()
+    except np.linalg.LinAlgError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("mid", ALL_IDS)
+def test_canonicalize_treats_rows_independently(mid):
+    # the row-wise reuse of canonicalize_after rests on this
+    m = mk(mid)
+    rng = np.random.default_rng(21)
+    x = _ambient_rows(m, rng, 400)
+    whole = m.canonicalize(x)
+    for frac in (0.02, 0.5, 0.98):
+        mask = rng.uniform(size=len(x)) < frac
+        assert whole[mask].tobytes() == m.canonicalize(x[mask]).tobytes()
+    assert whole[7].tobytes() == m.canonicalize(x[7]).tobytes()
+
+
+@pytest.mark.parametrize("mid", ALL_IDS)
+def test_canonicalize_after_equals_canonicalize_bitwise(mid):
+    m = mk(mid)
+    rng = np.random.default_rng(22)
+    x_prev = _ambient_rows(m, rng, 300)
+    x_prev[5, 0] = 0.0
+    one = x_prev.copy()
+    one[11] += 1e-3 * rng.normal(size=m.ambient_dim)
+    ulp = x_prev.copy()
+    ulp[::7] = np.nextafter(ulp[::7], np.inf)
+    signed_zero = x_prev.copy()
+    signed_zero[5, 0] = -0.0
+    nan = x_prev.copy()
+    nan[9, 1] = np.nan
+    cases = (x_prev.copy(), one, ulp, _ambient_rows(m, rng, 300), signed_zero, nan)
+    canon_prev = m.canonicalize(x_prev)
+    for x in cases:
+        assert _result(m.canonicalize_after, x, x_prev, canon_prev) == \
+            _result(m.canonicalize, x)
+    # a NaN row that canonicalize accepted (all but SO(3) pass it through)
+    if not isinstance(_result(m.canonicalize, nan), type):
+        got = m.canonicalize_after(nan.copy(), nan, m.canonicalize(nan))
+        assert got.tobytes() == m.canonicalize(nan).tobytes()
+    assert m.canonicalize(x_prev).tobytes() == canon_prev.tobytes()   # left as it was
+
+
+def _rodrigues(om):
+    theta = np.linalg.norm(om, axis=(-2, -1)) / np.sqrt(2.0)
+    t = theta[..., None, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(t > 1e-8, np.sin(t) / np.where(t > 0, t, 1.0), 1.0 - t * t / 6.0)
+        b = np.where(t > 1e-8, (1.0 - np.cos(t)) / np.where(t > 0, t * t, 1.0),
+                     0.5 - t * t / 24.0)
+    return np.eye(3) + a * om + b * (om @ om)
+
+
+def _exp_formula(mid, p, v):
+    """The exponential of each manifold, written out in full."""
+    if mid == "euclidean:2":
+        return p + v
+    if mid == "torus:2":
+        return np.mod(p + v, 2 * np.pi)
+    if mid == "sphere:2":
+        theta = np.linalg.norm(v, axis=-1)[..., None]
+        out = np.cos(theta) * p + np.sinc(theta / np.pi) * v
+        return out / np.linalg.norm(out, axis=-1)[..., None]
+    pm = p.reshape(p.shape[:-1] + (3, 3))
+    om = np.swapaxes(pm, -1, -2) @ v.reshape(pm.shape)
+    om = 0.5 * (om - np.swapaxes(om, -1, -2))
+    return _canonicalize_with_fix((pm @ _rodrigues(om)).reshape(p.shape))
+
+
+@pytest.mark.parametrize("mid", ALL_IDS)
+def test_exp_matches_written_out_formula_bitwise(mid):
+    m = mk(mid)
+    rng = np.random.default_rng(23)
+    p = m.random_point(rng, 200)
+    for scale in (0.0, 1e-9, 0.3, 2.0):
+        v = m.project_tangent(p, scale * rng.normal(size=p.shape))
+        assert m.exp(p, v).tobytes() == _exp_formula(mid, p, v).tobytes()
+        assert m.exp(p[3], v[3]).tobytes() == _exp_formula(mid, p[3], v[3]).tobytes()
+    zero = np.zeros_like(p)
+    assert m.exp(p, zero).tobytes() == _exp_formula(mid, p, zero).tobytes()
+    assert m.exp(p, -zero).tobytes() == _exp_formula(mid, p, -zero).tobytes()
+
+
 def test_make_manifold_rejects_unknown():
     from varcurves import ConfigError
     with pytest.raises(ConfigError):

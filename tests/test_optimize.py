@@ -17,7 +17,8 @@ from varcurves.curves import (first_difference, interior_weights, node_weights,
                               quadrature_length, second_difference, velocity)
 from varcurves.fields import PriorField
 from varcurves.functionals import gradient
-from varcurves.manifolds import SO3, Manifold, row_norm
+from varcurves import manifolds
+from varcurves.manifolds import SO3, Manifold, Sphere, row_norm
 from varcurves.optimize import _curve_stats, _same_samples, _stencil_matrices
 
 
@@ -403,8 +404,12 @@ def test_flat_model_without_zero_term_solves_bitwise(domain, spec, coef):
 
 
 class _ExactSO3(SO3):
-    """SO(3) that runs every exact test and forms c p^T c twice in dproj_quad:
-    the reference that the screens and shortcuts of SO3 must match bit for bit."""
+    """SO(3) that runs every exact test, forms c p^T c twice in dproj_quad and
+    canonicalizes every line-search trial afresh: the reference that the
+    screens and shortcuts of SO3 must match bit for bit."""
+
+    def canonicalize_after(self, x, x_prev, canon_prev):
+        return self.canonicalize(x)
 
     def may_be_off_manifold(self, x, tol):
         return True
@@ -440,3 +445,56 @@ def test_so3_solve_matches_exact_reference_bitwise(kind):
     assert want.iterations > 0
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert got.minimizer.samples.tobytes() == want.minimizer.samples.tobytes()
+
+
+class _FreshSphere(Sphere):
+    """S^2 that canonicalizes every line-search trial afresh."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def canonicalize_after(self, x, x_prev, canon_prev):
+        return self.canonicalize(x)
+
+
+def test_sphere_solve_matches_fresh_canonicalize_bitwise():
+    reports = []
+    for m in (Sphere(2), _FreshSphere()):
+        knots = m.random_point(np.random.default_rng(3), 5)
+        c = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)))
+        reports.append(minimize(FunctionalSpec.tension_cost(0.5), c, seed(c, m, 200)))
+    got, want = reports
+    assert want.iterations > 0
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.minimizer.samples.tobytes() == want.minimizer.samples.tobytes()
+
+
+def test_so3_line_search_canonicalizes_fewer_rows(monkeypatch):
+    knots = SO3().random_point(np.random.default_rng(12), 5)
+    c = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)))
+    x0 = seed(c, SO3(), 200)
+    rows, trials = [], []
+    canonicalize, exp_ambient = SO3.canonicalize, SO3.exp_ambient
+
+    def counted_canonicalize(self, x):
+        rows.append(int(np.prod(np.shape(x)[:-1])))
+        return canonicalize(self, x)
+
+    def counted_exp_ambient(self, p, v):
+        trials.append(1)
+        return exp_ambient(self, p, v)
+
+    monkeypatch.setattr(SO3, "canonicalize", counted_canonicalize)
+    monkeypatch.setattr(SO3, "exp_ambient", counted_exp_ambient)
+    rep = minimize(FunctionalSpec.tension_cost(0.0), c, x0)
+    assert rep.iterations > 0 and len(trials) > rep.iterations
+    assert 0 < sum(rows) < len(trials) * x0.n_samples
+
+
+def test_exp_has_one_definition():
+    # the line search calls exp_ambient and canonicalize; an exp of its own
+    # on a subclass would let the two drift apart
+    subclasses = [c for c in vars(manifolds).values()
+                  if isinstance(c, type) and issubclass(c, Manifold) and c is not Manifold]
+    assert {c.__name__ for c in subclasses} >= {"Euclidean", "Sphere", "Torus", "SO3"}
+    assert all("exp" not in vars(c) for c in subclasses)
