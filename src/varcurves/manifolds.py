@@ -83,21 +83,6 @@ class Manifold:
         """Return the canonical representative of x (renormalisation)."""
         return np.asarray(x, float)
 
-    def canonicalize_after(self, x: np.ndarray, x_prev: np.ndarray,
-                           canon_prev: np.ndarray) -> np.ndarray:
-        """canonicalize(x), given canon_prev == canonicalize(x_prev).
-
-        x and x_prev have one shape.  Returns canon_prev itself when x equals
-        x_prev bit for bit (so -0.0 and 0.0 differ), and canonicalize(x)
-        otherwise.  The whole-array compare costs far less than one
-        canonicalize; a manifold whose canonicalize is dear enough to pay a
-        per-row compare overrides this, as SO(3) does.
-        """
-        x = np.asarray(x, float)
-        if x.tobytes() == np.asarray(x_prev, float).tobytes():
-            return canon_prev
-        return self.canonicalize(x)
-
     def constraint_residual(self, x: np.ndarray) -> np.ndarray:
         """Distance of x from satisfying the defining constraint (0 on-manifold)."""
         return np.zeros(np.shape(x)[:-1])
@@ -145,8 +130,7 @@ class Manifold:
         """Riemannian exponential: canonicalize(exp_ambient(p, v)).
 
         The one definition of the retraction; subclasses override its two
-        parts, never exp itself, so that the line search of `minimize`, which
-        calls the parts, steps exactly as exp does.
+        parts, never exp itself.
         """
         return self.canonicalize(self.exp_ambient(p, v))
 
@@ -333,8 +317,12 @@ class Torus(Manifold):
         return np.where(d == -np.pi, np.pi, d)
 
     def canonicalize(self, x):
-        # np.mod rounds a coordinate in (-4.4e-16, 0) up to exactly 2*pi
-        x = np.mod(np.asarray(x, float), 2 * np.pi)
+        # np.mod's result bit for bit, in fewer passes: a negative fmod
+        # remainder moves up by 2*pi, and adding 0.0 elsewhere turns -0.0
+        # into np.mod's +0.0.  A remainder in (-4.4e-16, 0) rounds up to
+        # exactly 2*pi, which maps to 0.0.
+        x = np.fmod(np.asarray(x, float), 2 * np.pi)
+        x += np.where(x < 0, 2 * np.pi, 0.0)
         np.copyto(x, 0.0, where=x == 2 * np.pi)
         return x
 
@@ -393,20 +381,6 @@ class SO3(Manifold):
         det = np.linalg.det(u @ vt)
         u[..., 2] *= det[..., None]   # flip the last column where u @ vt reflects
         return self._vec(u @ vt)
-
-    def canonicalize_after(self, x, x_prev, canon_prev):
-        # Row by row: an SVD per row dwarfs the compare, and canonicalize
-        # treats each row on its own, so the rows of canon_prev whose x_prev
-        # row equals x's bit for bit are already canonicalize(x)'s.  The
-        # uint64 view tells -0.0 from 0.0; a NaN row of x cannot equal a row
-        # that canonicalize accepted, so it is redone (and raises as there).
-        x = np.ascontiguousarray(x, float)
-        x_prev = np.ascontiguousarray(x_prev, float)
-        moved = np.any(x.view(np.uint64) != x_prev.view(np.uint64), axis=-1)
-        out = np.array(canon_prev, float)
-        if np.any(moved):
-            out[moved] = self.canonicalize(x[moved])
-        return out
 
     def constraint_residual(self, x):
         m = self._mat(x)

@@ -8,8 +8,17 @@ makes unpreconditioned steepest descent hopeless at the tolerances the
 acceptance suite demands, while the preconditioned iteration is Newton-like on
 flat manifolds and mesh-independent on curved ones.  Because the projected
 preconditioned direction always has positive inner product with the gradient,
-Armijo backtracking retains strictly monotone descent, and convergence is still
-certified by the plain discrete L2 gradient norm.
+Armijo backtracking gives strict descent, and convergence is still certified
+by the plain discrete L2 gradient norm.
+
+Near a minimizer the predicted decrease falls below the objective's roundoff,
+and objective differences no longer tell descent from rounding.  A search
+whose first step predicts less than NOISE_K*eps*|objective| therefore runs a
+noise phase (after Hager & Zhang's approximate Wolfe test, SIAM J. Optim.
+16(1), 2005, section 4): it accepts the first step on the same halving
+schedule, down to NOISE_STEP_MIN, that cuts the weighted gradient norm below
+NOISE_GRAD_DROP times the current one without raising the objective by more
+than that noise level.  Strict descent thus holds for Armijo steps only.
 
 Per-sample displacements are capped at pi/2 on compact manifolds so homotopy
 class (winding) tracking stays valid along the run.
@@ -35,6 +44,11 @@ from .manifolds import Torus, row_dot, row_norm
 
 STEP_CAP = np.pi / 2  # max per-sample displacement on compact manifolds
 CLUSTER_TOL = 0.1     # sup-distance threshold for distinctness clustering
+
+# the line search's noise phase (see the module docstring)
+NOISE_K = 100          # objective changes below NOISE_K*eps*|obj| are roundoff
+NOISE_GRAD_DROP = 0.9  # factor by which a noise-phase step cuts the gradient norm
+NOISE_STEP_MIN = 1e-3  # smallest noise-phase step
 
 
 @dataclass(frozen=True)
@@ -85,6 +99,7 @@ class HistoryRecord:
     quad_length: float
     sup_velocity: float
     step: float
+    phase: Optional[str] = None     # armijo | noise; None for record 0 and families
 
 
 @dataclass(frozen=True)
@@ -179,18 +194,16 @@ def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:
     return length(curve), quad_length, float(np.max(speed))
 
 
-def _same_samples(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when two sample arrays are equal bit for bit (so -0.0 != 0.0)."""
-    return a.tobytes() == b.tobytes()
-
-
 def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
              opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Armijo-backtracked preconditioned descent from a feasible start.
+    """Preconditioned descent from a feasible start: Armijo backtracking, or
+    the noise phase once objective differences are roundoff.
 
     Fixed samples never move (their coordinates are bit-identical between x0
-    and the minimizer); every accepted step strictly decreases the objective;
-    the converged verdict certifies el_residual <= grad_tol.
+    and the minimizer); an Armijo step strictly decreases the objective, a
+    noise-phase step raises it by at most NOISE_K*eps*|objective|, and each
+    history record names its phase; the converged verdict certifies
+    el_residual <= grad_tol.
     """
     x = impose(constraint, x0)
     m = x.manifold
@@ -202,29 +215,32 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
 
     history: List[HistoryRecord] = []
 
-    def record(it, obj, resid, step):
+    def record(it, obj, resid, step, phase):
         ln, ql, sv = _curve_stats(x)
-        history.append(HistoryRecord(it, obj, resid, ln, ql, sv, step))
+        history.append(HistoryRecord(it, obj, resid, ln, ql, sv, step, phase))
+
+    wq = node_weights(x)
+
+    def grad_norm(g):
+        return float(np.sqrt(np.sum(wq * row_dot(g, g))))
 
     # with no free sample the residual is exactly 0 and nothing is factorized
     lu = _flat_model_factor(spec, x, free) if len(free) else None
     obj = evaluate(spec, x)
     g = gradient(spec, x, free).vectors
 
-    wq = node_weights(x)
     it = 0
     verdict = "iter_limit"
     message = ""
-    last_step = 0.0
-    resid = float(np.sqrt(np.sum(wq * row_dot(g, g))))
-    record(0, obj, resid, 0.0)
+    last_step, last_phase = 0.0, None
+    resid = grad_norm(g)
+    record(0, obj, resid, 0.0, None)
 
     while True:
         if resid <= opts.grad_tol:
             verdict = "converged"
             break
         if it >= opts.max_iters:
-            verdict = "iter_limit"
             message = "iteration budget exhausted"
             break
 
@@ -242,64 +258,55 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             if max_disp > 0:
                 step = min(step, STEP_CAP / max_disp)
 
-        # Each trial is exp(x, -step*d) in its two parts: the ambient formula,
-        # then canonicalize.  Both act row by row.  From the second trial on,
-        # canonicalize_after keeps the canonical rows of the previous trial
-        # wherever the ambient rows are bit for bit the previous trial's
-        # (once step*|d| is below what a sample resolves, its row stops
-        # changing), which is exact since canonicalize is a function of each
-        # row's bits.  d is zero on the fixed rows, but exp may still round
-        # them, so they are copied back and never move; the previous trial
-        # thus differs from its canonical rows only on fixed rows, which are
-        # overwritten again.
-        # Once no row changes, exp returns x or the previous trial bit for
-        # bit; such a trial reuses that curve and its objective (evaluate is
-        # deterministic), and one equal to x is rejected by obj_trial < obj
-        # without being evaluated.
-        last, obj_last = x, obj
+        # Each trial is one exp over the whole sample array.  d is zero on
+        # the fixed rows, but exp may still round them, so they are copied
+        # back and never move.  A noise-phase trial is given its gradient,
+        # which an accepted step keeps.
+        noise = NOISE_K * np.finfo(float).eps * abs(obj)
+        noise_phase = step * gd < noise
+        floor = NOISE_STEP_MIN if noise_phase else opts.step_floor
         accepted = False
-        prev = None
-        while step >= opts.step_floor:
-            raw = m.exp_ambient(x.samples, -step * d)
-            trial = m.canonicalize(raw) if prev is None else m.canonicalize_after(raw, *prev)
+        while step >= floor:
+            trial = m.exp(x.samples, -step * d)
             trial[fixed] = x.samples[fixed]
-            prev = raw, trial
-            if _same_samples(trial, last.samples):
-                x_trial, obj_trial = last, obj_last
-            elif last is not x and _same_samples(trial, x.samples):
-                x_trial, obj_trial = last, obj_last = x, obj
-            else:
-                try:
-                    x_trial = x.with_samples(trial)
+            try:
+                x_trial = x.with_samples(trial)
+            except DegenerateCurveError:
+                step *= opts.backtrack
+                continue
+            if noise_phase:
+                g_trial = gradient(spec, x_trial, free).vectors
+                resid_trial = grad_norm(g_trial)
+                if resid_trial < NOISE_GRAD_DROP * resid:
                     obj_trial = evaluate(spec, x_trial)
-                except DegenerateCurveError:
-                    step *= opts.backtrack
-                    continue
-                last, obj_last = x_trial, obj_trial
-            if obj_trial <= obj - opts.armijo_c1 * step * gd and obj_trial < obj:
-                x = x_trial
-                obj = obj_trial
-                accepted = True
+                    accepted = obj_trial <= obj + noise
+            else:
+                obj_trial = evaluate(spec, x_trial)
+                accepted = obj_trial <= obj - opts.armijo_c1 * step * gd and obj_trial < obj
+            if accepted:
                 break
-            if x_trial is not x:
-                x_trial.clear_memo()   # its samples stay for the comparison
+            x_trial.clear_memo()   # before the next trial is built
             step *= opts.backtrack
         if not accepted:
-            verdict = "iter_limit"
-            message = "line search step underflow"
+            message = ("stalled at the roundoff floor" if noise_phase
+                       else "line search step underflow")
             break
 
+        x, obj = x_trial, obj_trial
         it += 1
-        last_step = step
+        last_step, last_phase = step, ("noise" if noise_phase else "armijo")
         if track_winding:
             w_drift = max(w_drift, float(np.max(np.abs(winding_vector(x) - w_ref))))
-        g = gradient(spec, x, free).vectors
-        resid = float(np.sqrt(np.sum(wq * row_dot(g, g))))
+        if noise_phase:
+            g, resid = g_trial, resid_trial
+        else:
+            g = gradient(spec, x, free).vectors
+            resid = grad_norm(g)
         if it % opts.record_every == 0:
-            record(it, obj, resid, step)
+            record(it, obj, resid, step, last_phase)
 
     if not history or history[-1].iteration != it:
-        record(it, obj, resid, last_step)
+        record(it, obj, resid, last_step, last_phase)
     x.clear_memo()   # the report keeps the minimizer, not its derived arrays
     return SolveReport(x, spec, verdict, it, obj, resid, tuple(history),
                        winding_drift=w_drift, message=message)

@@ -43,6 +43,21 @@ def test_solve_writes_report_and_curve(tmp_path):
     assert curve.n_samples == 201
 
 
+def test_solve_stalled_at_roundoff_floor_exits_2(tmp_path):
+    # at N=1000 this circle problem's certificate floor lies above 1e-6
+    cfg = dict(CIRCLE_CFG, grid_n=1000)
+    cfg["constraints"] = {"kind": "interpolation",
+                          "knots": [{"t": k / 4, "position": [p]}
+                                    for k, p in enumerate((4.28, 5.07, 4.62, 5.43, 4.54))]}
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert (report["verdict"], report["message"]) == ("iter_limit",
+                                                      "stalled at the roundoff floor")
+    phases = [h["phase"] for h in report["history"]]
+    assert phases[0] is None and set(phases[1:]) <= {"armijo", "noise"}
+
+
 def test_solve_off_grid_knot_exit_code(tmp_path, capsys):
     cfg = dict(CIRCLE_CFG)
     cfg["constraints"] = {"kind": "interpolation",

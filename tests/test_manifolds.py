@@ -319,7 +319,7 @@ def test_so3_off_manifold_screen_clears_only_tiny_residuals(scale):
     assert m.may_be_off_manifold(x, tol)
 
 
-# -- retraction parts and canonical-row reuse ------------------------------------
+# -- retraction parts ------------------------------------------------------------
 
 def test_torus_canonicalize_stays_below_two_pi():
     # np.mod rounds a coordinate in (-4.4e-16, 0) up to exactly 2*pi
@@ -331,6 +331,29 @@ def test_torus_canonicalize_stays_below_two_pi():
     assert np.all(m.constraint_residual(c) == 0.0)
 
 
+def _torus_canonicalize_by_mod(x):
+    """Torus.canonicalize in its np.mod form."""
+    x = np.mod(np.asarray(x, float), 2 * np.pi)
+    np.copyto(x, 0.0, where=x == 2 * np.pi)
+    return x
+
+
+def test_torus_canonicalize_matches_mod_form_bitwise():
+    two_pi = 2 * np.pi
+    k = np.arange(-50.0, 51.0)
+    edge = np.concatenate([
+        [0.0, -0.0, two_pi, -two_pi, np.nextafter(two_pi, 0.0), -np.nextafter(two_pi, 0.0),
+         np.nextafter(two_pi, 7.0), -4e-16, 4e-16, -1e-17, 1e300, -1e300, 5e-324, -5e-324,
+         np.inf, -np.inf, np.nan, -np.nan],
+        k * two_pi, np.nextafter(k * two_pi, np.inf), np.nextafter(k * two_pi, -np.inf)])
+    rng = np.random.default_rng(24)
+    spread = rng.normal(size=300_000) * 10.0 ** rng.uniform(-20, 20, size=300_000)
+    m = mk("torus:2")
+    with np.errstate(invalid="ignore"):   # fmod and mod of +-inf are NaN
+        for x in (edge, spread.reshape(-1, 2), spread[:1001, None]):
+            assert m.canonicalize(x).tobytes() == _torus_canonicalize_by_mod(x).tobytes()
+
+
 def _ambient_rows(m, rng, n):
     """Rows as an exponential's ambient formula leaves them: near the manifold
     but not on it, plus a few far off it (on the torus, below 0 and past 2*pi)."""
@@ -340,17 +363,9 @@ def _ambient_rows(m, rng, n):
     return x
 
 
-def _result(f, *args):
-    """Bytes of f(*args), or the type of the LinAlgError it raises."""
-    try:
-        return f(*args).tobytes()
-    except np.linalg.LinAlgError as e:
-        return type(e)
-
-
 @pytest.mark.parametrize("mid", ALL_IDS)
 def test_canonicalize_treats_rows_independently(mid):
-    # the row-wise reuse of canonicalize_after rests on this
+    # exp, and with it the line search's whole-array trial, acts row by row
     m = mk(mid)
     rng = np.random.default_rng(21)
     x = _ambient_rows(m, rng, 400)
@@ -359,32 +374,6 @@ def test_canonicalize_treats_rows_independently(mid):
         mask = rng.uniform(size=len(x)) < frac
         assert whole[mask].tobytes() == m.canonicalize(x[mask]).tobytes()
     assert whole[7].tobytes() == m.canonicalize(x[7]).tobytes()
-
-
-@pytest.mark.parametrize("mid", ALL_IDS)
-def test_canonicalize_after_equals_canonicalize_bitwise(mid):
-    m = mk(mid)
-    rng = np.random.default_rng(22)
-    x_prev = _ambient_rows(m, rng, 300)
-    x_prev[5, 0] = 0.0
-    one = x_prev.copy()
-    one[11] += 1e-3 * rng.normal(size=m.ambient_dim)
-    ulp = x_prev.copy()
-    ulp[::7] = np.nextafter(ulp[::7], np.inf)
-    signed_zero = x_prev.copy()
-    signed_zero[5, 0] = -0.0
-    nan = x_prev.copy()
-    nan[9, 1] = np.nan
-    cases = (x_prev.copy(), one, ulp, _ambient_rows(m, rng, 300), signed_zero, nan)
-    canon_prev = m.canonicalize(x_prev)
-    for x in cases:
-        assert _result(m.canonicalize_after, x, x_prev, canon_prev) == \
-            _result(m.canonicalize, x)
-    # a NaN row that canonicalize accepted (all but SO(3) pass it through)
-    if not isinstance(_result(m.canonicalize, nan), type):
-        got = m.canonicalize_after(nan.copy(), nan, m.canonicalize(nan))
-        assert got.tobytes() == m.canonicalize(nan).tobytes()
-    assert m.canonicalize(x_prev).tobytes() == canon_prev.tobytes()   # left as it was
 
 
 def _rodrigues(om):

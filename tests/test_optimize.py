@@ -18,8 +18,8 @@ from varcurves.curves import (first_difference, interior_weights, node_weights,
 from varcurves.fields import PriorField
 from varcurves.functionals import gradient
 from varcurves import manifolds
-from varcurves.manifolds import SO3, Manifold, Sphere, row_norm
-from varcurves.optimize import _curve_stats, _same_samples, _stencil_matrices
+from varcurves.manifolds import SO3, Manifold, row_norm
+from varcurves.optimize import _curve_stats, _stencil_matrices
 
 
 def hermite_setup(n=200):
@@ -191,96 +191,147 @@ def test_no_free_samples_converges_without_factorizing(monkeypatch):
     assert rep.minimizer.samples.tobytes() == x0.samples.tobytes()
 
 
-def test_same_samples_compares_bits():
-    a = np.array([[0.0, 1.0], [2.0, 3.0]])
-    assert _same_samples(a, a.copy())
-    assert not _same_samples(a, np.nextafter(a, 4.0))
-    assert not _same_samples(a, np.array([[-0.0, 1.0], [2.0, 3.0]]))   # equal values
-
-
-def _repeat_problem(mid):
-    """Small solves whose final line search repeats curves bit for bit.
-
-    On the tori the trials fall back onto the iterate, also after a trial that
-    differs from it; on S^2 and SO(3) a trial also repeats an earlier trial
-    that differs from the iterate.
-    """
-    m = make_manifold(mid)
-    times = (0.0, 0.25, 0.5, 0.75, 1.0)
-    if mid == "torus:1":
-        c = ConstraintSet.interpolation(list(zip(times, [[4.28], [5.07], [4.62],
-                                                         [5.43], [4.54]])))
-        return FunctionalSpec.tension_cost(1.0), c, seed(c, m, 100, hint=[3])
-    n, s, tau = {"torus:2": (100, 1, 1.0), "sphere:2": (40, 0, 0.0), "so3": (20, 1, 0.0)}[mid]
-    c = ConstraintSet.interpolation(list(zip(times, m.random_point(np.random.default_rng(s), 5))))
-    return FunctionalSpec.tension_cost(tau), c, seed(c, m, n)
-
-
-def _counted_solve(monkeypatch, mid, reuse):
-    """Solve with evaluate and exp counted; reuse=False forces every trial to be
-    validated and evaluated.  Reuses are split by whether the repeated curve
-    is bitwise the current iterate (the curve gradient was last called on);
-    evaluate_iterate counts trials evaluated although they equal the iterate."""
-    spec, c, x0 = _repeat_problem(mid)
-    counts = {"evaluate": 0, "exp": 0, "onto_iterate": 0, "onto_trial": 0,
-              "evaluate_iterate": 0}
-    iterate = [x0]
-    real_evaluate, real_gradient = opt.evaluate, opt.gradient
-    real_exp = type(x0.manifold).exp
-
-    def evaluate(spec, curve):
-        counts["evaluate"] += 1
-        # the first call, on the start curve, comes before any gradient call
-        if counts["evaluate"] > 1 and _same_samples(curve.samples, iterate[0].samples):
-            counts["evaluate_iterate"] += 1
-        return real_evaluate(spec, curve)
-
-    def gradient(spec, curve, free):
-        iterate[0] = curve
-        return real_gradient(spec, curve, free)
-
-    def exp(self, p, v):
-        counts["exp"] += 1
-        return real_exp(self, p, v)
-
-    def same(a, b):
-        hit = reuse and _same_samples(a, b)
-        if hit:
-            onto = "iterate" if _same_samples(b, iterate[0].samples) else "trial"
-            counts["onto_" + onto] += 1
-        return hit
-
-    with monkeypatch.context() as mp:
-        mp.setattr(opt, "evaluate", evaluate)
-        mp.setattr(opt, "gradient", gradient)
-        mp.setattr(opt, "_same_samples", same)
-        mp.setattr(type(x0.manifold), "exp", exp)
-        rep = minimize(spec, c, x0)
-    return rep, counts
-
-
-@pytest.mark.parametrize("mid,onto", [("torus:1", "onto_iterate"), ("torus:2", "onto_iterate"),
-                                      ("sphere:2", "onto_trial"), ("so3", "onto_trial")])
-def test_repeated_trial_reuses_objective(monkeypatch, mid, onto):
-    rep, counts = _counted_solve(monkeypatch, mid, reuse=True)
-    ref, ref_counts = _counted_solve(monkeypatch, mid, reuse=False)
-    assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(ref.to_dict(), sort_keys=True)
-    assert rep.minimizer.samples.tobytes() == ref.minimizer.samples.tobytes()
-    assert rep.message == "line search step underflow"
-    assert counts["evaluate"] < ref_counts["evaluate"]
-    assert counts["exp"] == ref_counts["exp"]
-    assert counts[onto] > 0
-    # a trial that falls back onto the iterate after a different trial is
-    # rejected without being evaluated
-    assert counts["evaluate_iterate"] == 0
-
-
 def test_history_records_have_diagnostics():
     spec, c, x0 = hermite_setup(100)
     rep = minimize(spec, c, x0)
     h = rep.history[-1]
     assert h.grad_norm == rep.final_residual
     assert h.length > 0 and h.quad_length > 0 and h.sup_velocity > 0
+
+
+# -- line-search phases ---------------------------------------------------------------------
+
+def _knot_chain_problem(mid, s, n=1000):
+    """Five knots at t = k/4, each a random geodesic step of 0.3 to 1.2 rad
+    (rotation angle on SO(3)) from the last, and the seed curve."""
+    m = make_manifold(mid)
+    rng = np.random.default_rng(s)
+    scale = np.sqrt(2.0) if mid == "so3" else 1.0
+    knots = [m.random_point(rng, 1)[0]]
+    for _ in range(4):
+        v = m.project_tangent(knots[-1], rng.normal(size=m.ambient_dim))
+        v *= scale * rng.uniform(0.3, 1.2) / np.linalg.norm(v)
+        knots.append(m.exp(knots[-1], v))
+    c = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)))
+    return c, seed(c, m, n)
+
+
+_CHAINS = [("sphere:2", s) for s in range(4)] + [("so3", s) for s in range(4)]
+
+
+@pytest.fixture(scope="module")
+def chain_solves():
+    """N=1000 solves of the knot chains, with the trials of each line search.
+
+    A trial is one exp call from minimize and a history record ends a
+    search, so with record_every=1 the trials between records i-1 and i are
+    those of the search that record i accepted; those after the last record
+    belong to the search that found no step.
+    """
+    out = {}
+    exp = Manifold.exp
+    for mid, s in _CHAINS:
+        events = []
+
+        def counted_exp(self, p, v):
+            events.append("e")
+            return exp(self, p, v)
+
+        def counted_stats(curve):
+            events.append("r")
+            return _curve_stats(curve)
+
+        spec = FunctionalSpec.tension_cost(0.5 if mid == "sphere:2" else 0.0)
+        c, x0 = _knot_chain_problem(mid, s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Manifold, "exp", counted_exp)
+            mp.setattr(opt, "_curve_stats", counted_stats)
+            rep = minimize(spec, c, x0)
+        searches = [len(t) for t in "".join(events).split("r")[1:]]
+        out[mid, s] = rep, searches
+    return out
+
+
+@pytest.mark.parametrize("mid,s", _CHAINS)
+def test_curved_solve_at_n1000_certifies_or_stalls_near_floor(chain_solves, mid, s):
+    rep, _ = chain_solves[mid, s]
+    tol = SolveOptions().grad_tol
+    if mid == "sphere:2":
+        assert rep.verdict == "converged"
+        assert rep.final_residual <= tol
+    else:
+        # the certificate's roundoff floor at N=1000 on SO(3) is about 2.5e-6
+        assert rep.final_residual <= 4 * tol
+        if rep.verdict != "converged":
+            assert (rep.verdict, rep.message) == ("iter_limit", "stalled at the roundoff floor")
+
+
+@pytest.mark.parametrize("mid,s", _CHAINS)
+def test_phases_keep_their_invariants(chain_solves, mid, s):
+    rep, searches = chain_solves[mid, s]
+    eps = np.finfo(float).eps
+    phases = [h.phase for h in rep.history]
+    assert phases[0] is None
+    assert set(phases[1:]) <= {"armijo", "noise"} and "noise" in phases
+    for a, b in zip(rep.history, rep.history[1:]):
+        if b.phase == "armijo":
+            assert b.objective < a.objective
+        else:
+            assert b.objective <= a.objective + 100 * eps * abs(a.objective)
+    # one search per accepted step, plus the one that found none
+    stalled = rep.message == "stalled at the roundoff floor"
+    assert len(searches) == rep.iterations + 1
+    assert (searches[-1] > 0) == stalled
+    noise = [n for n, h in zip(searches, rep.history[1:]) if h.phase == "noise"]
+    if stalled:
+        noise.append(searches[-1])
+    assert 0 < max(noise) <= 11
+
+
+def test_noise_phase_rejects_a_rise_beyond_its_guard(monkeypatch):
+    # a noise-phase trial is evaluated only after its gradient, an Armijo
+    # trial before; raising the former's objective past 100*eps*|obj| must
+    # leave no noise-phase step to accept
+    c, x0 = _knot_chain_problem("sphere:2", 0, n=200)
+    real_evaluate, real_gradient = opt.evaluate, opt.gradient
+    graded = []
+
+    def gradient(spec, curve, free):
+        graded.append(curve)
+        return real_gradient(spec, curve, free)
+
+    def evaluate(spec, curve):
+        obj = real_evaluate(spec, curve)
+        return obj + 1e-12 * abs(obj) if graded and curve is graded[-1] else obj
+
+    monkeypatch.setattr(opt, "gradient", gradient)
+    monkeypatch.setattr(opt, "evaluate", evaluate)
+    rep = minimize(FunctionalSpec.tension_cost(0.5), c, x0)
+    assert rep.message == "stalled at the roundoff floor"
+    assert rep.iterations > 0
+    assert {h.phase for h in rep.history[1:]} == {"armijo"}
+
+
+def test_history_phase_in_report_and_families():
+    c, x0 = _knot_chain_problem("sphere:2", 0, n=200)
+    rep = minimize(FunctionalSpec.tension_cost(0.5), c, x0)
+    hist = rep.to_dict()["history"]
+    assert hist[0]["phase"] is None
+    assert [h["phase"] for h in hist[1:]] == [h.phase for h in rep.history[1:]]
+    assert {h["phase"] for h in hist[1:]} == {"armijo", "noise"}
+    # the closing record of a sparse history still names its step's phase
+    sparse = minimize(FunctionalSpec.tension_cost(0.5), c, x0, SolveOptions(record_every=1000))
+    assert sparse.history == (rep.history[0], rep.history[-1])
+    fam = evaluate_family(FunctionalSpec.tension_cost(0.5), c, [x0, rep.minimizer])
+    assert [h.phase for h in fam.history] == [None, None]
+
+
+def test_armijo_underflow_keeps_its_message():
+    # no step of at least step_floor meets so demanding an Armijo constant
+    spec, c, x0 = hermite_setup(100)
+    rep = minimize(spec, c, x0, SolveOptions(armijo_c1=0.9, step_floor=0.5))
+    assert (rep.verdict, rep.message, rep.iterations) == \
+        ("iter_limit", "line search step underflow", 0)
 
 
 # -- compactness diagnostics ----------------------------------------------------------------
@@ -404,12 +455,9 @@ def test_flat_model_without_zero_term_solves_bitwise(domain, spec, coef):
 
 
 class _ExactSO3(SO3):
-    """SO(3) that runs every exact test, forms c p^T c twice in dproj_quad and
-    canonicalizes every line-search trial afresh: the reference that the
-    screens and shortcuts of SO3 must match bit for bit."""
-
-    def canonicalize_after(self, x, x_prev, canon_prev):
-        return self.canonicalize(x)
+    """SO(3) that runs every exact test and forms c p^T c twice in
+    dproj_quad: the reference that the screens and shortcuts of SO3 must
+    match bit for bit."""
 
     def may_be_off_manifold(self, x, tol):
         return True
@@ -447,53 +495,9 @@ def test_so3_solve_matches_exact_reference_bitwise(kind):
     assert got.minimizer.samples.tobytes() == want.minimizer.samples.tobytes()
 
 
-class _FreshSphere(Sphere):
-    """S^2 that canonicalizes every line-search trial afresh."""
-
-    def __init__(self):
-        super().__init__(2)
-
-    def canonicalize_after(self, x, x_prev, canon_prev):
-        return self.canonicalize(x)
-
-
-def test_sphere_solve_matches_fresh_canonicalize_bitwise():
-    reports = []
-    for m in (Sphere(2), _FreshSphere()):
-        knots = m.random_point(np.random.default_rng(3), 5)
-        c = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)))
-        reports.append(minimize(FunctionalSpec.tension_cost(0.5), c, seed(c, m, 200)))
-    got, want = reports
-    assert want.iterations > 0
-    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
-    assert got.minimizer.samples.tobytes() == want.minimizer.samples.tobytes()
-
-
-def test_so3_line_search_canonicalizes_fewer_rows(monkeypatch):
-    knots = SO3().random_point(np.random.default_rng(12), 5)
-    c = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)))
-    x0 = seed(c, SO3(), 200)
-    rows, trials = [], []
-    canonicalize, exp_ambient = SO3.canonicalize, SO3.exp_ambient
-
-    def counted_canonicalize(self, x):
-        rows.append(int(np.prod(np.shape(x)[:-1])))
-        return canonicalize(self, x)
-
-    def counted_exp_ambient(self, p, v):
-        trials.append(1)
-        return exp_ambient(self, p, v)
-
-    monkeypatch.setattr(SO3, "canonicalize", counted_canonicalize)
-    monkeypatch.setattr(SO3, "exp_ambient", counted_exp_ambient)
-    rep = minimize(FunctionalSpec.tension_cost(0.0), c, x0)
-    assert rep.iterations > 0 and len(trials) > rep.iterations
-    assert 0 < sum(rows) < len(trials) * x0.n_samples
-
-
 def test_exp_has_one_definition():
-    # the line search calls exp_ambient and canonicalize; an exp of its own
-    # on a subclass would let the two drift apart
+    # exp is canonicalize(exp_ambient(p, v)) in the base class only; an exp
+    # of its own on a subclass would let the two drift apart
     subclasses = [c for c in vars(manifolds).values()
                   if isinstance(c, type) and issubclass(c, Manifold) and c is not Manifold]
     assert {c.__name__ for c in subclasses} >= {"Euclidean", "Sphere", "Torus", "SO3"}
