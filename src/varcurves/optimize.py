@@ -15,10 +15,12 @@ Near a minimizer the predicted decrease falls below the objective's roundoff,
 and objective differences no longer tell descent from rounding.  A search
 whose first step predicts less than NOISE_K*eps*|objective| therefore runs a
 noise phase (after Hager & Zhang's approximate Wolfe test, SIAM J. Optim.
-16(1), 2005, section 4): it accepts the first step on the same halving
-schedule, down to NOISE_STEP_MIN, that cuts the weighted gradient norm below
-NOISE_GRAD_DROP times the current one without raising the objective by more
-than that noise level.  Strict descent thus holds for Armijo steps only.
+16(1), 2005, section 4): on the same halving schedule, down to
+NOISE_STEP_MIN, it accepts the first step that passes the Armijo test with a
+predicted decrease of at least eps*|objective|, or that cuts the weighted
+gradient norm below NOISE_GRAD_DROP times the current one without raising
+the objective by more than that noise level.  Strict descent thus holds for
+steps accepted by the Armijo test only.
 
 Per-sample displacements are capped at pi/2 on compact manifolds so homotopy
 class (winding) tracking stays valid along the run.
@@ -200,9 +202,10 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     the noise phase once objective differences are roundoff.
 
     Fixed samples never move (their coordinates are bit-identical between x0
-    and the minimizer); an Armijo step strictly decreases the objective, a
-    noise-phase step raises it by at most NOISE_K*eps*|objective|, and each
-    history record names its phase; the converged verdict certifies
+    and the minimizer); a step accepted by the Armijo test strictly decreases
+    the objective, one accepted by the noise test raises it by at most
+    NOISE_K*eps*|objective|, and each history record names the test
+    ("armijo" or "noise"); the converged verdict certifies
     el_residual <= grad_tol.
     """
     x = impose(constraint, x0)
@@ -260,12 +263,16 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
 
         # Each trial is one exp over the whole sample array.  d is zero on
         # the fixed rows, but exp may still round them, so they are copied
-        # back and never move.  A noise-phase trial is given its gradient,
-        # which an accepted step keeps.
-        noise = NOISE_K * np.finfo(float).eps * abs(obj)
+        # back and never move.  A trial meets the Armijo test first, but in
+        # the noise phase only while its predicted decrease is at least one
+        # rounding unit of the objective: below that, a decrease is rounding
+        # luck.  A noise-phase trial that fails it and stays within the noise
+        # level is given its gradient, which an accepted step keeps.
+        rounding = np.finfo(float).eps * abs(obj)
+        noise = NOISE_K * rounding
         noise_phase = step * gd < noise
         floor = NOISE_STEP_MIN if noise_phase else opts.step_floor
-        accepted = False
+        phase = None
         while step >= floor:
             trial = m.exp(x.samples, -step * d)
             trial[fixed] = x.samples[fixed]
@@ -274,30 +281,30 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             except DegenerateCurveError:
                 step *= opts.backtrack
                 continue
-            if noise_phase:
+            obj_trial = evaluate(spec, x_trial)
+            if (obj_trial <= obj - opts.armijo_c1 * step * gd and obj_trial < obj
+                    and (not noise_phase or step * gd >= rounding)):
+                phase = "armijo"
+                break
+            if noise_phase and obj_trial <= obj + noise:
                 g_trial = gradient(spec, x_trial, free).vectors
                 resid_trial = grad_norm(g_trial)
                 if resid_trial < NOISE_GRAD_DROP * resid:
-                    obj_trial = evaluate(spec, x_trial)
-                    accepted = obj_trial <= obj + noise
-            else:
-                obj_trial = evaluate(spec, x_trial)
-                accepted = obj_trial <= obj - opts.armijo_c1 * step * gd and obj_trial < obj
-            if accepted:
-                break
+                    phase = "noise"
+                    break
             x_trial.clear_memo()   # before the next trial is built
             step *= opts.backtrack
-        if not accepted:
+        if phase is None:
             message = ("stalled at the roundoff floor" if noise_phase
                        else "line search step underflow")
             break
 
         x, obj = x_trial, obj_trial
         it += 1
-        last_step, last_phase = step, ("noise" if noise_phase else "armijo")
+        last_step, last_phase = step, phase
         if track_winding:
             w_drift = max(w_drift, float(np.max(np.abs(winding_vector(x) - w_ref))))
-        if noise_phase:
+        if phase == "noise":
             g, resid = g_trial, resid_trial
         else:
             g = gradient(spec, x, free).vectors
