@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DegenerateCurveError, UsageError
 from .manifolds import (CUT_LOCUS_TOL, Manifold, ManifoldPoint, Torus, make_manifold,
@@ -23,6 +25,63 @@ from .manifolds import (CUT_LOCUS_TOL, Manifold, ManifoldPoint, Torus, make_mani
 
 _SAMPLE_TOL = 1e-8   # allowed constraint residual for curve samples
 MIN_GRID = 4
+
+# The difference stencils, by derivative order: (first, inner, last) rows of
+# (step offsets, coefficients in units of N^order) over the forward steps
+# d_j = x_{j+1} - x_j (wrapped on the torus); node j reads the steps
+# j + offset.  On the interval node 0 takes the first row, node N the last
+# and the others the inner one; on the circle every node takes the inner row,
+# with step indices mod N.  Interval endpoints have no second difference.
+STENCILS = {
+    1: (((0, 1), (1.5, -0.5)), ((-1, 0), (0.5, 0.5)), ((-2, -1), (-0.5, 1.5))),
+    2: (((), ()), ((-1, 0), (-1.0, 1.0)), ((), ())),
+}
+
+
+class Stencil(NamedTuple):
+    """One order's stencil on one grid, as read-only CSR matrices."""
+
+    steps_to_nodes: sp.csr_matrix   # P_k, (n_samples, N): acts on forward steps
+    matrix: sp.csr_matrix           # D_k = P_k Delta: acts on samples
+    adjoint: sp.csr_matrix          # D_k^T
+
+
+def _csr(shape, rows) -> sp.csr_matrix:
+    """CSR matrix of stencil rows, each (nodes, (offsets, coefficients)),
+    with the column indices taken mod shape[1]."""
+    r, c, v = [], [], []
+    for nodes, (offsets, coeffs) in rows:
+        r.append(np.repeat(nodes, len(offsets)))
+        c.append((nodes[:, None] + np.asarray(offsets, np.intp)).ravel() % shape[1])
+        v.append(np.tile(np.asarray(coeffs, float), len(nodes)))
+    return sp.csr_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                         shape=shape)
+
+
+@lru_cache(maxsize=8)
+def stencil_operators(n: int, domain: str) -> Tuple[Stencil, ...]:
+    """The stencils of every order on the grid of size n, indexed by order - 1.
+
+    D_k is P_k after the step matrix Delta, with the zeros that cancel in the
+    product dropped.
+    """
+    ns = n + 1 if domain == "interval" else n
+    nodes = np.arange(ns)
+    delta = _csr((n, ns), [(np.arange(n), ((0, 1), (-1.0, 1.0)))])
+    out = []
+    for order, (first, inner, last) in sorted(STENCILS.items()):
+        if domain == "circle":
+            first = last = inner
+        p = _csr((ns, n), [(nodes[:1], first), (nodes[1:-1], inner), (nodes[-1:], last)])
+        p *= float(n) ** order
+        d = p @ delta
+        d.eliminate_zeros()
+        d.sort_indices()
+        out.append(Stencil(p, d, d.T.tocsr()))
+        for a in out[-1]:
+            for arr in (a.data, a.indices, a.indptr):
+                _read_only(arr)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -97,11 +156,16 @@ class DiscreteCurve:
     def with_samples(self, samples: np.ndarray) -> "DiscreteCurve":
         return DiscreteCurve(self.manifold, self.domain, samples)
 
+    def stencil(self, order: int) -> Stencil:
+        """The order's difference stencil on this curve's grid."""
+        return stencil_operators(self.grid_n, self.domain)[order - 1]
+
     # -- memo of derived arrays ---------------------------------------------
 
     @cached_property
     def steps(self) -> np.ndarray:
-        """Forward steps, shape (N, m); see forward_steps."""
+        """Forward steps, shape (N, m): row j is the displacement of sample j+1
+        relative to sample j (mod N on the circle), wrapped on the torus."""
         p, q = _consecutive(self.samples, self.domain)
         return _read_only(self.manifold.relative_step(p, q))
 
@@ -115,27 +179,14 @@ class DiscreteCurve:
 
     @cached_property
     def first_diff(self) -> np.ndarray:
-        """Raw first-difference stencil values; see first_difference."""
-        n = self.grid_n
-        d = self.steps
-        if self.domain == "circle":
-            return _read_only(n * (d + np.roll(d, 1, axis=0)) / 2.0)
-        out = np.empty_like(self.samples)
-        out[1:-1] = n * (d[1:] + d[:-1]) / 2.0
-        out[0] = n * (3.0 * d[0] - d[1]) / 2.0
-        out[-1] = n * (3.0 * d[-1] - d[-2]) / 2.0
-        return _read_only(out)
+        """Ambient first-derivative stencil values (unprojected), one row per sample."""
+        return _read_only(self.stencil(1).steps_to_nodes @ self.steps)
 
     @cached_property
     def second_diff(self) -> np.ndarray:
-        """Raw second-difference stencil values; see second_difference."""
-        n = self.grid_n
-        d = self.steps
-        if self.domain == "circle":
-            return _read_only(n * n * (d - np.roll(d, 1, axis=0)))
-        out = np.zeros_like(self.samples)
-        out[1:-1] = n * n * (d[1:] - d[:-1])
-        return _read_only(out)
+        """Ambient second-derivative stencil values (unprojected); zero at
+        interval endpoints."""
+        return _read_only(self.stencil(2).steps_to_nodes @ self.steps)
 
     @cached_property
     def velocity_vectors(self) -> np.ndarray:
@@ -187,32 +238,6 @@ def _consecutive(x: np.ndarray, domain: str):
     return x, np.roll(x, -1, axis=0)
 
 
-def forward_steps(curve: DiscreteCurve) -> np.ndarray:
-    """Per-segment ambient displacements (wrapped on the torus).
-
-    Shape (N, m): row j is the displacement of sample j+1 relative to sample j
-    (mod N on the circle).  Returns the curve's memoized, read-only array.
-    """
-    return curve.steps
-
-
-def first_difference(curve: DiscreteCurve) -> np.ndarray:
-    """Ambient first-derivative stencil values (unprojected), one row per sample.
-
-    Returns the curve's memoized, read-only array.
-    """
-    return curve.first_diff
-
-
-def second_difference(curve: DiscreteCurve) -> np.ndarray:
-    """Ambient second-derivative stencil values (unprojected).
-
-    Interval endpoints are zero; only interior rows carry stencil values.
-    Returns the curve's memoized, read-only array.
-    """
-    return curve.second_diff
-
-
 def velocity(curve: DiscreteCurve) -> TangentField:
     """Discrete velocity field: projected difference stencils, exact on affine data."""
     return TangentField(curve, curve.velocity_vectors)
@@ -259,6 +284,12 @@ def interior_weights(curve: DiscreteCurve) -> np.ndarray:
     return w
 
 
+def order_weights(curve: DiscreteCurve, order: int) -> np.ndarray:
+    """Quadrature weights of the order-th derivative field: node weights for
+    velocities, interior weights for accelerations."""
+    return node_weights(curve) if order == 1 else interior_weights(curve)
+
+
 def field_covariant_derivative(f: TangentField) -> TangentField:
     """Covariant derivative of a field along its curve: projected central differences.
 
@@ -266,15 +297,7 @@ def field_covariant_derivative(f: TangentField) -> TangentField:
     accelerations, are defined at every sample).
     """
     curve = f.curve
-    n = curve.grid_n
-    v = f.vectors
-    if curve.domain == "circle":
-        raw = n * (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / 2.0
-    else:
-        raw = np.empty_like(v)
-        raw[1:-1] = n * (v[2:] - v[:-2]) / 2.0
-        raw[0] = n * (-3.0 * v[0] + 4.0 * v[1] - v[2]) / 2.0
-        raw[-1] = n * (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / 2.0
+    raw = curve.stencil(1).matrix @ f.vectors
     return TangentField(curve, curve.manifold.project_tangent(curve.samples, raw))
 
 
@@ -331,7 +354,7 @@ def winding_vector(curve: DiscreteCurve) -> np.ndarray:
     """
     if not isinstance(curve.manifold, Torus):
         raise UsageError("winding_vector is defined for torus/circle curves only")
-    return np.sum(forward_steps(curve), axis=0) / (2 * np.pi)
+    return np.sum(curve.steps, axis=0) / (2 * np.pi)
 
 
 def equicontinuity_ratio(curve: DiscreteCurve, pairs: np.ndarray) -> float:

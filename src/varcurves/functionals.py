@@ -12,8 +12,11 @@ tangent spaces of the free samples.  This makes every finite-difference
 directional-derivative check exact up to roundoff, independent of the
 discretization error of the underlying stencils.
 
-tension(0) and conditional(2, zero field) follow the same arithmetic and agree
-bitwise on every curve.
+Each spec compiles to a tuple of terms (order, coefficient, prior field), one
+weighted squared derivative each, and evaluate, gradient and the solver's
+preconditioner all loop over that tuple; a term with coefficient 0 is dropped.
+tension(0) and conditional(2, zero field) compile to the same single term, so
+they agree bitwise on every curve by construction.
 """
 
 from __future__ import annotations
@@ -21,16 +24,23 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, TangentField, interior_weights, node_weights
+from .curves import DiscreteCurve, TangentField, node_weights, order_weights
 from .errors import ConfigError, UsageError
 from .fields import PriorField, field_from_config
 from .manifolds import row_dot
 
-_VALID_KINDS = ("tension", "conditional", "energy")
+
+class Term(NamedTuple):
+    """coef/2 times the squared L2 norm of the order-th derivative minus field."""
+
+    order: int                      # 1: velocity, 2: covariant acceleration
+    coef: float
+    field: Optional[PriorField]
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,17 @@ class FunctionalSpec:
             object.__setattr__(self, "k", int(self.k))
         else:
             raise ConfigError(f"unknown functional kind {self.kind!r}")
+
+    @cached_property
+    def terms(self) -> Tuple[Term, ...]:
+        """The functional as a sum of terms; terms with coefficient 0 drop out."""
+        if self.kind == "tension":
+            terms = (Term(2, 1.0, None), Term(1, self.tau**2, None))
+        elif self.kind == "conditional":
+            terms = (Term(self.k, 1.0, self.field),)
+        else:
+            terms = ((Term(2, 1.0, None),) if self.k == 2 else ()) + (Term(1, 1.0, None),)
+        return tuple(t for t in terms if t.coef != 0.0)
 
     # -- constructors ---------------------------------------------------------
 
@@ -126,67 +147,24 @@ def _check_field(spec: FunctionalSpec, curve: DiscreteCurve) -> None:
         raise UsageError("prior field and curve live on different manifolds")
 
 
+def _derivative(curve: DiscreteCurve, order: int):
+    """Raw stencil values, their tangent projection and quadrature weights."""
+    w = order_weights(curve, order)
+    if order == 1:
+        return curve.first_diff, curve.velocity_vectors, w
+    return curve.second_diff, curve.accel_vectors, w
+
+
 def evaluate(spec: FunctionalSpec, curve: DiscreteCurve) -> float:
     """Value of the discrete action functional; always >= 0."""
     _check_field(spec, curve)
-    x = curve.samples
     total = 0.0
-
-    if spec.kind == "tension" or (spec.kind == "energy" and spec.k == 2) or \
-            (spec.kind == "conditional" and spec.k == 2):
-        a = curve.accel_vectors
-        wa = interior_weights(curve)
-        if spec.kind == "conditional" and spec.field is not None:
-            a = a - spec.field.eval_many(curve.times, x)
-        total += 0.5 * float(np.sum(wa * row_dot(a, a)))
-
-    needs_vel = (spec.kind == "tension" and spec.tau != 0.0) or \
-        spec.kind == "energy" or (spec.kind == "conditional" and spec.k == 1)
-    if needs_vel:
-        v = curve.velocity_vectors
-        wv = node_weights(curve)
-        if spec.kind == "conditional":
-            r = v - (spec.field.eval_many(curve.times, x) if spec.field is not None
-                     else np.zeros_like(v))
-            total += 0.5 * float(np.sum(wv * row_dot(r, r)))
-        else:
-            coef = spec.tau**2 if spec.kind == "tension" else 1.0
-            total += 0.5 * coef * float(np.sum(wv * row_dot(v, v)))
+    for term in spec.terms:
+        _, r, w = _derivative(curve, term.order)
+        if term.field is not None:
+            r = r - term.field.eval_many(curve.times, curve.samples)
+        total += 0.5 * term.coef * float(np.sum(w * row_dot(r, r)))
     return total
-
-
-def _second_stencil_transpose(curve: DiscreteCurve, rows: np.ndarray) -> np.ndarray:
-    """Adjoint of the second-difference stencil applied to weighted residual rows."""
-    n = curve.grid_n
-    n2 = float(n) * n
-    if curve.domain == "circle":
-        return n2 * (np.roll(rows, 1, axis=0) - 2.0 * rows + np.roll(rows, -1, axis=0))
-    g = np.zeros_like(rows)
-    mid = rows[1:-1]
-    g[:-2] += n2 * mid
-    g[1:-1] -= 2.0 * n2 * mid
-    g[2:] += n2 * mid
-    return g
-
-
-def _first_stencil_transpose(curve: DiscreteCurve, rows: np.ndarray) -> np.ndarray:
-    """Adjoint of the first-difference stencil applied to weighted residual rows."""
-    n = curve.grid_n
-    h = float(n) / 2.0
-    if curve.domain == "circle":
-        return h * (np.roll(rows, 1, axis=0) - np.roll(rows, -1, axis=0))
-    g = np.zeros_like(rows)
-    mid = rows[1:-1]
-    g[2:] += h * mid
-    g[:-2] -= h * mid
-    # one-sided endpoint rows
-    g[0] += -3.0 * h * rows[0]
-    g[1] += 4.0 * h * rows[0]
-    g[2] += -h * rows[0]
-    g[-1] += 3.0 * h * rows[-1]
-    g[-2] += -4.0 * h * rows[-1]
-    g[-3] += h * rows[-1]
-    return g
 
 
 def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> TangentField:
@@ -200,43 +178,16 @@ def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> TangentField:
     x = curve.samples
     t = curve.times
     g = np.zeros_like(x)
-
-    use_accel = spec.kind == "tension" or (spec.kind == "energy" and spec.k == 2) or \
-        (spec.kind == "conditional" and spec.k == 2)
-    if use_accel:
-        c = curve.second_diff
-        a = curve.accel_vectors
-        wa = interior_weights(curve)[:, None]
-        if spec.kind == "conditional":
-            r = a - (spec.field.eval_many(t, x) if spec.field is not None
-                     else np.zeros_like(a))
-            g += _second_stencil_transpose(curve, wa * r)
-            g += 0.5 * wa * m.dproj_quad(x, c)
-            if spec.field is not None:
-                g += 0.5 * wa * (-2.0 * spec.field.grad_inner(c, t, x)
-                                 + spec.field.grad_sq(t, x))
-        else:
-            g += _second_stencil_transpose(curve, wa * a)
-            g += 0.5 * wa * m.dproj_quad(x, c)
-
-    use_vel = (spec.kind == "tension" and spec.tau != 0.0) or spec.kind == "energy" or \
-        (spec.kind == "conditional" and spec.k == 1)
-    if use_vel:
-        d = curve.first_diff
-        v = curve.velocity_vectors
-        wv = node_weights(curve)[:, None]
-        if spec.kind == "conditional":
-            r = v - (spec.field.eval_many(t, x) if spec.field is not None
-                     else np.zeros_like(v))
-            g += _first_stencil_transpose(curve, wv * r)
-            g += 0.5 * wv * m.dproj_quad(x, d)
-            if spec.field is not None:
-                g += 0.5 * wv * (-2.0 * spec.field.grad_inner(d, t, x)
-                                 + spec.field.grad_sq(t, x))
-        else:
-            coef = spec.tau**2 if spec.kind == "tension" else 1.0
-            g += _first_stencil_transpose(curve, coef * wv * v)
-            g += 0.5 * coef * wv * m.dproj_quad(x, d)
+    for term in spec.terms:
+        raw, r, w = _derivative(curve, term.order)
+        w = term.coef * w[:, None]
+        if term.field is not None:
+            r = r - term.field.eval_many(t, x)
+        g += curve.stencil(term.order).adjoint @ (w * r)
+        g += 0.5 * w * m.dproj_quad(x, raw)
+        if term.field is not None:
+            g += 0.5 * w * (-2.0 * term.field.grad_inner(raw, t, x)
+                            + term.field.grad_sq(t, x))
 
     g = m.project_tangent(x, g)
     mask = np.zeros(curve.n_samples, bool)

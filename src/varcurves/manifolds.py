@@ -163,11 +163,6 @@ class Manifold:
         """
         return np.asarray(q, float) - np.asarray(p, float)
 
-    # -- helpers -------------------------------------------------------------
-
-    def check_point(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.constraint_residual(x) < tol))
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 

@@ -38,8 +38,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constraints import ConstraintSet, fixed_indices, free_mask, impose
-from .curves import (DiscreteCurve, interior_weights, length, node_weights,
-                     velocity, winding_vector, covariant_accel)
+from .curves import (DiscreteCurve, length, node_weights, order_weights,
+                     stencil_operators, velocity, winding_vector, covariant_accel)
 from .errors import DegenerateCurveError, CutLocusError, UsageError
 from .functionals import FunctionalSpec, el_residual, evaluate, gradient
 from .manifolds import Torus, row_dot, row_norm
@@ -129,59 +129,17 @@ class SolveReport:
         }
 
 
-def _end_row(j: int, stencil, ns: int):
-    """Sorted columns (mod ns) and values of one stencil applied at row j."""
-    offsets, coeffs = stencil
-    cols = (j + np.asarray(offsets, dtype=np.intp)) % ns
-    order = np.argsort(cols)
-    return cols[order], np.asarray(coeffs, dtype=float)[order]
-
-
-def _stencil_csr(ns: int, first, inner, last) -> sp.csr_matrix:
-    """CSR matrix of a row stencil: `first` on row 0, `inner` on rows 1..ns-2 and
-    `last` on row ns-1, each given as (offsets, coefficients).
-
-    The inner offsets are ascending and keep rows 1..ns-2 inside the matrix;
-    only the end rows wrap (mod ns), which is all the circle needs.  Columns
-    are sorted within each row, so the arrays are exactly those that a COO or
-    LIL build followed by tocsr() gives.
-    """
-    offsets, coeffs = inner
-    (c0, v0), (c1, v1) = _end_row(0, first, ns), _end_row(ns - 1, last, ns)
-    cols = np.arange(1, ns - 1)[:, None] + np.asarray(offsets, dtype=np.intp)
-    indices = np.concatenate([c0, cols.ravel(), c1])
-    data = np.concatenate([v0, np.tile(np.asarray(coeffs, dtype=float), ns - 2), v1])
-    indptr = np.concatenate([[0], len(c0) + len(offsets) * np.arange(ns - 1),
-                             [len(indices)]])
-    return sp.csr_matrix((data, indices, indptr), shape=(ns, ns))
-
-
 def _stencil_matrices(curve: DiscreteCurve):
-    """Sparse first/second difference operators matching the functional stencils."""
-    n = curve.grid_n
-    ns = curve.n_samples
-    vel = ((-1, 1), (-n / 2.0, n / 2.0))
-    acc = ((-1, 0, 1), (n * n, -2.0 * n * n, n * n))
-    if curve.domain == "circle":
-        return _stencil_csr(ns, vel, vel, vel), _stencil_csr(ns, acc, acc, acc)
-    empty = ((), ())
-    sv = _stencil_csr(ns, ((0, 1, 2), (-1.5 * n, 2.0 * n, -0.5 * n)), vel,
-                      ((-2, -1, 0), (0.5 * n, -2.0 * n, 1.5 * n)))
-    return sv, _stencil_csr(ns, empty, acc, empty)
+    """The sample-space difference operators D_1, D_2 of the curve's grid."""
+    return tuple(s.matrix for s in stencil_operators(curve.grid_n, curve.domain))
 
 
 def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray):
-    """Factorized flat-space model Hessian restricted to the free samples."""
-    sv, sa = _stencil_matrices(curve)
-    if spec.kind == "tension":
-        ca, cv = 1.0, spec.tau**2
-    elif spec.kind == "conditional":
-        ca, cv = (1.0, 0.0) if spec.k == 2 else (0.0, 1.0)
-    else:
-        ca, cv = (1.0 if spec.k == 2 else 0.0), 1.0
-    # a term times 0.0 would hold only explicit zeros, which the sum drops
-    terms = [c * (s.T @ sp.diags(w(curve)) @ s)
-             for c, s, w in ((ca, sa, interior_weights), (cv, sv, node_weights)) if c != 0.0]
+    """Factorized flat-space model Hessian sum c D_k^T W_k D_k over the spec's
+    terms, restricted to the free samples."""
+    ds = _stencil_matrices(curve)
+    terms = [t.coef * (ds[t.order - 1].T @ sp.diags(order_weights(curve, t.order))
+                       @ ds[t.order - 1]) for t in spec.terms]
     h = sum(terms[1:], terms[0])
     h = h.tocsc()[free][:, free].tocsc()
     diag_scale = max(float(h.diagonal().max()), 1.0)
@@ -251,9 +209,6 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         d[free] = lu.solve(np.take(g, free, axis=0))
         d = m.project_tangent(x.samples, d)
         gd = float(np.sum(g * d))
-        if gd <= 0.0:  # cannot happen for an SPD model, kept as a safe fallback
-            d = g
-            gd = float(np.sum(g * g))
 
         step = opts.initial_step
         if m.compact:

@@ -5,9 +5,25 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, PriorField,
                        el_residual, evaluate, geodesic, gradient, hermite_cubic,
                        make_manifold, quadrature_length, seed, sobolev_norm_sq,
                        velocity)
-from varcurves.checks import _random_curve, _random_direction, fd_directional_error
+from varcurves.checks import _random_curve, _random_direction, _specs_for, fd_directional_error
+from varcurves.optimize import _flat_model_factor
 
 ALL_IDS = ["euclidean:2", "sphere:2", "torus:2", "so3"]
+WINDING = {"euclidean:2": None, "torus:1": [1], "torus:2": [1, 0], "sphere:2": 1, "so3": 1}
+
+
+def closed_curve(m, rng, n=16):
+    """Smooth closed curve: a periodic seed of winding 1, bent by two modes."""
+    x = seed(ConstraintSet.periodic(), m, n, "circle", WINDING[m.name]).samples
+    t = np.arange(n) / n
+    bumps = (np.sin(2 * np.pi * t)[:, None] * rng.normal(size=m.ambient_dim)
+             + np.cos(4 * np.pi * t)[:, None] * rng.normal(size=m.ambient_dim))
+    return DiscreteCurve(m, "circle", m.exp(x, m.project_tangent(x, 0.05 * bumps)))
+
+
+def all_but_ends(curve):
+    return np.arange(1, curve.n_samples - 1) if curve.domain == "interval" \
+        else np.arange(curve.n_samples)
 
 
 def constant_curve(mid="sphere:2", n=20):
@@ -56,14 +72,20 @@ def test_evaluate_nonnegative_random():
 # -- structural identities -----------------------------------------------------------
 
 def test_reduction_identity_bitwise():
+    # conditional(2) and tension(0) compile to one term: evaluate, gradient
+    # and the preconditioner agree byte for byte
     rng = np.random.default_rng(2)
+    a, b = FunctionalSpec.conditional(2), FunctionalSpec.tension_cost(0.0)
     for mid in ALL_IDS:
         m = make_manifold(mid)
-        for _ in range(25):
-            x = _random_curve(m, rng)
-            a = evaluate(FunctionalSpec.conditional(2), x)
-            b = evaluate(FunctionalSpec.tension_cost(0.0), x)
-            assert abs(a - b) < 1e-12
+        for x in [_random_curve(m, rng) for _ in range(5)] + \
+                [closed_curve(m, rng) for _ in range(5)]:
+            free = all_but_ends(x)
+            assert np.float64(evaluate(a, x)).tobytes() == np.float64(evaluate(b, x)).tobytes()
+            assert gradient(a, x, free).vectors.tobytes() == gradient(b, x, free).vectors.tobytes()
+            rhs = rng.normal(size=(len(free), m.ambient_dim))
+            assert (_flat_model_factor(a, x, free).solve(rhs).tobytes()
+                    == _flat_model_factor(b, x, free).solve(rhs).tobytes())
 
 
 def test_tension_monotone_in_tau():
@@ -126,6 +148,30 @@ def test_gradient_matches_directional_derivative(mid):
         rng = np.random.default_rng(100 + s_i)
         x = _random_curve(m, rng)
         free = np.arange(1, x.n_samples - 1)
+        eta = _random_direction(x, free, rng)
+        assert fd_directional_error(spec, x, free, eta) <= 1e-5
+
+
+@pytest.mark.parametrize("n", [16, 200])
+@pytest.mark.parametrize("mid", ["torus:1", "torus:2", "sphere:2", "so3"])
+def test_gradient_matches_directional_derivative_on_closed_curves(mid, n):
+    # the circle's adjoint rows wrap around; every sample is free
+    m = make_manifold(mid)
+    for i, spec in enumerate(_specs_for(m)):
+        rng = np.random.default_rng(1000 * n + i)
+        x = closed_curve(m, rng, n)
+        free = all_but_ends(x)
+        eta = _random_direction(x, free, rng)
+        assert fd_directional_error(spec, x, free, eta) <= 1e-5
+
+
+@pytest.mark.parametrize("mid", ["sphere:2", "so3"])
+def test_gradient_matches_directional_derivative_at_n1000(mid):
+    m = make_manifold(mid)
+    for i, spec in enumerate(_specs_for(m)):
+        rng = np.random.default_rng(500 + i)
+        x = _random_curve(m, rng, 1000)
+        free = all_but_ends(x)
         eta = _random_direction(x, free, rng)
         assert fd_directional_error(spec, x, free, eta) <= 1e-5
 

@@ -9,7 +9,7 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        covariant_accel, evaluate, gradient, length, make_manifold,
                        minimize, quadrature_length, seed, velocity)
 from varcurves.checks import _random_curve
-from varcurves.curves import _MEMO, first_difference, forward_steps, second_difference
+from varcurves.curves import _MEMO, stencil_operators
 
 MANIFOLDS = ("euclidean:2", "sphere:2", "torus:2", "so3")
 CASES = [(mid, domain) for mid in MANIFOLDS for domain in ("interval", "circle")]
@@ -52,7 +52,7 @@ def memo_arrays(curve):
 def test_filled_memo_gives_bitwise_fresh_results(mid, domain):
     warm = make_curve(mid, domain)
     first = results(warm)
-    assert first_difference(warm) is first_difference(warm)   # memoized, not rebuilt
+    assert warm.first_diff is warm.first_diff   # memoized, not rebuilt
     fresh = DiscreteCurve(warm.manifold, warm.domain, warm.samples)
     assert results(warm) == first == results(fresh)
 
@@ -60,9 +60,7 @@ def test_filled_memo_gives_bitwise_fresh_results(mid, domain):
 @pytest.mark.parametrize("mid,domain", CASES)
 def test_memo_arrays_are_read_only(mid, domain):
     curve = make_curve(mid, domain)
-    arrays = memo_arrays(curve) + [forward_steps(curve), first_difference(curve),
-                                   second_difference(curve)]
-    for a in arrays:
+    for a in memo_arrays(curve):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
@@ -109,3 +107,15 @@ def test_prewarmed_seed_gives_byte_identical_solve(mid, domain):
     assert rw.minimizer.samples.tobytes() == rc.minimizer.samples.tobytes()
     # the report does not carry the minimizer's derived arrays
     assert not any(name in vars(rw.minimizer) for name in _MEMO)
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_stencil_operators_are_shared_and_read_only(domain):
+    ops = stencil_operators(16, domain)
+    assert ops is stencil_operators(16, domain)
+    for stencil in ops:
+        assert (stencil.adjoint != stencil.matrix.T).nnz == 0
+        for mat in stencil:
+            for arr in (mat.data, mat.indices, mat.indptr):
+                with pytest.raises(ValueError):
+                    arr[0] = 0

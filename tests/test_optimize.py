@@ -13,8 +13,7 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        sup_distance, tension_1d)
 from varcurves.checks import _random_curve
 from varcurves.constraints import fixed_indices, free_mask
-from varcurves.curves import (first_difference, interior_weights, node_weights,
-                              quadrature_length, second_difference, velocity)
+from varcurves.curves import interior_weights, node_weights, quadrature_length, velocity
 from varcurves.fields import PriorField
 from varcurves.functionals import gradient
 from varcurves import manifolds
@@ -458,7 +457,7 @@ def test_stencil_matrices_match_forward_stencils(domain, n):
     curve = _euclid_curve(domain, n)
     sv, sa = _stencil_matrices(curve)
     x = curve.samples
-    for got, want in ((sv @ x, first_difference(curve)), (sa @ x, second_difference(curve))):
+    for got, want in ((sv @ x, curve.first_diff), (sa @ x, curve.second_diff)):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
     if domain == "interval":
         assert np.all(sa[[0, -1]].toarray() == 0)

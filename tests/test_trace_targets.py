@@ -44,3 +44,22 @@ def test_method_target_is_defined_on_a_named_class(span, modname, classes, meth)
 def test_factorization_target_is_reachable():
     mod = importlib.import_module(tracer.SPLU_MODULE)
     assert callable(getattr(getattr(mod, "spla", None), "splu", None))
+
+
+def test_assembly_is_reached_only_from_precond_setup():
+    # the assembly layer is the per-solve `_stencil_matrices`; evaluate and
+    # gradient must never reach it, or the benchmark charges their stencil
+    # work to assembly
+    from varcurves import ConstraintSet, FunctionalSpec, make_manifold, optimize, seed
+
+    c = ConstraintSet.clamped([0.0], [1.0], [0.0], [0.0])
+    x0 = seed(c, make_manifold("euclidean:1"), 40)
+    t = tracer.Tracer()
+    with t.active(), t.root():   # optimize.minimize is looked up while wrapped
+        rep = optimize.minimize(FunctionalSpec.tension_cost(1.0), c, x0)
+    assert rep.iterations > 0
+    ids = {name: i for i, name in enumerate(t.names)}
+    assembly = [s for s in t.spans if s[0] == ids["optimize.assembly"]]
+    assert assembly
+    assert all(t.spans[s[3]][0] == ids["optimize.precond_setup"] for s in assembly)
+    assert any(s[0] == ids["functionals.gradient"] for s in t.spans)
