@@ -252,13 +252,9 @@ def covariant_accel(curve: DiscreteCurve) -> TangentField:
 
 
 def node_weights(curve: DiscreteCurve) -> np.ndarray:
-    """Trapezoid quadrature weights at the curve samples (uniform on the circle)."""
-    n = curve.grid_n
-    if curve.domain == "circle":
-        return np.full(curve.n_samples, 1.0 / n)
-    w = np.full(curve.n_samples, 1.0 / n)
-    w[0] = w[-1] = 0.5 / n
-    return w
+    """Trapezoid quadrature weights at the curve samples (uniform on the
+    circle); read-only and shared by every curve on the grid."""
+    return quadrature_weights(curve.grid_n, curve.domain)[0]
 
 
 def interior_weights(curve: DiscreteCurve) -> np.ndarray:
@@ -267,27 +263,36 @@ def interior_weights(curve: DiscreteCurve) -> np.ndarray:
     Trapezoid on the interior subgrid plus linearly-extrapolated end strips
     (boundary weights 2 and 1/2); exact for affine integrands and second-order
     for smooth ones.  Uniform on the circle.  Endpoint entries are zero on the
-    interval so the weights align with second-difference fields.
+    interval so the weights align with second-difference fields.  Read-only
+    and shared by every curve on the grid.
     """
-    n = curve.grid_n
-    if curve.domain == "circle":
-        return np.full(curve.n_samples, 1.0 / n)
-    w = np.full(curve.n_samples, 1.0 / n)
-    w[0] = w[-1] = 0.0
-    w[1] = w[-2] = 2.0 / n
-    if curve.n_samples >= 7:
-        w[2] = w[-3] = 0.5 / n
-    else:
-        # N = 4,5: the two Gregory corrections overlap; fall back to mass-
-        # preserving absorbed weights
-        w[1] = w[-2] = 1.5 / n
-    return w
+    return quadrature_weights(curve.grid_n, curve.domain)[1]
 
 
 def order_weights(curve: DiscreteCurve, order: int) -> np.ndarray:
     """Quadrature weights of the order-th derivative field: node weights for
     velocities, interior weights for accelerations."""
-    return node_weights(curve) if order == 1 else interior_weights(curve)
+    return quadrature_weights(curve.grid_n, curve.domain)[order - 1]
+
+
+@lru_cache(maxsize=8)
+def quadrature_weights(n: int, domain: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The node and interior weights of the grid of size n, indexed by
+    derivative order - 1 like stencil_operators, as read-only arrays."""
+    ns = n + 1 if domain == "interval" else n
+    node = np.full(ns, 1.0 / n)
+    interior = np.full(ns, 1.0 / n)
+    if domain == "interval":
+        node[0] = node[-1] = 0.5 / n
+        interior[0] = interior[-1] = 0.0
+        interior[1] = interior[-2] = 2.0 / n
+        if ns >= 7:
+            interior[2] = interior[-3] = 0.5 / n
+        else:
+            # N = 4,5: the two Gregory corrections overlap; fall back to mass-
+            # preserving absorbed weights
+            interior[1] = interior[-2] = 1.5 / n
+    return _read_only(node), _read_only(interior)
 
 
 def field_covariant_derivative(f: TangentField) -> TangentField:

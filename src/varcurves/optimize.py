@@ -1,15 +1,25 @@
 """Riemannian descent over the free samples, with compactness diagnostics.
 
-The search direction is the exact Riemannian gradient preconditioned by the
-flat-space model operator of the same discrete functional (a fixed sparse SPD
-matrix, factorized once per solve).  Preconditioning is essential here: the
-fourth-order objectives have Hessian condition numbers growing like N^4, which
-makes unpreconditioned steepest descent hopeless at the tolerances the
-acceptance suite demands, while the preconditioned iteration is Newton-like on
-flat manifolds and mesh-independent on curved ones.  Because the projected
-preconditioned direction always has positive inner product with the gradient,
-Armijo backtracking gives strict descent, and convergence is still certified
-by the plain discrete L2 gradient norm.
+The search direction is a limited-memory BFGS direction (the two-loop
+recursion of Nocedal & Wright, Numerical Optimization, ch. 7) whose initial
+inverse Hessian is the flat-space model operator of the same discrete
+functional: a fixed sparse SPD matrix, factorized once per solve, applied on
+the free rows and followed by the tangent projection.  Preconditioning is
+essential here: the fourth-order objectives have Hessian condition numbers
+growing like N^4, which makes unpreconditioned steepest descent hopeless at
+the tolerances the acceptance suite demands, while the flat model alone is
+Newton-like on flat manifolds and mesh-independent on curved ones.  It
+omits the curvature terms, though, so on S^2 and SO(3) the flat direction
+converges only linearly; the memory of the last LBFGS_MEMORY accepted steps
+s and gradient changes y supplies the missing curvature.  Each pair is
+re-projected onto the new tangent space at every step (projection as the
+vector transport; Huang, Gallivan & Absil, SIAM J. Optim. 25(3), 2015) and
+kept only while y.s > CURVATURE_TOL*|y||s|, so the direction has positive
+inner product with the gradient up to rounding; should rounding make it
+non-positive, the memory is cleared and the flat direction used.  With an
+empty memory, on every solve's first step, the direction is the flat one.
+Armijo backtracking thus gives strict descent, and convergence is still
+certified by the plain discrete L2 gradient norm.
 
 Near a minimizer the predicted decrease falls below the objective's roundoff,
 and objective differences no longer tell descent from rounding.  A search
@@ -51,6 +61,10 @@ CLUSTER_TOL = 0.1     # sup-distance threshold for distinctness clustering
 NOISE_K = 100          # objective changes below NOISE_K*eps*|obj| are roundoff
 NOISE_GRAD_DROP = 0.9  # factor by which a noise-phase step cuts the gradient norm
 NOISE_STEP_MIN = 1e-3  # smallest noise-phase step
+
+# the quasi-Newton memory (see the module docstring)
+LBFGS_MEMORY = 3       # (s, y) pairs kept
+CURVATURE_TOL = 1e-12  # a pair is kept while y.s > CURVATURE_TOL*|y||s|
 
 
 @dataclass(frozen=True)
@@ -154,12 +168,84 @@ def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:
     return length(curve), quad_length, float(np.max(speed))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sum(a * b))
+
+
+def _curved(s: np.ndarray, y: np.ndarray) -> bool:
+    """The curvature test that keeps a pair in the memory."""
+    return _dot(y, s) > CURVATURE_TOL * math.sqrt(_dot(y, y) * _dot(s, s))
+
+
+class _PairMemory:
+    """The last LBFGS_MEMORY kept (s, y) pairs of a solve, oldest first.
+
+    The pairs sit in the first k rows of two (LBFGS_MEMORY, n_samples,
+    ambient) buffers, allocated when the first pair is kept.
+    """
+
+    def __init__(self):
+        self.s = self.y = None
+        self.k = 0
+
+    def clear(self) -> None:
+        self.k = 0
+
+    def transport(self, m, p: np.ndarray) -> None:
+        """Re-project the pairs onto the tangent spaces at the samples p and
+        keep those that still pass the curvature test."""
+        k = self.k
+        if not k:
+            return
+        self.s[:k] = m.project_tangent(p, self.s[:k])
+        self.y[:k] = m.project_tangent(p, self.y[:k])
+        keep = [i for i in range(k) if _curved(self.s[i], self.y[i])]
+        self.k = len(keep)
+        self.s[:self.k] = self.s[keep]
+        self.y[:self.k] = self.y[keep]
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Keep the pair if it passes the curvature test, dropping the oldest
+        pair from a full memory."""
+        if not _curved(s, y):
+            return
+        if self.s is None:
+            self.s = np.empty((LBFGS_MEMORY,) + s.shape)
+            self.y = np.empty_like(self.s)
+        if self.k == LBFGS_MEMORY:
+            self.s[:-1] = self.s[1:]
+            self.y[:-1] = self.y[1:]
+            self.k -= 1
+        self.s[self.k] = s
+        self.y[self.k] = y
+        self.k += 1
+
+    def direction(self, g: np.ndarray, flat) -> np.ndarray:
+        """The two-loop recursion: the inverse-BFGS update of the initial
+        inverse Hessian `flat` by the pairs, applied to g.  With no pair it
+        returns flat(g)."""
+        s, y = self.s, self.y
+        rho = [1.0 / _dot(y[i], s[i]) for i in range(self.k)]
+        alpha = [0.0] * self.k
+        q = g
+        for i in reversed(range(self.k)):
+            alpha[i] = rho[i] * _dot(s[i], q)
+            q = q - alpha[i] * y[i]
+        r = flat(q)
+        for i in range(self.k):
+            r += (alpha[i] - rho[i] * _dot(y[i], r)) * s[i]
+        return r
+
+
 def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
              opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Preconditioned descent from a feasible start: Armijo backtracking, or
-    the noise phase once objective differences are roundoff.
+    """Quasi-Newton descent from a feasible start: L-BFGS directions on the
+    flat-model preconditioner, with Armijo backtracking, or the noise phase
+    once objective differences are roundoff.
 
-    Fixed samples never move (their coordinates are bit-identical between x0
+    The first direction, and every direction after the memory is cleared,
+    is the flat one: the flat-model solve on the free rows, projected onto
+    the tangent spaces.  Fixed samples never move (their coordinates are bit-identical between x0
     and the minimizer); a step accepted by the Armijo test strictly decreases
     the objective, one accepted by the noise test raises it by at most
     NOISE_K*eps*|objective|, and each history record names the test
@@ -190,6 +276,13 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     obj = evaluate(spec, x)
     g = gradient(spec, x, free).vectors
 
+    def flat_direction(v):
+        # the flat-model solve on the free rows, projected at the iterate
+        d = np.zeros_like(v)
+        d[free] = lu.solve(np.take(v, free, axis=0))
+        return m.project_tangent(x.samples, d)
+
+    memory = _PairMemory()
     it = 0
     verdict = "iter_limit"
     message = ""
@@ -205,10 +298,12 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             message = "iteration budget exhausted"
             break
 
-        d = np.zeros_like(g)
-        d[free] = lu.solve(np.take(g, free, axis=0))
-        d = m.project_tangent(x.samples, d)
-        gd = float(np.sum(g * d))
+        d = memory.direction(g, flat_direction)
+        gd = _dot(g, d)
+        if memory.k and gd <= 0:   # rounding broke descent: start afresh
+            memory.clear()
+            d = flat_direction(g)
+            gd = _dot(g, d)
 
         step = opts.initial_step
         if m.compact:
@@ -259,11 +354,16 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         last_step, last_phase = step, phase
         if track_winding:
             w_drift = max(w_drift, float(np.max(np.abs(winding_vector(x) - w_ref))))
+        g_prev = g
         if phase == "noise":
             g, resid = g_trial, resid_trial
         else:
             g = gradient(spec, x, free).vectors
             resid = grad_norm(g)
+        # the step and the gradient change, both in the new tangent spaces
+        memory.transport(m, x.samples)
+        memory.push(m.project_tangent(x.samples, -step * d),
+                    g - m.project_tangent(x.samples, g_prev))
         if it % opts.record_every == 0:
             record(it, obj, resid, step, last_phase)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import varcurves
 from varcurves import ConfigError, load_curve
 from varcurves.cli import main
 from varcurves.config import parse_config
@@ -214,6 +219,17 @@ def test_usage_error_exit_code(tmp_path, extra):
 def test_help_exit_code(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_without_install():
+    # `python -m varcurves` finds the package on PYTHONPATH alone
+    src = str(Path(varcurves.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-m", "varcurves", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0
+    assert "usage: varcurves" in run.stdout
 
 
 def test_multistart_solve(tmp_path):

@@ -9,7 +9,8 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        covariant_accel, evaluate, gradient, length, make_manifold,
                        minimize, quadrature_length, seed, velocity)
 from varcurves.checks import _random_curve
-from varcurves.curves import _MEMO, stencil_operators
+from varcurves.curves import (_MEMO, interior_weights, node_weights, order_weights,
+                              stencil_operators)
 
 MANIFOLDS = ("euclidean:2", "sphere:2", "torus:2", "so3")
 CASES = [(mid, domain) for mid in MANIFOLDS for domain in ("interval", "circle")]
@@ -119,3 +120,36 @@ def test_stencil_operators_are_shared_and_read_only(domain):
             for arr in (mat.data, mat.indices, mat.indptr):
                 with pytest.raises(ValueError):
                     arr[0] = 0
+    # so are the quadrature weights, one pair per grid
+    a, b = make_curve("sphere:2", domain), make_curve("so3", domain)
+    for weights in (node_weights, interior_weights):
+        assert weights(a) is weights(b)
+        with pytest.raises(ValueError):
+            weights(a)[0] = 0
+    assert order_weights(a, 1) is node_weights(a)
+    assert order_weights(a, 2) is interior_weights(a)
+
+
+def _fresh_weights(n, domain):
+    """The quadrature weights built afresh, as they were before the cache."""
+    ns = n + 1 if domain == "interval" else n
+    node, interior = np.full(ns, 1.0 / n), np.full(ns, 1.0 / n)
+    if domain == "interval":
+        node[0] = node[-1] = 0.5 / n
+        interior[0] = interior[-1] = 0.0
+        interior[1] = interior[-2] = 2.0 / n
+        if ns >= 7:
+            interior[2] = interior[-3] = 0.5 / n
+        else:
+            interior[1] = interior[-2] = 1.5 / n
+    return node, interior
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 16, 1000])
+def test_cached_weights_bit_identical_to_fresh_build(domain, n):
+    curve = DiscreteCurve(make_manifold("euclidean:1"), domain,
+                          np.zeros((n + 1 if domain == "interval" else n, 1)))
+    node, interior = _fresh_weights(n, domain)
+    assert node_weights(curve).tobytes() == node.tobytes()
+    assert interior_weights(curve).tobytes() == interior.tobytes()

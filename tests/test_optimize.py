@@ -329,7 +329,8 @@ def test_noise_phase_ignores_decreases_below_rounding(monkeypatch):
 def test_noise_phase_rejects_a_rise_beyond_its_guard(monkeypatch):
     # every trial that fails to decrease the objective is raised past
     # 100*eps*|obj| above the iterate: no such trial may be accepted or even
-    # given a gradient, so the solve ends in a noise phase that finds no step
+    # given a gradient, so the solve ends in a noise phase that finds no step;
+    # grad_tol=0 keeps a certificate from ending the solve first
     c, x0 = _knot_chain_problem("sphere:2", 0, n=200)
     real_evaluate, real_gradient = opt.evaluate, opt.gradient
     seen, iterates, raised, graded = {}, [], [], []
@@ -353,7 +354,7 @@ def test_noise_phase_rejects_a_rise_beyond_its_guard(monkeypatch):
     monkeypatch.setattr(opt, "evaluate", evaluate)
     monkeypatch.setattr(opt, "_curve_stats", curve_stats)
     monkeypatch.setattr(opt, "gradient", gradient)
-    rep = minimize(FunctionalSpec.tension_cost(0.5), c, x0)
+    rep = minimize(FunctionalSpec.tension_cost(0.5), c, x0, SolveOptions(grad_tol=0.0))
     assert rep.message == "stalled at the roundoff floor"
     assert rep.iterations > 0 and raised
     raised_ids = {id(r) for r in raised}
@@ -380,6 +381,111 @@ def test_armijo_underflow_keeps_its_message():
     rep = minimize(spec, c, x0, SolveOptions(armijo_c1=0.9, step_floor=0.5))
     assert (rep.verdict, rep.message, rep.iterations) == \
         ("iter_limit", "line search step underflow", 0)
+
+
+# -- quasi-Newton directions ----------------------------------------------------------------
+
+def _flat_direction(spec, c, x, g):
+    """The flat-model direction, built here from its definition."""
+    free = free_mask(c, x.grid_n, x.domain)
+    d = np.zeros_like(g)
+    d[free] = opt._flat_model_factor(spec, x, free).solve(g[free])
+    return x.manifold.project_tangent(x.samples, d)
+
+
+def _spy_directions(mp, hook=None):
+    """Record (pairs held, g, direction) of every direction minimize asks for;
+    hook(memory, g, flat) runs first."""
+    calls = []
+    two_loop = opt._PairMemory.direction
+
+    def direction(self, g, flat):
+        if hook is not None:
+            hook(self, g, flat)
+        d = two_loop(self, g, flat)
+        calls.append((self.k, np.array(g), np.array(d)))
+        return d
+
+    mp.setattr(opt._PairMemory, "direction", direction)
+    return calls
+
+
+@pytest.mark.parametrize("mid", ["sphere:2", "so3", "torus:2", "euclidean:2"])
+def test_first_direction_is_the_flat_one(mid, monkeypatch):
+    # with an empty memory the direction is the flat-model one byte for byte,
+    # so every solve's first step, and its record 1, is that of flat descent
+    spec = FunctionalSpec.tension_cost(0.5)
+    c, x0 = _five_knot_problem(mid)
+    calls = _spy_directions(monkeypatch)
+    rep = minimize(spec, c, x0, SolveOptions(max_iters=5))
+    k, g, d = calls[0]
+    assert k == 0
+    assert d.tobytes() == _flat_direction(spec, c, x0, g).tobytes()
+    monkeypatch.setattr(opt._PairMemory, "push", lambda self, s, y: None)
+    flat = minimize(spec, c, x0, SolveOptions(max_iters=5))
+    assert flat.history[:2] == rep.history[:2]
+
+
+def test_two_loop_matches_dense_inverse_bfgs(monkeypatch):
+    # H0 is the flat direction as a dense matrix; each pair, oldest first,
+    # updates H to (I - rho s y^T) H (I - rho y s^T) + rho s s^T
+    spec = FunctionalSpec.tension_cost(0.5)
+    c, x0 = _five_knot_problem("sphere:2", n=16)
+    full = []
+
+    def dense(memory, g, flat):
+        if memory.k < opt.LBFGS_MEMORY:
+            return
+        shape = g.shape
+        h = np.column_stack([flat(e.reshape(shape)).ravel() for e in np.eye(g.size)])
+        for s, y in zip(memory.s[:memory.k], memory.y[:memory.k]):
+            s, y = s.ravel(), y.ravel()
+            rho = 1.0 / (y @ s)
+            v = np.eye(g.size) - rho * np.outer(y, s)
+            h = v.T @ h @ v + rho * np.outer(s, s)
+        full.append((h @ g.ravel()).reshape(shape))
+
+    calls = _spy_directions(monkeypatch, dense)
+    minimize(spec, c, x0, SolveOptions(grad_tol=0.0, max_iters=12))
+    got = [d for k, _, d in calls if k == opt.LBFGS_MEMORY]
+    assert len(got) == len(full) > 0
+    for d, want in zip(got, full):
+        assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_non_descent_direction_clears_the_memory(monkeypatch):
+    # the pair s = H0 g, y = -g, planted past the curvature test, turns the
+    # two-loop direction into -H0 g; minimize must drop the memory and take
+    # the flat direction instead
+    spec = FunctionalSpec.tension_cost(0.5)
+    c, x0 = _knot_chain_problem("sphere:2", 0, n=200)
+
+    def plant(memory, g, flat):
+        if len(calls) == 1:
+            if memory.s is None:
+                memory.s = np.empty((opt.LBFGS_MEMORY,) + g.shape)
+                memory.y = np.empty_like(memory.s)
+            memory.s[0], memory.y[0], memory.k = flat(g), -g, 1
+
+    calls = _spy_directions(monkeypatch, plant)
+    cleared = []
+    clear = opt._PairMemory.clear
+    monkeypatch.setattr(opt._PairMemory, "clear",
+                        lambda self: (cleared.append(self.k), clear(self)))
+    rep = minimize(spec, c, x0)
+    _, g, d = calls[1]
+    assert np.sum(g * d) < 0
+    assert cleared == [1]
+    assert rep.history[2].phase == "armijo"
+    assert rep.history[2].objective < rep.history[1].objective
+    assert rep.verdict == "converged"
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_quasi_newton_sphere_solves_take_few_iterations(chain_solves, s):
+    # flat descent alone took 17 to 53 iterations on these problems
+    rep, _ = chain_solves["sphere:2", s]
+    assert rep.iterations <= 20
 
 
 # -- compactness diagnostics ----------------------------------------------------------------
