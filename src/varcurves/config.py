@@ -10,7 +10,6 @@ from typing import List, Optional
 import numpy as np
 
 from .constraints import ConstraintSet, constraint_from_config, free_mask, seed
-from .curves import DiscreteCurve
 from .errors import ConfigError, UsageError
 from .functionals import FunctionalSpec
 from .manifolds import Manifold, make_manifold
@@ -33,15 +32,12 @@ class RunConfig:
     multistart: bool
     options: SolveOptions
 
-    def build_seed(self, hint=None) -> DiscreteCurve:
-        return seed(self.constraint, self.manifold, self.n_grid, self.domain, hint)
-
     def seed_list(self):
         """Labelled seeds: one per hint (a single unlabelled seed when no hints)."""
-        if self.hints is None:
-            return [(self.build_seed(None), "seed")]
-        return [(self.build_seed(h), "w=" + ",".join(str(int(v)) for v in np.atleast_1d(h)))
-                for h in self.hints]
+        hints = [None] if self.hints is None else self.hints
+        return [(seed(self.constraint, self.manifold, self.n_grid, self.domain, h),
+                 "seed" if h is None else "w=" + ",".join(str(int(v)) for v in np.atleast_1d(h)))
+                for h in hints]
 
 
 def parse_config(data: dict) -> RunConfig:

@@ -7,17 +7,19 @@ one geodesic step along the prescribed velocity; the encoding is first-order
 in the grid spacing and its measured effect is reported by the convergence
 check suite.
 
-Seeds are piecewise-geodesic interpolants through the fixed data.  Integer
-winding hints select the homotopy class on multiply-connected manifolds (and,
-on the sphere, the wrapped representative): the hinted wraps are inserted in
-the first free segment.
+Seeds are piecewise-geodesic interpolants through the fixed data; impose and
+seed take the fixed rows from one definition (`_pinned`).  Each geodesic
+segment is one Manifold.exp call along one tangent vector.  Integer winding
+hints select the homotopy class on multiply-connected manifolds (and, on the
+sphere and SO(3), the wrapped representative): the hinted wraps are inserted
+in the first segment with a free sample.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .errors import ConfigError, CutLocusError
 from .manifolds import SO3, Euclidean, Manifold, Sphere, Torus
 
 _KNOT_SNAP_TOL = 1e-9
+# generator of rotations about the z axis: the wrap direction of SO(3) loops
+_BODY_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -125,34 +129,33 @@ def free_mask(c: ConstraintSet, n_grid: int, domain: str = "interval") -> np.nda
 
 def impose(c: ConstraintSet, curve: DiscreteCurve) -> DiscreteCurve:
     """Overwrite the fixed samples with the constraint data; idempotent."""
-    m = curve.manifold
-    n = curve.grid_n
-    x = np.array(curve.samples)
-    if c.kind == "periodic":
-        fixed_indices(c, n, curve.domain)
+    idx, rows = _pinned(c, curve.manifold, curve.grid_n, curve.domain)
+    if not len(idx):
         return curve
-    fixed_indices(c, n, curve.domain)  # validates domain
-    if c.kind == "clamped":
-        x[0] = m.canonicalize(c.left_pos)
-        x[-1] = m.canonicalize(c.right_pos)
-        if c.k == 2:
-            for vel in (c.left_vel, c.right_vel):
-                if np.linalg.norm(vel) / n >= m.injectivity_radius:
-                    raise ConfigError("clamped velocity exceeds one grid step "
-                                      "(||v||/N beyond the injectivity radius)")
-            x[1] = m.exp(x[0], m.project_tangent(x[0], c.left_vel) / n)
-            x[-2] = m.exp(x[-1], -m.project_tangent(x[-1], c.right_vel) / n)
-    else:
-        idx = c.knot_indices(n)
-        x[idx] = m.canonicalize(c.knot_points)
+    x = np.array(curve.samples)
+    x[idx] = rows
     return curve.with_samples(x)
 
 
-def is_feasible(c: ConstraintSet, curve: DiscreteCurve, tol: float = 0.0) -> bool:
-    imposed = impose(c, curve)
-    if tol == 0.0:
-        return bool(np.array_equal(imposed.samples, curve.samples))
-    return bool(np.max(np.abs(imposed.samples - curve.samples)) <= tol)
+def _pinned(c: ConstraintSet, m: Manifold, n_grid: int,
+            domain: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The fixed sample indices, ascending, and the rows the data pins there."""
+    idx = fixed_indices(c, n_grid, domain)
+    if c.kind == "periodic":
+        return idx, np.empty((0, m.ambient_dim))
+    if c.kind == "interpolation":
+        return idx, m.canonicalize(c.knot_points)
+    left = m.canonicalize(c.left_pos)
+    right = m.canonicalize(c.right_pos)
+    if c.k == 1:
+        return idx, np.stack([left, right])
+    for vel in (c.left_vel, c.right_vel):
+        if np.linalg.norm(vel) / n_grid >= m.injectivity_radius:
+            raise ConfigError("clamped velocity exceeds one grid step "
+                              "(||v||/N beyond the injectivity radius)")
+    return idx, np.stack([left, m.exp(left, m.project_tangent(left, c.left_vel) / n_grid),
+                          m.exp(right, -m.project_tangent(right, c.right_vel) / n_grid),
+                          right])
 
 
 # ---------------------------------------------------------------------------
@@ -181,123 +184,75 @@ def _normalize_hint(m: Manifold, hint) -> np.ndarray:
 
 def _geodesic_segment(m: Manifold, p: np.ndarray, q: np.ndarray,
                       s: np.ndarray, hint: np.ndarray) -> np.ndarray:
-    """Sample the (possibly wrapped) geodesic from p to q at parameters s in [0, 1]."""
+    """Sample the (possibly wrapped) geodesic from p to q at parameters s in [0, 1].
+
+    One tangent vector v at p, and the samples are m.exp(p, s*v).  On the
+    torus v is the wrapped displacement plus 2*pi*hint.  Elsewhere v is
+    log(p, q), and a nonzero hint w stretches it by w closed geodesics,
+    each of length 2 * injectivity_radius.
+    """
     p = m.canonicalize(np.asarray(p, float))
     q = m.canonicalize(np.asarray(q, float))
-    s = np.asarray(s, float)
-    wrapped = bool(np.any(hint != 0))
     if isinstance(m, Torus):
-        delta = Torus.wrap(q - p) + 2 * np.pi * hint
-        return m.canonicalize(p[None, :] + s[:, None] * delta[None, :])
-    if not wrapped:
+        v = Torus.wrap(q - p) + 2 * np.pi * hint
+    else:
         try:
             v = m.log(p, q)
         except CutLocusError as e:
-            raise CutLocusError(f"{e}; seeding between (near-)cut-locus points "
-                                "requires an explicit winding hint / plane") from e
-        return m.exp(np.broadcast_to(p, (len(s), m.ambient_dim)), s[:, None] * v[None, :])
-    w = int(hint[0])
-    if isinstance(m, Sphere):
-        theta = float(m.dist(p, q))
-        if theta >= np.pi - 1e-8:
-            raise CutLocusError("cannot wrap through antipodal points: the great-circle "
-                                "plane is ambiguous")
-        if theta < 1e-12:
-            e = m.project_tangent(p, _any_direction(m.ambient_dim, p))
-        else:
-            e = m.log(p, q) / theta
-            e = e / np.linalg.norm(e)
-        total = theta + 2 * np.pi * w
-        ang = s[:, None] * total
-        return m.canonicalize(np.cos(ang) * p[None, :] + np.sin(ang) * e[None, :])
+            raise CutLocusError(f"{e}; the geodesic between (near-)cut-locus points "
+                                "is ambiguous, so the seed needs a knot between them") from e
+        w = int(hint[0])
+        if w:
+            r = float(np.linalg.norm(v))
+            e = v / r if r >= 1e-12 else _any_direction(m, p)
+            v = (r + w * 2 * m.injectivity_radius) * e
+    return m.exp(np.broadcast_to(p, (len(s), m.ambient_dim)), s[:, None] * v[None, :])
+
+
+def _any_direction(m: Manifold, p: np.ndarray) -> np.ndarray:
+    """A unit tangent vector at p: the body-z rotation on SO(3), elsewhere the
+    projection of the coordinate axis along which p is smallest."""
     if isinstance(m, SO3):
-        pm = p.reshape(3, 3)
-        om = m._rel_rotation_log(p, q)[0]
-        theta = np.linalg.norm(om) / np.sqrt(2.0)
-        if theta < 1e-12:
-            axis = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        else:
-            axis = om / theta
-        total = theta + 2 * np.pi * w
-        out = np.empty((len(s), 9))
-        for i, si in enumerate(s):
-            out[i] = (pm @ SO3._expm_skew(si * total * axis)).reshape(9)
-        return m.canonicalize(out)
-    raise ConfigError(f"winding hints are not supported on {m.name}")
-
-
-def _any_direction(dim: int, p: np.ndarray) -> np.ndarray:
-    basis = np.zeros(dim)
-    basis[int(np.argmin(np.abs(p)))] = 1.0
-    return basis
+        d = (p.reshape(3, 3) @ _BODY_Z).reshape(9)
+    else:
+        d = np.zeros(m.ambient_dim)
+        d[int(np.argmin(np.abs(p)))] = 1.0
+        d = m.project_tangent(p, d)
+    return d / np.linalg.norm(d)
 
 
 def seed(c: ConstraintSet, m: Manifold, n_grid: int, domain: str = "interval",
          hint=None) -> DiscreteCurve:
     """Piecewise-geodesic interpolant through the fixed data.
 
-    The winding hint (integer vector on the torus, integer elsewhere) inserts
-    full wraps in the first free segment; the result satisfies impose exactly.
+    The pinned samples hold the rows impose writes, so the result satisfies
+    impose exactly.  Each stretch between consecutive pinned samples that
+    holds a free sample is a geodesic segment; free samples before the first
+    or after the last pinned one repeat its row.  The winding hint (integer
+    vector on the torus, integer elsewhere) adds its full wraps to the first
+    such segment; a hint with no segment to wrap is a ConfigError.  A closed
+    seed is one segment from a base point (0, e_0 or I) back to itself.
     """
     h = _normalize_hint(m, hint)
+    idx, rows = _pinned(c, m, n_grid, domain)
     if c.kind == "periodic":
-        return _seed_periodic(m, n_grid, h)
-    fixed_indices(c, n_grid, domain)
-    if c.kind == "clamped":
-        x = np.empty((n_grid + 1, m.ambient_dim))
-        left = m.canonicalize(np.asarray(c.left_pos, float))
-        right = m.canonicalize(np.asarray(c.right_pos, float))
-        if c.k == 1:
-            s = np.arange(n_grid + 1) / n_grid
-            x[:] = _geodesic_segment(m, left, right, s, h)
-        else:
-            x[0] = left
-            x[-1] = right
-            x[1] = m.exp(left, m.project_tangent(left, c.left_vel) / n_grid)
-            x[-2] = m.exp(right, -m.project_tangent(right, c.right_vel) / n_grid)
-            s = np.arange(n_grid - 1) / (n_grid - 2)
-            x[1:-1] = _geodesic_segment(m, x[1], x[-2], s, h)
-        return impose(c, DiscreteCurve(m, domain, x))
-    # interpolation
-    idx = c.knot_indices(n_grid)
-    pts = m.canonicalize(c.knot_points)
+        base = np.eye(3).reshape(9) if isinstance(m, SO3) else np.zeros(m.ambient_dim)
+        if isinstance(m, Sphere):
+            base[0] = 1.0
+        x = _geodesic_segment(m, base, base, np.arange(n_grid) / n_grid, h)
+        return DiscreteCurve(m, domain, x)
     x = np.empty((n_grid + 1, m.ambient_dim))
-    x[:idx[0] + 1] = pts[0]
-    x[idx[-1]:] = pts[-1]
-    zero_h = np.zeros_like(h)
-    for seg in range(len(idx) - 1):
-        a, b = idx[seg], idx[seg + 1]
-        s = np.arange(b - a + 1) / (b - a)
-        x[a:b + 1] = _geodesic_segment(m, pts[seg], pts[seg + 1], s,
-                                       h if seg == 0 else zero_h)
-    return impose(c, DiscreteCurve(m, domain, x))
-
-
-def _seed_periodic(m: Manifold, n_grid: int, hint: np.ndarray) -> DiscreteCurve:
-    t = np.arange(n_grid) / n_grid
-    if isinstance(m, Torus):
-        x = m.canonicalize(2 * np.pi * t[:, None] * hint[None, :].astype(float))
-        return DiscreteCurve(m, "circle", x)
-    w = int(hint[0])
-    if isinstance(m, Euclidean):
-        return DiscreteCurve(m, "circle", np.zeros((n_grid, m.ambient_dim)))
-    if isinstance(m, Sphere):
-        p = np.zeros(m.ambient_dim)
-        p[0] = 1.0
-        e = np.zeros(m.ambient_dim)
-        e[1] = 1.0
-        ang = 2 * np.pi * w * t[:, None]
-        return DiscreteCurve(m, "circle", np.cos(ang) * p[None, :] + np.sin(ang) * e[None, :])
-    if isinstance(m, SO3):
-        eye = np.eye(3).reshape(9)
-        if w == 0:
-            return DiscreteCurve(m, "circle", np.tile(eye, (n_grid, 1)))
-        axis = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        x = np.empty((n_grid, 9))
-        for i, ti in enumerate(t):
-            x[i] = SO3._expm_skew(2 * np.pi * w * ti * axis).reshape(9)
-        return DiscreteCurve(m, "circle", x)
-    raise ConfigError(f"periodic seeding is not supported on {m.name}")
+    x[:idx[0]] = rows[0]
+    x[idx[-1]:] = rows[-1]
+    x[idx] = rows
+    for a, b in zip(idx[:-1], idx[1:]):
+        if b - a > 1:
+            s = np.arange(b - a + 1) / (b - a)
+            x[a + 1:b] = _geodesic_segment(m, x[a], x[b], s, h)[1:-1]
+            h = np.zeros_like(h)
+    if np.any(h != 0):
+        raise ConfigError("a winding hint needs a free sample between two pinned ones")
+    return DiscreteCurve(m, domain, x)
 
 
 def constraint_from_config(cfg: dict) -> ConstraintSet:

@@ -3,7 +3,8 @@ import pytest
 
 from varcurves import (ConfigError, ConstraintSet, CutLocusError, FunctionalSpec,
                        constraint_from_config, free_mask, geodesic, gradient,
-                       hermite_cubic, impose, make_manifold, seed, winding_vector)
+                       hermite_cubic, impose, length, make_manifold, seed,
+                       winding_vector)
 
 
 # -- free_mask -------------------------------------------------------------------
@@ -98,17 +99,82 @@ def test_seed_sphere_winding_hint_length():
     assert length(s) == pytest.approx(np.pi / 2 + 2 * np.pi, abs=1e-6)
 
 
+def _rz(theta):
+    """Rotation by theta about the z axis, as a row-major 9-vector."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0])
+
+
 def test_seed_feasibility_bitwise():
+    body_z = np.array([0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     cases = [
-        (ConstraintSet.clamped([0.0], [1.0], [0.5], [-0.25]), "euclidean:1", None),
+        (ConstraintSet.clamped([0.0], [1.0], [0.5], [-0.25]), "euclidean:1", "interval", None),
         (ConstraintSet.interpolation([(0.0, [0.0]), (0.5, [2.0]), (1.0, [1.0])]),
-         "torus:1", [2]),
-        (ConstraintSet.clamped([1, 0, 0], [0, 1, 0]), "sphere:2", [1]),
+         "torus:1", "interval", [2]),
+        (ConstraintSet.clamped([1, 0, 0], [0, 1, 0]), "sphere:2", "interval", [1]),
+        (ConstraintSet.clamped(np.eye(3).reshape(9), _rz(2.0), body_z, 0.5 * body_z),
+         "so3", "interval", [1]),
+        (ConstraintSet.interpolation([(0.0, _rz(0.3)), (0.5, _rz(-1.0)), (1.0, _rz(2.5))]),
+         "so3", "interval", [-1]),
     ]
-    for c, mid, hint in cases:
+    for mid in ("euclidean:2", "torus:2", "sphere:2", "so3"):
+        hint = None if mid.startswith("euclidean") else [1, -2] if mid == "torus:2" else [2]
+        cases.append((ConstraintSet.periodic(), mid, "circle", hint))
+    for c, mid, domain, hint in cases:
         m = make_manifold(mid)
-        s = seed(c, m, 100, hint=hint)
-        assert np.array_equal(impose(c, s).samples, s.samples)
+        s = seed(c, m, 100, domain, hint=hint)
+        assert np.array_equal(impose(c, s).samples, s.samples), (mid, c.kind)
+
+
+@pytest.mark.parametrize("mid", ["torus:1", "sphere:2"])
+def test_seed_hint_skips_a_one_step_first_segment(mid):
+    """With knots at t = 0, 1/N, 1 the hint wraps the second segment, the
+    first one that holds a free sample."""
+    n = 100
+    m = make_manifold(mid)
+    if mid == "torus:1":
+        pts = [[0.0], [0.5], [2.0]]
+    else:
+        pts = [[1.0, 0.0, 0.0], [np.cos(0.01), np.sin(0.01), 0.0], [0.0, 0.6, 0.8]]
+    c = ConstraintSet.interpolation(list(zip([0.0, 1.0 / n, 1.0], pts)))
+    s0, s1 = seed(c, m, n, hint=[0]), seed(c, m, n, hint=[1])
+    assert length(s1) - length(s0) == pytest.approx(2 * np.pi, abs=1e-9)
+    if mid == "torus:1":
+        assert winding_vector(s1)[0] - winding_vector(s0)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_seed_hint_without_a_free_segment_is_rejected():
+    m = make_manifold("torus:1")
+    c = ConstraintSet.interpolation([(k / 4, [0.5 * k]) for k in range(5)])
+    seed(c, m, 4, hint=[0])
+    with pytest.raises(ConfigError, match="winding hint"):
+        seed(c, m, 4, hint=[1])
+
+
+def test_seed_wrapped_sphere_loop_has_constant_speed():
+    """A wrapped seed from p back to p runs once around a great circle at
+    speed 2*pi."""
+    m = make_manifold("sphere:2")
+    p = [0.6, 0.64, 0.48]
+    n = 400
+    s = seed(ConstraintSet.clamped(p, p), m, n, hint=[1])
+    assert np.allclose(n * s.step_dists, 2 * np.pi, rtol=0.0, atol=1e-9)
+
+
+def test_seed_so3_wrapped_clamped():
+    m = make_manifold("so3")
+    n = 200
+    s = seed(ConstraintSet.clamped(np.eye(3).reshape(9), _rz(np.pi / 2)), m, n, hint=[1])
+    assert np.allclose(s.step_dists, s.step_dists[0], rtol=0.0, atol=1e-12)
+    assert length(s) == pytest.approx(np.sqrt(2.0) * (np.pi / 2 + 2 * np.pi), abs=1e-9)
+
+
+def test_seed_so3_closed_winding_is_body_z_rotation():
+    m = make_manifold("so3")
+    n = 64
+    s = seed(ConstraintSet.periodic(), m, n, "circle", hint=[1])
+    expected = np.array([_rz(2 * np.pi * k / n) for k in range(n)])
+    assert np.max(np.abs(s.samples - expected)) <= 1e-13
 
 
 def test_seed_torus_knot_just_below_zero():
