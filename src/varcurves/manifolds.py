@@ -27,6 +27,10 @@ from .errors import ConfigError, CutLocusError, UsageError
 # silently picking a branch.
 CUT_LOCUS_TOL = 1e-8
 
+# Largest entry of |m^T m - I| at which SO3.canonicalize projects a sample m
+# by one Newton-Schulz polar step instead of the SVD.
+POLAR_STEP_TOL = 1e-8
+
 # numpy adds the rows of np.sum(u * v, axis=-1) left to right while they are
 # narrower than 8 columns, and pairwise from 8 columns up
 _FOLD_MAX_WIDTH = 7
@@ -371,11 +375,32 @@ class SO3(Manifold):
         return np.asarray(m, float).reshape(np.shape(m)[:-2] + (9,))
 
     def canonicalize(self, x):
-        m = self._mat(x)
-        u, _, vt = np.linalg.svd(m)
-        det = np.linalg.det(u @ vt)
-        u[..., 2] *= det[..., None]   # flip the last column where u @ vt reflects
-        return self._vec(u @ vt)
+        """The rotation nearest each sample m: the orthogonal polar factor of m.
+
+        A sample with max |m^T m - I| <= POLAR_STEP_TOL and a positive triple
+        product r0 . (r1 x r2) of its rows (that is, det(m) > 0) gets one
+        Newton-Schulz polar step m (3I - m^T m) / 2 (Higham, Functions of
+        Matrices, SIAM 2008, sec. 8.3).  Its singular values 1 + d, with
+        |d| <= 1.5 * POLAR_STEP_TOL, become 1 - 1.5 d^2 - 0.5 d^3: the polar
+        factor to rounding.  Every other sample (far off the group, a
+        reflection, NaN) goes through the SVD m = u s vt and gets u vt, with
+        the last column of u flipped where u vt reflects; a NaN raises
+        LinAlgError there.
+        """
+        x = np.asarray(x, float)
+        m = x.reshape(-1, 3, 3)
+        with np.errstate(invalid="ignore"):   # an infinite sample fails the screen
+            mtm = np.swapaxes(m, -1, -2) @ m
+            out = m @ (1.5 * np.eye(3) - 0.5 * mtm)
+            near = np.max(np.abs(mtm - np.eye(3)), axis=(-2, -1)) <= POLAR_STEP_TOL
+            near &= row_dot(m[:, 0], row_cross(m[:, 1], m[:, 2])) > 0.0
+        if not np.all(near):
+            far = ~near
+            u, _, vt = np.linalg.svd(m[far])
+            det = np.linalg.det(u @ vt)
+            u[..., 2] *= det[..., None]   # flip the last column where u @ vt reflects
+            out[far] = u @ vt
+        return out.reshape(x.shape)
 
     def constraint_residual(self, x):
         m = self._mat(x)

@@ -4,7 +4,7 @@ import pytest
 from varcurves import (CutLocusError, ManifoldPoint, TangentVector, UsageError,
                        dist, exp, inner, log, make_manifold, project_tangent,
                        transport)
-from varcurves.manifolds import row_cross, row_dot, row_norm
+from varcurves.manifolds import POLAR_STEP_TOL, row_cross, row_dot, row_norm
 
 ALL_IDS = ["euclidean:2", "sphere:2", "torus:2", "so3"]
 
@@ -281,7 +281,8 @@ def test_so3_point_invariant():
 
 
 def _canonicalize_with_fix(x):
-    """SO3.canonicalize written with a ones array that carries det in column 2."""
+    """SO3.canonicalize's SVD path written with a ones array that carries det
+    in column 2."""
     m = np.asarray(x, float).reshape(np.shape(x)[:-1] + (3, 3))
     u, _, vt = np.linalg.svd(m)
     det = np.linalg.det(u @ vt)
@@ -290,15 +291,70 @@ def _canonicalize_with_fix(x):
     return ((u * fix[..., None, :]) @ vt).reshape(np.shape(x))
 
 
+def _polar_step(x):
+    """One Newton-Schulz polar step m (3I - m^T m) / 2, written out."""
+    m = np.asarray(x, float).reshape(np.shape(x)[:-1] + (3, 3))
+    return (m @ (1.5 * np.eye(3) - 0.5 * (np.swapaxes(m, -1, -2) @ m))).reshape(np.shape(x))
+
+
+def _gram_deviation(x):
+    m = np.asarray(x, float).reshape(-1, 3, 3)
+    return np.max(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)), axis=(-2, -1))
+
+
 def test_so3_canonicalize_matches_fix_formula_bitwise():
     m = mk("so3")
     rng = np.random.default_rng(19)
     rot = m.random_point(rng, 500)
     near = rot + 1e-9 * rng.normal(size=rot.shape)
+    assert np.all(_gram_deviation(near) <= POLAR_STEP_TOL)
     assert np.all(np.linalg.det(-near.reshape(-1, 3, 3)) < 0)   # reflections
-    cases = (rng.normal(size=(1000, 9)), near, -near, -rot, rng.normal(size=9), -rot[0])
-    for x in cases:
+    for x in (rng.normal(size=(1000, 9)), -near, -rot, rng.normal(size=9), -rot[0]):
         assert m.canonicalize(x).tobytes() == _canonicalize_with_fix(x).tobytes()
+    for x in (near, rot, near[0]):
+        assert m.canonicalize(x).tobytes() == _polar_step(x).tobytes()
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-14, 1e-10, 4e-9])
+def test_so3_polar_step_matches_svd_polar_factor(scale):
+    m = mk("so3")
+    rng = np.random.default_rng(25)
+    x = m.random_point(rng, 1000) + scale * rng.normal(size=(1000, 9))
+    got, svd = m.canonicalize(x), _canonicalize_with_fix(x)
+    assert np.max(np.abs(got - svd)) <= 1e-14
+    assert np.max(m.constraint_residual(got)) <= np.max(m.constraint_residual(svd))
+
+
+def test_so3_canonicalize_falls_back_to_svd_off_the_bound(svd_rows):
+    m = mk("so3")
+    rng = np.random.default_rng(26)
+    rot = m.random_point(rng, 40).reshape(-1, 3, 3)
+    # m^T m = diag((1 + s)^2, 1, 1): a largest Gram deviation of 2s + s^2
+    below = (rot * [1.0 + 4.9e-9, 1.0, 1.0]).reshape(-1, 9)
+    above = (rot * [1.0 + 5.1e-9, 1.0, 1.0]).reshape(-1, 9)
+    assert np.all(_gram_deviation(below) <= POLAR_STEP_TOL)
+    assert np.all(_gram_deviation(above) > POLAR_STEP_TOL)
+    svd_rows.clear()
+    x = np.concatenate([below, above, -below])   # the last 40 are reflections
+    got = m.canonicalize(x)
+    assert svd_rows == [80]
+    assert got[:40].tobytes() == _polar_step(below).tobytes()
+    assert got[40:].tobytes() == _canonicalize_with_fix(x[40:]).tobytes()
+    x[5, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        m.canonicalize(x)
+    assert svd_rows[-1] == 81
+
+
+def test_so3_canonicalize_twice_moves_rows_by_rounding():
+    m = mk("so3")
+    rng = np.random.default_rng(27)
+    p = m.random_point(rng, 1000)
+    for x in (p, p + 1e-10 * rng.normal(size=p.shape),
+              m.exp_ambient(p, m.project_tangent(p, rng.normal(size=p.shape)))):
+        once = m.canonicalize(x)
+        # entries of a rotation are at most 1 in size: 4 ulp of 1
+        assert np.max(np.abs(m.canonicalize(once) - once)) <= 4 * np.spacing(1.0)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-7, 1e-3])
@@ -399,7 +455,7 @@ def _exp_formula(mid, p, v):
     pm = p.reshape(p.shape[:-1] + (3, 3))
     om = np.swapaxes(pm, -1, -2) @ v.reshape(pm.shape)
     om = 0.5 * (om - np.swapaxes(om, -1, -2))
-    return _canonicalize_with_fix((pm @ _rodrigues(om)).reshape(p.shape))
+    return _polar_step((pm @ _rodrigues(om)).reshape(p.shape))
 
 
 @pytest.mark.parametrize("mid", ALL_IDS)
