@@ -14,10 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, load_config
-from .constraints import free_mask, seed
+from .constraints import free_mask, seed, zero_hint
 from .curves import length, save_curve
 from .errors import ConfigError, DegenerateCurveError, VarcurvesError
 from .functionals import el_residual, evaluate
@@ -92,8 +90,7 @@ def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool) -> dict:
             raise ConfigError("tau sweeps need a tension functional")
         spec = replace(spec, tau=float(value))
     else:
-        hint = np.zeros(cfg.manifold.ambient_dim if cfg.manifold.name.startswith("torus")
-                        else 1, int)
+        hint = zero_hint(cfg.manifold)
         hint[0] = int(value)
     x0 = seed(cfg.constraint, cfg.manifold, cfg.n_grid, cfg.domain, hint)
     free = free_mask(cfg.constraint, cfg.n_grid, cfg.domain)

@@ -137,6 +137,8 @@ def load_config(path) -> RunConfig:
             data = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not UTF-8 text: {e}") from e
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     return parse_config(data)

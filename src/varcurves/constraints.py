@@ -162,9 +162,15 @@ def _pinned(c: ConstraintSet, m: Manifold, n_grid: int,
 # Seeding
 # ---------------------------------------------------------------------------
 
+def zero_hint(m: Manifold) -> np.ndarray:
+    """The zero winding hint on m: one entry per coordinate on the torus, one
+    elsewhere."""
+    return np.zeros(m.ambient_dim if isinstance(m, Torus) else 1, int)
+
+
 def _normalize_hint(m: Manifold, hint) -> np.ndarray:
     if hint is None:
-        return np.zeros(m.ambient_dim if isinstance(m, Torus) else 1, int)
+        return zero_hint(m)
     h = np.atleast_1d(np.asarray(hint))
     if not np.issubdtype(h.dtype, np.integer):
         # NaN, an infinity or a value beyond int64 would cast to a wrong integer

@@ -39,11 +39,13 @@ STENCILS = {
 
 
 class Stencil(NamedTuple):
-    """One order's stencil on one grid, as read-only CSR matrices."""
+    """One order's stencil on one grid: read-only CSR matrices and the
+    quadrature weights of the order's derivative field."""
 
     steps_to_nodes: sp.csr_matrix   # P_k, (n_samples, N): acts on forward steps
     matrix: sp.csr_matrix           # D_k = P_k Delta: acts on samples
     adjoint: sp.csr_matrix          # D_k^T
+    weights: np.ndarray             # W_k, one per sample
 
 
 def _csr(shape, rows) -> sp.csr_matrix:
@@ -77,11 +79,35 @@ def stencil_operators(n: int, domain: str) -> Tuple[Stencil, ...]:
         d = p @ delta
         d.eliminate_zeros()
         d.sort_indices()
-        out.append(Stencil(p, d, d.T.tocsr()))
-        for a in out[-1]:
+        s = Stencil(p, d, d.T.tocsr(), _read_only(_weights(order, n, ns, domain)))
+        for a in (s.steps_to_nodes, s.matrix, s.adjoint):
             for arr in (a.data, a.indices, a.indptr):
                 _read_only(arr)
+        out.append(s)
     return tuple(out)
+
+
+def _weights(order: int, n: int, ns: int, domain: str) -> np.ndarray:
+    """W_k, uniform on the circle.  On the interval: the trapezoid rule for
+    velocities; for accelerations, known at interior samples only, the
+    trapezoid on the interior subgrid plus linearly-extrapolated end strips
+    (boundary weights 2 and 1/2), exact for affine integrands and second-order
+    for smooth ones, with zero endpoint entries."""
+    w = np.full(ns, 1.0 / n)
+    if domain == "circle":
+        return w
+    if order == 1:
+        w[0] = w[-1] = 0.5 / n
+        return w
+    w[0] = w[-1] = 0.0
+    w[1] = w[-2] = 2.0 / n
+    if ns >= 7:
+        w[2] = w[-3] = 0.5 / n
+    else:
+        # N = 4,5: the two Gregory corrections overlap; fall back to mass-
+        # preserving absorbed weights
+        w[1] = w[-2] = 1.5 / n
+    return w
 
 
 @dataclass(frozen=True)
@@ -91,10 +117,12 @@ class DiscreteCurve:
     samples has shape (n, ambient_dim): n = N+1 on the interval, n = N on the
     circle.  Immutable; all operations return new curves.
 
-    The derived arrays below (forward steps, segment distances, raw difference
-    stencils and their tangent projections) form a memo: each is computed on
-    first use, made read-only and kept for the life of the curve, so
-    validation, functionals and history statistics share one computation.
+    The derived arrays below form a memo: the forward steps, the segment
+    distances and `derivative(order)`, each order's raw stencil values with
+    their tangent projection.  Each is computed on first use, made read-only
+    and kept until `clear_memo`, so validation, functionals and history
+    statistics share one computation; the order's matrices and weights are
+    the grid's, in `stencil(order)`.
     Validation runs the exact residual test only where a cheap screen cannot
     rule out a sample off the manifold (`Manifold.may_be_off_manifold`; on
     SO(3) a row-wise bound on m m^T - I and the sign of det m). It reads the
@@ -178,25 +206,18 @@ class DiscreteCurve:
         return _read_only(self.manifold.dist(p, q))
 
     @cached_property
-    def first_diff(self) -> np.ndarray:
-        """Ambient first-derivative stencil values (unprojected), one row per sample."""
-        return _read_only(self.stencil(1).steps_to_nodes @ self.steps)
+    def _derivatives(self) -> dict:
+        return {}
 
-    @cached_property
-    def second_diff(self) -> np.ndarray:
-        """Ambient second-derivative stencil values (unprojected); zero at
-        interval endpoints."""
-        return _read_only(self.stencil(2).steps_to_nodes @ self.steps)
-
-    @cached_property
-    def velocity_vectors(self) -> np.ndarray:
-        """Tangent projection of first_diff: the vectors of velocity()."""
-        return _read_only(self.manifold.project_tangent(self.samples, self.first_diff))
-
-    @cached_property
-    def accel_vectors(self) -> np.ndarray:
-        """Tangent projection of second_diff: the vectors of covariant_accel()."""
-        return _read_only(self.manifold.project_tangent(self.samples, self.second_diff))
+    def derivative(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The order's raw stencil values (ambient, one row per sample; zero
+        at interval endpoints for order 2) and their tangent projection."""
+        d = self._derivatives.get(order)
+        if d is None:
+            raw = _read_only(self.stencil(order).steps_to_nodes @ self.steps)
+            d = raw, _read_only(self.manifold.project_tangent(self.samples, raw))
+            self._derivatives[order] = d
+        return d
 
     def clear_memo(self) -> None:
         """Drop the memoized arrays; they are recomputed on next use."""
@@ -204,8 +225,7 @@ class DiscreteCurve:
             self.__dict__.pop(name, None)
 
 
-_MEMO = ("steps", "step_dists", "first_diff", "second_diff", "velocity_vectors",
-         "accel_vectors")
+_MEMO = ("steps", "step_dists", "_derivatives")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -240,7 +260,7 @@ def _consecutive(x: np.ndarray, domain: str):
 
 def velocity(curve: DiscreteCurve) -> TangentField:
     """Discrete velocity field: projected difference stencils, exact on affine data."""
-    return TangentField(curve, curve.velocity_vectors)
+    return TangentField(curve, curve.derivative(1)[1])
 
 
 def covariant_accel(curve: DiscreteCurve) -> TangentField:
@@ -248,51 +268,13 @@ def covariant_accel(curve: DiscreteCurve) -> TangentField:
 
     Zero (by convention, not by computation) at interval endpoints.
     """
-    return TangentField(curve, curve.accel_vectors)
+    return TangentField(curve, curve.derivative(2)[1])
 
 
 def node_weights(curve: DiscreteCurve) -> np.ndarray:
     """Trapezoid quadrature weights at the curve samples (uniform on the
     circle); read-only and shared by every curve on the grid."""
-    return quadrature_weights(curve.grid_n, curve.domain)[0]
-
-
-def interior_weights(curve: DiscreteCurve) -> np.ndarray:
-    """Quadrature weights for integrands known at interior samples only.
-
-    Trapezoid on the interior subgrid plus linearly-extrapolated end strips
-    (boundary weights 2 and 1/2); exact for affine integrands and second-order
-    for smooth ones.  Uniform on the circle.  Endpoint entries are zero on the
-    interval so the weights align with second-difference fields.  Read-only
-    and shared by every curve on the grid.
-    """
-    return quadrature_weights(curve.grid_n, curve.domain)[1]
-
-
-def order_weights(curve: DiscreteCurve, order: int) -> np.ndarray:
-    """Quadrature weights of the order-th derivative field: node weights for
-    velocities, interior weights for accelerations."""
-    return quadrature_weights(curve.grid_n, curve.domain)[order - 1]
-
-
-@lru_cache(maxsize=8)
-def quadrature_weights(n: int, domain: str) -> Tuple[np.ndarray, np.ndarray]:
-    """The node and interior weights of the grid of size n, indexed by
-    derivative order - 1 like stencil_operators, as read-only arrays."""
-    ns = n + 1 if domain == "interval" else n
-    node = np.full(ns, 1.0 / n)
-    interior = np.full(ns, 1.0 / n)
-    if domain == "interval":
-        node[0] = node[-1] = 0.5 / n
-        interior[0] = interior[-1] = 0.0
-        interior[1] = interior[-2] = 2.0 / n
-        if ns >= 7:
-            interior[2] = interior[-3] = 0.5 / n
-        else:
-            # N = 4,5: the two Gregory corrections overlap; fall back to mass-
-            # preserving absorbed weights
-            interior[1] = interior[-2] = 1.5 / n
-    return _read_only(node), _read_only(interior)
+    return curve.stencil(1).weights
 
 
 def field_covariant_derivative(f: TangentField) -> TangentField:
@@ -347,7 +329,7 @@ def quadrature_length(curve: DiscreteCurve) -> float:
     the discrete form of the length-domination bound used by the diagnostics.
     """
     w = node_weights(curve)
-    return float(np.sum(w * row_norm(curve.velocity_vectors)))
+    return float(np.sum(w * row_norm(curve.derivative(1)[1])))
 
 
 def winding_vector(curve: DiscreteCurve) -> np.ndarray:
@@ -409,17 +391,39 @@ def parse_curve(text: str) -> DiscreteCurve:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise UsageError("empty curve file")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as e:
+        raise UsageError(f"curve file header is not JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise UsageError("curve file header must be a JSON object")
+    for key in ("manifold", "domain_kind", "n_samples"):
+        if key not in header:
+            raise UsageError(f"curve file header has no {key!r}")
     manifold = make_manifold(header["manifold"])
-    n = int(header["n_samples"])
+    try:
+        n = int(header["n_samples"])
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"curve file n_samples must be an integer, "
+                         f"got {header['n_samples']!r}") from None
     if len(lines) - 1 != n:
         raise UsageError(f"curve file declares {n} samples but has {len(lines) - 1} rows")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if data.shape[1] != manifold.ambient_dim + 1:
+    rows = [ln.split(",") for ln in lines[1:]]
+    if len({len(r) for r in rows}) > 1:
+        raise UsageError("curve file rows have different numbers of columns")
+    try:
+        data = np.array([[float(v) for v in r] for r in rows])
+    except ValueError as e:   # float() names the cell
+        raise UsageError(f"curve file has a non-numeric cell: {e}") from None
+    if data.ndim != 2 or data.shape[1] != manifold.ambient_dim + 1:
         raise UsageError("curve file rows have the wrong number of columns")
     return DiscreteCurve(manifold, header["domain_kind"], data[:, 1:])
 
 
 def load_curve(path) -> DiscreteCurve:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_curve(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise UsageError(f"curve file is not UTF-8 text: {e}") from None
+    return parse_curve(text)

@@ -112,8 +112,6 @@ class PriorField:
             v = (mats @ omega).reshape(points.shape)
         elif self.kind == "torus_constant":
             v = np.broadcast_to(self.params, points.shape).copy()   # not a view of params
-        else:
-            raise UsageError(f"unknown field kind {self.kind!r}")
         return v if m is None else m * v
 
     def grad_inner(self, c: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -132,8 +130,6 @@ class PriorField:
             omega = _cross_matrix(self.params)
             cm = c.reshape(c.shape[:-1] + (3, 3))
             g = (cm @ omega.T).reshape(points.shape)
-        else:
-            raise UsageError(f"unknown field kind {self.kind!r}")
         return g if m is None else m * g
 
     def grad_sq(self, t: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -151,8 +147,6 @@ class PriorField:
             omega = _cross_matrix(self.params)
             mats = points.reshape(points.shape[:-1] + (3, 3))
             g = (2.0 * mats @ omega @ omega.T).reshape(points.shape)
-        else:
-            raise UsageError(f"unknown field kind {self.kind!r}")
         return g if m is None else m**2 * g
 
     # -- boundedness ----------------------------------------------------------
@@ -162,15 +156,9 @@ class PriorField:
         msup = 1.0 if self.modulation is None else float(np.max(np.abs(self.modulation)))
         if self.kind == "zero":
             return 0.0
-        if self.kind == "constant_ambient":
-            return msup * float(np.linalg.norm(self.params))
-        if self.kind == "sphere_rotation":
-            return msup * float(np.linalg.norm(self.params))
         if self.kind == "so3_left_invariant":
             return msup * float(np.linalg.norm(_cross_matrix(self.params)))
-        if self.kind == "torus_constant":
-            return msup * float(np.linalg.norm(self.params))
-        raise UsageError(f"unknown field kind {self.kind!r}")
+        return msup * float(np.linalg.norm(self.params))
 
     def _spot_check_bound(self):
         if self.kind == "zero":

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, TangentField, node_weights, order_weights
+from .curves import DiscreteCurve, TangentField, node_weights
 from .errors import ConfigError, UsageError
 from .fields import PriorField, field_from_config
 from .manifolds import row_dot
@@ -147,20 +147,13 @@ def _check_field(spec: FunctionalSpec, curve: DiscreteCurve) -> None:
         raise UsageError("prior field and curve live on different manifolds")
 
 
-def _derivative(curve: DiscreteCurve, order: int):
-    """Raw stencil values, their tangent projection and quadrature weights."""
-    w = order_weights(curve, order)
-    if order == 1:
-        return curve.first_diff, curve.velocity_vectors, w
-    return curve.second_diff, curve.accel_vectors, w
-
-
 def evaluate(spec: FunctionalSpec, curve: DiscreteCurve) -> float:
     """Value of the discrete action functional; always >= 0."""
     _check_field(spec, curve)
     total = 0.0
     for term in spec.terms:
-        _, r, w = _derivative(curve, term.order)
+        _, r = curve.derivative(term.order)
+        w = curve.stencil(term.order).weights
         if term.field is not None:
             r = r - term.field.eval_many(curve.times, curve.samples)
         total += 0.5 * term.coef * float(np.sum(w * row_dot(r, r)))
@@ -179,11 +172,12 @@ def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> TangentField:
     t = curve.times
     g = np.zeros_like(x)
     for term in spec.terms:
-        raw, r, w = _derivative(curve, term.order)
-        w = term.coef * w[:, None]
+        stencil = curve.stencil(term.order)
+        raw, r = curve.derivative(term.order)
+        w = term.coef * stencil.weights[:, None]
         if term.field is not None:
             r = r - term.field.eval_many(t, x)
-        g += curve.stencil(term.order).adjoint @ (w * r)
+        g += stencil.adjoint @ (w * r)
         g += 0.5 * w * m.dproj_quad(x, raw)
         if term.field is not None:
             g += 0.5 * w * (-2.0 * term.field.grad_inner(raw, t, x)

@@ -48,8 +48,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constraints import ConstraintSet, fixed_indices, free_mask, impose
-from .curves import (DiscreteCurve, length, node_weights, order_weights,
-                     stencil_operators, velocity, winding_vector, covariant_accel)
+from .curves import (DiscreteCurve, length, node_weights, stencil_operators,
+                     velocity, winding_vector, covariant_accel)
 from .errors import DegenerateCurveError, CutLocusError, UsageError
 from .functionals import FunctionalSpec, el_residual, evaluate, gradient
 from .manifolds import Torus, row_dot, row_norm
@@ -152,7 +152,7 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
     """Factorized flat-space model Hessian sum c D_k^T W_k D_k over the spec's
     terms, restricted to the free samples."""
     ds = _stencil_matrices(curve)
-    terms = [t.coef * (ds[t.order - 1].T @ sp.diags(order_weights(curve, t.order))
+    terms = [t.coef * (ds[t.order - 1].T @ sp.diags(curve.stencil(t.order).weights)
                        @ ds[t.order - 1]) for t in spec.terms]
     h = sum(terms[1:], terms[0])
     h = h.tocsc()[free][:, free].tocsc()
@@ -163,7 +163,7 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
 
 def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:
     """length, quadrature_length and sup speed, from one evaluation of the speed."""
-    speed = row_norm(curve.velocity_vectors)
+    speed = row_norm(curve.derivative(1)[1])
     quad_length = float(np.sum(node_weights(curve) * speed))
     return length(curve), quad_length, float(np.max(speed))
 
@@ -266,13 +266,15 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         ln, ql, sv = _curve_stats(x)
         history.append(HistoryRecord(it, obj, resid, ln, ql, sv, step, phase))
 
+    # with no free sample the residual is exactly 0 and nothing is factorized.
+    # The factor comes first, so a new grid's stencils are built inside
+    # _stencil_matrices, the assembly step
+    lu = _flat_model_factor(spec, x, free) if len(free) else None
     wq = node_weights(x)
 
     def grad_norm(g):
         return float(np.sqrt(np.sum(wq * row_dot(g, g))))
 
-    # with no free sample the residual is exactly 0 and nothing is factorized
-    lu = _flat_model_factor(spec, x, free) if len(free) else None
     obj = evaluate(spec, x)
     g = gradient(spec, x, free).vectors
 

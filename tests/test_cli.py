@@ -186,6 +186,15 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, path, value, key):
     assert not out.exists()
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe" + json.dumps(CIRCLE_CFG).encode("utf-16-le"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("hints", [{"winding_hint": 0.5}, {"winding_hints": [0, 0.5]}])
 def test_seed_bad_winding_hint_leaves_no_out_dir(tmp_path, capsys, hints):
     cfg = write_cfg(tmp_path, dict(CIRCLE_CFG, **hints))

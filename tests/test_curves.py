@@ -5,7 +5,7 @@ import pytest
 
 from varcurves import (DegenerateCurveError, DiscreteCurve, TangentField, UsageError,
                        covariant_accel, dump_curve, equicontinuity_ratio, geodesic,
-                       length, make_manifold, parse_curve, quadrature_length,
+                       length, load_curve, make_manifold, parse_curve, quadrature_length,
                        sobolev_norm_sq, sup_norm, velocity, winding_vector)
 from varcurves.checks import _random_curve
 from varcurves.curves import _SAMPLE_TOL
@@ -423,6 +423,35 @@ def test_parse_curve_rejects_nan_row():
     lines[3] = "0.5,nan"
     with pytest.raises(UsageError, match="sample 2 is not finite"):
         parse_curve("\n".join(lines) + "\n")
+
+
+def _curve_file_lines():
+    m = make_manifold("euclidean:1")
+    return dump_curve(DiscreteCurve(m, "interval", np.zeros((5, 1)))).splitlines()
+
+
+@pytest.mark.parametrize("line,text,match", [
+    (0, '{"manifold": "euclidean:1",', "header is not JSON"),
+    (0, '{"domain_kind": "interval", "n_samples": 5}', "header has no 'manifold'"),
+    (2, "0.25,abc", "non-numeric cell: could not convert string to float: 'abc'"),
+    (2, "0.25,0,0", "rows have different numbers of columns"),
+    (0, '{"domain_kind": "interval", "manifold": "euclidean:1", "n_samples": "x"}',
+     "n_samples must be an integer, got 'x'"),
+    (0, '["euclidean:1", "interval", 5]', "header must be a JSON object"),
+], ids=["header-not-json", "header-no-manifold", "non-numeric-cell", "ragged-rows",
+        "n_samples-str", "header-list"])
+def test_parse_curve_rejects_malformed_file(line, text, match):
+    lines = _curve_file_lines()
+    lines[line] = text
+    with pytest.raises(UsageError, match=re.escape(match)):
+        parse_curve("\n".join(lines) + "\n")
+
+
+def test_load_curve_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "bad.curve"
+    path.write_bytes(b"\xff\xfe" + "\n".join(_curve_file_lines()).encode("utf-16-le"))
+    with pytest.raises(UsageError, match="curve file is not UTF-8 text"):
+        load_curve(path)
 
 
 # -- file round trip ----------------------------------------------------------------------

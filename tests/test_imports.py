@@ -1,15 +1,16 @@
 """Every module-level import of the package is used in its module, and every
-module-level function and class is referenced somewhere.
+module-level function and class, and every method, is referenced somewhere.
 
 No linter is part of the toolchain, so these tests are the check.  They parse
 the sources with the standard `ast` module.  The import check reads each
 module of src/varcurves (except the re-exports of __init__.py) and fails on a
 module-level import whose name never appears in the module; `from __future__`
 imports are skipped.  The reference check fails on a module-level function or
-class of src/varcurves whose name appears nowhere in src, tests or perfbench
-outside its own definition.  A name counts as referenced where it is read, an
-attribute, an imported name or a whole string constant, so the entries of
-`__all__` and the tracer's target tables count.
+class of src/varcurves, or a method of such a class other than a dunder, whose
+name appears nowhere in src, tests or perfbench outside its own definition.  A
+name counts as referenced where it is read, an attribute, an imported name or
+a whole string constant, so the entries of `__all__` and the tracer's target
+tables count.
 """
 
 import ast
@@ -69,12 +70,24 @@ def _references(tree: ast.AST) -> Counter:
     return refs
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes of tree, and the methods of those
+    classes except dunders."""
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, _FUNCTIONS)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
 def _unreferenced(tree: ast.Module, refs: Counter) -> list:
-    """Module-level functions and classes of tree referenced only inside
-    their own definition."""
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and refs[node.name] <= _references(node)[node.name]]
+    """Definitions of tree referenced only inside their own definition."""
+    return [node.name for node in _definitions(tree)
+            if refs[node.name] <= _references(node)[node.name]]
 
 
 def test_helpers_find_an_unreferenced_definition():
@@ -84,6 +97,16 @@ def test_helpers_find_an_unreferenced_definition():
                      "def h():\n    return C\n"
                      "__all__ = ['h']\n")
     assert _unreferenced(tree, _references(tree)) == ["f", "g"]
+
+
+def test_helpers_find_an_unreferenced_method():
+    tree = ast.parse("class C:\n"
+                     "    def __init__(self):\n        self.a = self.used()\n"
+                     "    def used(self):\n        return 1\n"
+                     "    @property\n    def stale(self):\n        return self.stale\n"
+                     "    def later(self):\n        pass\n"
+                     "C().later()\n")
+    assert _unreferenced(tree, _references(tree)) == ["stale"]
 
 
 @pytest.fixture(scope="module")

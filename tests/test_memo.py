@@ -9,11 +9,11 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        covariant_accel, evaluate, gradient, length, make_manifold,
                        minimize, quadrature_length, seed, velocity)
 from varcurves.checks import _random_curve
-from varcurves.curves import (_MEMO, interior_weights, node_weights, order_weights,
-                              stencil_operators)
+from varcurves.curves import _MEMO, STENCILS, node_weights, stencil_operators
 
 MANIFOLDS = ("euclidean:2", "sphere:2", "torus:2", "so3")
 CASES = [(mid, domain) for mid in MANIFOLDS for domain in ("interval", "circle")]
+ORDERS = sorted(STENCILS)
 SPECS = (FunctionalSpec.tension_cost(1.5), FunctionalSpec.conditional(1),
          FunctionalSpec.energy(2))
 
@@ -46,14 +46,16 @@ def results(curve):
 
 
 def memo_arrays(curve):
-    return [getattr(curve, name) for name in _MEMO]
+    """The forward steps, the segment distances and every order's derivative."""
+    return [curve.steps, curve.step_dists] + [a for k in ORDERS for a in curve.derivative(k)]
 
 
 @pytest.mark.parametrize("mid,domain", CASES)
 def test_filled_memo_gives_bitwise_fresh_results(mid, domain):
     warm = make_curve(mid, domain)
     first = results(warm)
-    assert warm.first_diff is warm.first_diff   # memoized, not rebuilt
+    for k in ORDERS:
+        assert warm.derivative(k) is warm.derivative(k)   # memoized, not rebuilt
     fresh = DiscreteCurve(warm.manifold, warm.domain, warm.samples)
     assert results(warm) == first == results(fresh)
 
@@ -74,6 +76,8 @@ def test_with_samples_never_shares_the_memo(mid, domain):
     for a, b in zip(before, memo_arrays(same)):
         assert a is not b
         assert a.tobytes() == b.tobytes()
+    for k in ORDERS:
+        assert same.derivative(k) is not src.derivative(k)
     moved = src.manifold.exp(src.samples, src.manifold.project_tangent(
         src.samples, np.full(src.samples.shape, 1e-3)))
     other = src.with_samples(moved)
@@ -116,18 +120,17 @@ def test_stencil_operators_are_shared_and_read_only(domain):
     assert ops is stencil_operators(16, domain)
     for stencil in ops:
         assert (stencil.adjoint != stencil.matrix.T).nnz == 0
-        for mat in stencil:
+        for mat in (stencil.steps_to_nodes, stencil.matrix, stencil.adjoint):
             for arr in (mat.data, mat.indices, mat.indptr):
                 with pytest.raises(ValueError):
                     arr[0] = 0
-    # so are the quadrature weights, one pair per grid
+    # so are the quadrature weights, one array per order and grid
     a, b = make_curve("sphere:2", domain), make_curve("so3", domain)
-    for weights in (node_weights, interior_weights):
-        assert weights(a) is weights(b)
+    for k in ORDERS:
+        assert a.stencil(k).weights is b.stencil(k).weights
         with pytest.raises(ValueError):
-            weights(a)[0] = 0
-    assert order_weights(a, 1) is node_weights(a)
-    assert order_weights(a, 2) is interior_weights(a)
+            a.stencil(k).weights[0] = 0
+    assert node_weights(a) is a.stencil(1).weights
 
 
 def _fresh_weights(n, domain):
@@ -152,4 +155,30 @@ def test_cached_weights_bit_identical_to_fresh_build(domain, n):
                           np.zeros((n + 1 if domain == "interval" else n, 1)))
     node, interior = _fresh_weights(n, domain)
     assert node_weights(curve).tobytes() == node.tobytes()
-    assert interior_weights(curve).tobytes() == interior.tobytes()
+    assert curve.stencil(1).weights.tobytes() == node.tobytes()
+    assert curve.stencil(2).weights.tobytes() == interior.tobytes()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("mid,domain", CASES)
+def test_derivative_bitwise_equal_to_fresh_build(mid, domain, order):
+    curve = make_curve(mid, domain)
+    results(curve)   # fills the memo through the functionals
+    raw, tangent = curve.derivative(order)
+    fresh = DiscreteCurve(curve.manifold, curve.domain, curve.samples)
+    want = curve.stencil(order).steps_to_nodes @ fresh.steps
+    assert raw.tobytes() == want.tobytes()
+    assert tangent.tobytes() == curve.manifold.project_tangent(fresh.samples, want).tobytes()
+    assert [a.tobytes() for a in fresh.derivative(order)] == [raw.tobytes(), tangent.tobytes()]
+
+
+@pytest.mark.parametrize("mid,domain", CASES)
+def test_clear_memo_drops_every_order(mid, domain):
+    curve = make_curve(mid, domain)
+    before = {k: curve.derivative(k) for k in ORDERS}
+    curve.clear_memo()
+    assert not any(name in vars(curve) for name in _MEMO)
+    for k in ORDERS:
+        again = curve.derivative(k)
+        assert again is not before[k]
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in before[k]]

@@ -13,7 +13,7 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        sup_distance, tension_1d)
 from varcurves.checks import _random_curve
 from varcurves.constraints import fixed_indices, free_mask
-from varcurves.curves import interior_weights, node_weights, quadrature_length, velocity
+from varcurves.curves import node_weights, quadrature_length, velocity
 from varcurves.fields import PriorField
 from varcurves.functionals import gradient
 from varcurves import manifolds
@@ -570,7 +570,7 @@ def test_stencil_matrices_match_forward_stencils(domain, n):
     curve = _euclid_curve(domain, n)
     sv, sa = _stencil_matrices(curve)
     x = curve.samples
-    for got, want in ((sv @ x, curve.first_diff), (sa @ x, curve.second_diff)):
+    for got, want in ((sv @ x, curve.derivative(1)[0]), (sa @ x, curve.derivative(2)[0])):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
     if domain == "interval":
         assert np.all(sa[[0, -1]].toarray() == 0)
@@ -590,7 +590,7 @@ def test_stencil_matrices_bit_identical_to_loop_build(domain, n):
 def _two_term_factor(ca, cv, curve, free):
     """The flat model built as the sum of both terms, zero coefficients included."""
     sv, sa = _stencil_matrices(curve)
-    wv, wa = sp.diags(node_weights(curve)), sp.diags(interior_weights(curve))
+    wv, wa = sp.diags(node_weights(curve)), sp.diags(curve.stencil(2).weights)
     h = ca * (sa.T @ wa @ sa) + cv * (sv.T @ wv @ sv)
     h = h.tocsc()[free][:, free].tocsc()
     diag_scale = max(float(h.diagonal().max()), 1.0)
