@@ -19,7 +19,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateCurveError, UsageError
+from .errors import ConfigError, DegenerateCurveError, UsageError
 from .manifolds import (CUT_LOCUS_TOL, Manifold, ManifoldPoint, Torus, make_manifold,
                         row_dot, row_norm)
 
@@ -400,12 +400,14 @@ def parse_curve(text: str) -> DiscreteCurve:
     for key in ("manifold", "domain_kind", "n_samples"):
         if key not in header:
             raise UsageError(f"curve file header has no {key!r}")
-    manifold = make_manifold(header["manifold"])
     try:
-        n = int(header["n_samples"])
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"curve file n_samples must be an integer, "
-                         f"got {header['n_samples']!r}") from None
+        manifold = make_manifold(header["manifold"])
+    except ConfigError as e:
+        raise UsageError(f"curve file manifold: {e}") from None
+    n = header["n_samples"]
+    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+        raise UsageError(f"curve file n_samples must be an integer, got {n!r}")
+    n = int(n)
     if len(lines) - 1 != n:
         raise UsageError(f"curve file declares {n} samples but has {len(lines) - 1} rows")
     rows = [ln.split(",") for ln in lines[1:]]

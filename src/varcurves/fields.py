@@ -1,14 +1,21 @@
 """Prior vector fields A(t, x) used by the conditional-extremal functionals.
 
-Every field kind carries an analytic sup bound; construction spot-checks the
-bound on random samples so the boundedness hypothesis behind the existence
-diagnostics is machine-checked, not assumed.
+Every kind compiles at construction to the parts of one affine map
+
+    A(t, x) = m(t) (P_x b + x ⊠ a),
+
+with P_x the tangent projection, x ⊠ a the cross product of each 3-wide row
+block of x with a fixed 3-vector a, and m the optional modulation.  No kind
+has both parts.  Every kind carries an analytic sup bound; construction
+spot-checks the bound on random samples so the boundedness hypothesis behind
+the existence diagnostics is machine-checked, not assumed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,20 +26,32 @@ _SPOT_CHECK_DRAWS = 10_000
 _SPOT_CHECK_SEED = 20260810
 
 
-def _cross_matrix(w: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
+class _Kind(NamedTuple):
+    manifold: type                # the kind is defined on this manifold class
+    ambient_dim: Optional[int]    # of this ambient dimension (None: any)
+    cross: float                  # 0: b = params, an ambient vector; else a = cross * params
+    bound_factor: float           # bound() = sup|m| * |params| * bound_factor
+
+
+# omega x x = x x (-omega); row i of X [xi]_x is r_i x xi, and |[xi]_x|_F = sqrt(2) |xi|.
+# The zero kind, the one with bound factor 0, takes no params: b = 0.
+KINDS = {
+    "zero": _Kind(Manifold, None, 0.0, 0.0),
+    "constant_ambient": _Kind(Manifold, None, 0.0, 1.0),
+    "torus_constant": _Kind(Torus, None, 0.0, 1.0),
+    "sphere_rotation": _Kind(Sphere, 3, -1.0, 1.0),
+    "so3_left_invariant": _Kind(SO3, 9, 1.0, math.sqrt(2.0)),
+}
 
 
 @dataclass(frozen=True)
 class PriorField:
     """Tangent-valued field on a manifold, optionally modulated in time.
 
-    kind: zero | constant_ambient | sphere_rotation | so3_left_invariant |
-    torus_constant.  params is the kind's parameter vector (rotation axis,
-    ambient vector, skew-generator axis, ...).  modulation, when given, is a
-    scalar sample per grid node; eval reads it at grid times only.
+    kind is a key of KINDS.  params is the kind's parameter vector (ambient
+    vector, rotation axis, skew-generator axis); the zero kind has none.
+    modulation, when given, is a scalar sample per grid node; eval reads it
+    at grid times only.
     """
 
     manifold: Manifold
@@ -45,33 +64,32 @@ class PriorField:
         object.__setattr__(self, "params", p)
         if self.modulation is not None:
             object.__setattr__(self, "modulation", np.asarray(self.modulation, float))
-        self._validate()
+        spec = self._validate()
+        if not spec.bound_factor:
+            p = np.zeros(self.manifold.ambient_dim)
+        object.__setattr__(self, "_a", spec.cross * p if spec.cross else None)
+        object.__setattr__(self, "_b", None if spec.cross else p)
+        object.__setattr__(self, "_sup", float(np.linalg.norm(p)) * spec.bound_factor)
         self._spot_check_bound()
 
-    def _validate(self):
-        m, k = self.manifold, self.kind
-        if k == "zero":
-            return
-        if k == "constant_ambient":
-            if self.params is None or self.params.shape != (m.ambient_dim,):
-                raise ConfigError("constant_ambient needs an ambient-dimension vector")
-        elif k == "sphere_rotation":
-            if not (isinstance(m, Sphere) and m.ambient_dim == 3):
-                raise ConfigError("sphere_rotation requires sphere:2")
-            if self.params is None or self.params.shape != (3,):
-                raise ConfigError("sphere_rotation needs a 3-vector axis")
-        elif k == "so3_left_invariant":
-            if not isinstance(m, SO3):
-                raise ConfigError("so3_left_invariant requires the so3 manifold")
-            if self.params is None or self.params.shape != (3,):
-                raise ConfigError("so3_left_invariant needs a 3-vector (skew generator axis)")
-        elif k == "torus_constant":
-            if not isinstance(m, Torus):
-                raise ConfigError("torus_constant requires a torus manifold")
-            if self.params is None or self.params.shape != (m.ambient_dim,):
-                raise ConfigError("torus_constant needs a torus-dimension vector")
-        else:
+    def _validate(self) -> _Kind:
+        m, spec = self.manifold, KINDS.get(self.kind)
+        if spec is None:
             raise ConfigError(f"unknown field kind {self.kind!r}")
+        if not isinstance(m, spec.manifold) or spec.ambient_dim not in (None, m.ambient_dim):
+            raise ConfigError(f"{self.kind} is not defined on {m.name}")
+        n = 3 if spec.cross else m.ambient_dim
+        if spec.bound_factor and (self.params is None or self.params.shape != (n,)):
+            raise ConfigError(f"{self.kind} needs a vector of {n} params")
+        return spec
+
+    def to_config(self) -> dict:
+        """The config field_from_config reads back; modulation only when set."""
+        cfg = {"kind": self.kind,
+               "params": None if self.params is None else list(self.params)}
+        if self.modulation is not None:
+            cfg["modulation"] = list(self.modulation)
+        return cfg
 
     # -- evaluation ---------------------------------------------------------
 
@@ -88,6 +106,10 @@ class PriorField:
             raise UsageError("modulated fields are defined at grid times only")
         return self.modulation[idx][..., None]
 
+    def _cross_a(self, u: np.ndarray) -> np.ndarray:
+        """u ⊠ a: each 3-wide row block of u crossed with a."""
+        return row_cross(u.reshape(u.shape[:-1] + (-1, 3)), self._a).reshape(u.shape)
+
     def eval(self, t: float, point) -> "TangentVector":
         """Field value at a single (t, p) as a typed tangent vector."""
         from .manifolds import ManifoldPoint, TangentVector
@@ -100,53 +122,32 @@ class PriorField:
         """Field values at (t_j, x_j); rows of points are manifold points."""
         points = np.asarray(points, float)
         m = self._modulation_at(t)
-        if self.kind == "zero":
-            return np.zeros_like(points)
-        if self.kind == "constant_ambient":
-            v = self.manifold.project_tangent(points, np.broadcast_to(self.params, points.shape))
-        elif self.kind == "sphere_rotation":
-            v = row_cross(self.params, points)
-        elif self.kind == "so3_left_invariant":
-            omega = _cross_matrix(self.params)
-            mats = points.reshape(points.shape[:-1] + (3, 3))
-            v = (mats @ omega).reshape(points.shape)
-        elif self.kind == "torus_constant":
-            v = np.broadcast_to(self.params, points.shape).copy()   # not a view of params
+        if self._a is None:
+            v = self.manifold.project_tangent(points, np.broadcast_to(self._b, points.shape))
+        else:
+            v = self._cross_a(points)
         return v if m is None else m * v
 
     def grad_inner(self, c: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Ambient gradient in x of <c, A(t, x)> with c held fixed."""
+        """Ambient gradient in x of <c, A(t, x)> with c held fixed; a x c = -(c ⊠ a)."""
         points = np.asarray(points, float)
         c = np.asarray(c, float)
         m = self._modulation_at(t)
-        if self.kind in ("zero", "torus_constant"):
-            return np.zeros_like(points)
-        if self.kind == "constant_ambient":
-            v = np.broadcast_to(self.params, points.shape)
-            g = self.manifold.dproj_bilinear(points, c, v)
-        elif self.kind == "sphere_rotation":
-            g = -row_cross(self.params, c)
-        elif self.kind == "so3_left_invariant":
-            omega = _cross_matrix(self.params)
-            cm = c.reshape(c.shape[:-1] + (3, 3))
-            g = (cm @ omega.T).reshape(points.shape)
+        if self._a is None:
+            g = self.manifold.dproj_bilinear(points, c, np.broadcast_to(self._b, points.shape))
+        else:
+            g = -self._cross_a(c)
         return g if m is None else m * g
 
     def grad_sq(self, t: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Ambient gradient in x of ||A(t, x)||^2."""
+        """Ambient gradient in x of ||A(t, x)||^2; 2 a x (x ⊠ a) = -2 (x ⊠ a) ⊠ a."""
         points = np.asarray(points, float)
         m = self._modulation_at(t)
-        if self.kind in ("zero", "torus_constant"):
-            return np.zeros_like(points)
-        if self.kind == "constant_ambient":
-            v = np.broadcast_to(self.params, points.shape)
-            g = self.manifold.dproj_bilinear(points, v, v)
-        elif self.kind == "sphere_rotation":
-            g = -2.0 * row_cross(self.params, row_cross(self.params, points))
-        elif self.kind == "so3_left_invariant":
-            omega = _cross_matrix(self.params)
-            mats = points.reshape(points.shape[:-1] + (3, 3))
-            g = (2.0 * mats @ omega @ omega.T).reshape(points.shape)
+        if self._a is None:
+            b = np.broadcast_to(self._b, points.shape)
+            g = self.manifold.dproj_bilinear(points, b, b)
+        else:
+            g = -2.0 * self._cross_a(self._cross_a(points))
         return g if m is None else m**2 * g
 
     # -- boundedness ----------------------------------------------------------
@@ -154,15 +155,9 @@ class PriorField:
     def bound(self) -> float:
         """Analytic sup bound for ||A(t, x)|| over all t and x."""
         msup = 1.0 if self.modulation is None else float(np.max(np.abs(self.modulation)))
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "so3_left_invariant":
-            return msup * float(np.linalg.norm(_cross_matrix(self.params)))
-        return msup * float(np.linalg.norm(self.params))
+        return msup * self._sup
 
     def _spot_check_bound(self):
-        if self.kind == "zero":
-            return
         rng = np.random.default_rng(_SPOT_CHECK_SEED)
         pts = self.manifold.random_point(rng, _SPOT_CHECK_DRAWS)
         if self.modulation is None:

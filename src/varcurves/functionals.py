@@ -75,6 +75,8 @@ class FunctionalSpec:
             object.__setattr__(self, "k", int(self.k))
         else:
             raise ConfigError(f"unknown functional kind {self.kind!r}")
+        if self.field is not None and self.field.kind == "zero":
+            object.__setattr__(self, "field", None)   # the same term as no field
 
     @cached_property
     def terms(self) -> Tuple[Term, ...]:
@@ -111,9 +113,7 @@ class FunctionalSpec:
         if kind == "conditional":
             fld = cfg.get("field")
             field = None
-            if fld is not None and not isinstance(fld, dict):
-                raise ConfigError("field must be an object with a 'kind'")
-            if fld is not None and fld.get("kind") != "zero":
+            if fld is not None and not (isinstance(fld, dict) and fld.get("kind") == "zero"):
                 if manifold is None:
                     raise ConfigError("a manifold is required to build the prior field")
                 field = field_from_config(manifold, fld)
@@ -126,10 +126,7 @@ class FunctionalSpec:
         if self.kind == "tension":
             return {"kind": "tension", "tau": self.tau}
         if self.kind == "conditional":
-            fld = {"kind": "zero"} if self.field is None else {
-                "kind": self.field.kind,
-                "params": None if self.field.params is None else list(self.field.params),
-            }
+            fld = {"kind": "zero"} if self.field is None else self.field.to_config()
             return {"kind": "conditional", "k": self.k, "field": fld}
         return {"kind": "energy", "k": self.k}
 

@@ -438,13 +438,28 @@ def _curve_file_lines():
     (0, '{"domain_kind": "interval", "manifold": "euclidean:1", "n_samples": "x"}',
      "n_samples must be an integer, got 'x'"),
     (0, '["euclidean:1", "interval", 5]', "header must be a JSON object"),
+    (0, '{"domain_kind": "interval", "manifold": "euclidean:1", "n_samples": 5.9}',
+     "n_samples must be an integer, got 5.9"),
+    (0, '{"domain_kind": "interval", "manifold": "euclidean:1", "n_samples": true}',
+     "n_samples must be an integer, got True"),
+    (0, '{"domain_kind": "interval", "manifold": "euclidean:1", "n_samples": "5"}',
+     "n_samples must be an integer, got '5'"),
+    (0, '{"domain_kind": "interval", "manifold": "klein:2", "n_samples": 5}',
+     "curve file manifold: unknown manifold id 'klein:2'"),
 ], ids=["header-not-json", "header-no-manifold", "non-numeric-cell", "ragged-rows",
-        "n_samples-str", "header-list"])
+        "n_samples-str", "header-list", "n_samples-fraction", "n_samples-bool",
+        "n_samples-numeric-str", "unknown-manifold"])
 def test_parse_curve_rejects_malformed_file(line, text, match):
     lines = _curve_file_lines()
     lines[line] = text
     with pytest.raises(UsageError, match=re.escape(match)):
         parse_curve("\n".join(lines) + "\n")
+
+
+def test_parse_curve_reads_an_integral_float_n_samples():
+    lines = _curve_file_lines()
+    lines[0] = '{"domain_kind": "interval", "manifold": "euclidean:1", "n_samples": 5.0}'
+    assert parse_curve("\n".join(lines) + "\n").n_samples == 5
 
 
 def test_load_curve_rejects_non_utf8_file(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, PriorField,
                        el_residual, evaluate, geodesic, gradient, hermite_cubic,
                        make_manifold, quadrature_length, seed, sobolev_norm_sq,
-                       velocity)
+                       velocity, zero_field)
 from varcurves.checks import _random_curve, _random_direction, _specs_for, fd_directional_error
 from varcurves.optimize import _flat_model_factor
 
@@ -72,14 +72,17 @@ def test_evaluate_nonnegative_random():
 # -- structural identities -----------------------------------------------------------
 
 def test_reduction_identity_bitwise():
-    # conditional(2) and tension(0) compile to one term: evaluate, gradient
-    # and the preconditioner agree byte for byte
+    # conditional(2), with or without an explicit zero field, and tension(0)
+    # compile to one term: evaluate, gradient and the preconditioner agree
+    # byte for byte
     rng = np.random.default_rng(2)
-    a, b = FunctionalSpec.conditional(2), FunctionalSpec.tension_cost(0.0)
+    b = FunctionalSpec.tension_cost(0.0)
     for mid in ALL_IDS:
         m = make_manifold(mid)
-        for x in [_random_curve(m, rng) for _ in range(5)] + \
-                [closed_curve(m, rng) for _ in range(5)]:
+        specs = (FunctionalSpec.conditional(2), FunctionalSpec.conditional(2, zero_field(m)))
+        assert specs[0].terms == specs[1].terms == b.terms
+        for a, x in zip(specs * 5, [_random_curve(m, rng) for _ in range(5)] +
+                        [closed_curve(m, rng) for _ in range(5)]):
             free = all_but_ends(x)
             assert np.float64(evaluate(a, x)).tobytes() == np.float64(evaluate(b, x)).tobytes()
             assert gradient(a, x, free).vectors.tobytes() == gradient(b, x, free).vectors.tobytes()
@@ -228,3 +231,17 @@ def test_field_manifold_mismatch_raises():
     x = constant_curve("sphere:2")
     with pytest.raises(UsageError):
         evaluate(spec, x)
+
+
+def test_field_config_is_written_back_whole():
+    m = make_manifold("sphere:2")
+    rot = {"kind": "sphere_rotation", "params": [0.0, 0.0, 1.0]}
+    assert FunctionalSpec.from_config({"kind": "conditional", "k": 2, "field": rot},
+                                      m).to_config()["field"] == rot
+    modulated = dict(rot, modulation=[0.5, 1.0, -0.25])
+    assert FunctionalSpec.from_config({"kind": "conditional", "k": 1, "field": modulated},
+                                      m).to_config()["field"] == modulated
+    for spec in (FunctionalSpec.conditional(2), FunctionalSpec.conditional(2, zero_field(m))):
+        assert spec.field is None
+        assert spec.to_config() == {"kind": "conditional", "k": 2, "field": {"kind": "zero"}}
+        assert spec.describe() == "conditional(k=2, field=zero)"
