@@ -9,14 +9,12 @@ compactness diagnostics.
 
 from .errors import (ConfigError, CutLocusError, DegenerateCurveError, UsageError,
                      VarcurvesError)
-from .manifolds import (SO3, Euclidean, Manifold, ManifoldPoint, Sphere,
-                        TangentVector, Torus, dist, exp, inner, log, make_manifold,
-                        project_tangent, transport)
+from .manifolds import SO3, Euclidean, Manifold, Sphere, Torus, make_manifold
 from .curves import (DiscreteCurve, TangentField, covariant_accel, dump_curve,
                      equicontinuity_ratio, length, load_curve, parse_curve,
                      quadrature_length, save_curve, sobolev_norm_sq, sup_norm,
                      velocity, winding_vector)
-from .fields import PriorField, field_from_config, zero_field
+from .fields import PriorField, field_from_config
 from .functionals import FunctionalSpec, el_residual, evaluate, gradient
 from .constraints import (ConstraintSet, constraint_from_config, free_mask, impose,
                           seed)
@@ -32,14 +30,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "CutLocusError", "DegenerateCurveError", "UsageError",
     "VarcurvesError",
-    "Manifold", "Euclidean", "Sphere", "Torus", "SO3", "ManifoldPoint",
-    "TangentVector", "make_manifold", "inner", "exp", "log", "dist", "transport",
-    "project_tangent",
+    "Manifold", "Euclidean", "Sphere", "Torus", "SO3", "make_manifold",
     "DiscreteCurve", "TangentField", "velocity", "covariant_accel",
     "sobolev_norm_sq", "sup_norm", "length", "quadrature_length",
     "winding_vector", "equicontinuity_ratio", "save_curve", "load_curve",
     "dump_curve", "parse_curve",
-    "PriorField", "zero_field", "field_from_config",
+    "PriorField", "field_from_config",
     "FunctionalSpec", "evaluate", "gradient", "el_residual",
     "ConstraintSet", "free_mask", "impose", "seed", "constraint_from_config",
     "SolveOptions", "SolveReport", "minimize", "multistart", "MultistartResult",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -15,10 +15,10 @@ from .functionals import FunctionalSpec
 from .manifolds import Manifold, make_manifold
 from .optimize import SolveOptions
 
-_SOLVE_KEYS = {"max_iters", "grad_tol", "armijo_c1", "backtrack", "initial_step",
-               "step_floor", "record_every"}
+_SOLVE_KEYS = {f.name for f in fields(SolveOptions)}
 _TOP_KEYS = {"manifold", "grid_n", "domain", "functional", "constraints",
              "winding_hint", "winding_hints", "solve"}
+ON_MANIFOLD_TOL = 1e-6   # largest constraint residual of a configured point
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,13 @@ def _validate_geometry(manifold: Manifold, c: ConstraintSet) -> None:
         check_vec(c.left_vel, "left velocity")
         check_vec(c.right_vel, "right velocity")
         for p, what in ((c.left_pos, "left position"), (c.right_pos, "right position")):
-            if manifold.constraint_residual(np.asarray(p, float)) > 1e-6:
+            if manifold.constraint_residual(np.asarray(p, float)) > ON_MANIFOLD_TOL:
                 raise ConfigError(f"{what} is not on {manifold.name}")
     elif c.kind == "interpolation":
         if c.knot_points.shape[1] != dim:
             raise ConfigError(f"knot positions must have {dim} coordinates")
         res = manifold.constraint_residual(c.knot_points)
-        if np.any(res > 1e-6):
+        if np.any(res > ON_MANIFOLD_TOL):
             raise ConfigError(f"knot {int(np.argmax(res))} is not on {manifold.name}")
 
 

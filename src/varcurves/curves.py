@@ -20,8 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DegenerateCurveError, UsageError
-from .manifolds import (CUT_LOCUS_TOL, Manifold, ManifoldPoint, Torus, make_manifold,
-                        row_dot, row_norm)
+from .manifolds import CUT_LOCUS_TOL, Manifold, Torus, make_manifold, row_dot, row_norm
 
 _SAMPLE_TOL = 1e-8   # allowed constraint residual for curve samples
 MIN_GRID = 4
@@ -123,13 +122,10 @@ class DiscreteCurve:
     and kept until `clear_memo`, so validation, functionals and history
     statistics share one computation; the order's matrices and weights are
     the grid's, in `stencil(order)`.
-    Validation runs the exact residual test only where a cheap screen cannot
-    rule out a sample off the manifold (`Manifold.may_be_off_manifold`; on
-    SO(3) a row-wise bound on m m^T - I and the sign of det m). It reads the
-    segment distances only where a step may be near the cut locus
-    (`Manifold.may_reach_cut_locus`); on the sphere and on SO(3) that is a
-    pair with a negative row-wise dot product, so there they are usually
-    computed on first use instead.
+    Validation reads the segment distances only where a step may be near the
+    cut locus (`Manifold.may_reach_cut_locus`); on the sphere and on SO(3)
+    that is a pair with a negative row-wise dot product, so there they are
+    usually computed on first use instead.
     """
 
     manifold: Manifold
@@ -150,11 +146,10 @@ class DiscreteCurve:
             j = int(np.argmin(np.isfinite(x).all(axis=1)))
             raise UsageError(f"sample {j} is not finite")
         m = self.manifold
-        if m.may_be_off_manifold(x, _SAMPLE_TOL):
-            res = m.constraint_residual(x)
-            if np.any(res > _SAMPLE_TOL):
-                j = int(np.argmax(res))
-                raise UsageError(f"sample {j} is off the manifold (residual {res[j]:.2e})")
+        res = m.constraint_residual(x)
+        if np.any(res > _SAMPLE_TOL):
+            j = int(np.argmax(res))
+            raise UsageError(f"sample {j} is off the manifold (residual {res[j]:.2e})")
         if m.compact:
             if isinstance(m, Torus):
                 bad = np.any(np.abs(self.steps) >= np.pi - CUT_LOCUS_TOL, axis=-1)
@@ -177,9 +172,6 @@ class DiscreteCurve:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) / self.grid_n
-
-    def point(self, j: int) -> ManifoldPoint:
-        return ManifoldPoint(self.manifold, self.samples[j])
 
     def with_samples(self, samples: np.ndarray) -> "DiscreteCurve":
         return DiscreteCurve(self.manifold, self.domain, samples)

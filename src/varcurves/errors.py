@@ -6,7 +6,7 @@ class VarcurvesError(Exception):
 
 
 class UsageError(VarcurvesError):
-    """Raised when operands are combined incorrectly (e.g. mismatched base points)."""
+    """Raised when operands are combined incorrectly (e.g. a field and curve on different manifolds)."""
 
 
 class CutLocusError(VarcurvesError):

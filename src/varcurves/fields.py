@@ -50,8 +50,8 @@ class PriorField:
 
     kind is a key of KINDS.  params is the kind's parameter vector (ambient
     vector, rotation axis, skew-generator axis); the zero kind has none.
-    modulation, when given, is a scalar sample per grid node; eval reads it
-    at grid times only.
+    modulation, when given, is a scalar sample per grid node, read at grid
+    times only.
     """
 
     manifold: Manifold
@@ -74,6 +74,12 @@ class PriorField:
 
     def _validate(self) -> _Kind:
         m, spec = self.manifold, KINDS.get(self.kind)
+        # a NaN or an infinity would make bound() NaN or inf, which the spot
+        # check's comparison cannot catch
+        for key in ("params", "modulation"):
+            value = getattr(self, key)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"field {key} must be finite")
         if spec is None:
             raise ConfigError(f"unknown field kind {self.kind!r}")
         if not isinstance(m, spec.manifold) or spec.ambient_dim not in (None, m.ambient_dim):
@@ -109,14 +115,6 @@ class PriorField:
     def _cross_a(self, u: np.ndarray) -> np.ndarray:
         """u ⊠ a: each 3-wide row block of u crossed with a."""
         return row_cross(u.reshape(u.shape[:-1] + (-1, 3)), self._a).reshape(u.shape)
-
-    def eval(self, t: float, point) -> "TangentVector":
-        """Field value at a single (t, p) as a typed tangent vector."""
-        from .manifolds import ManifoldPoint, TangentVector
-        if not isinstance(point, ManifoldPoint):
-            point = ManifoldPoint(self.manifold, np.asarray(point, float))
-        v = self.eval_many(np.array([float(t)]), point.coords[None, :])[0]
-        return TangentVector(point, v)
 
     def eval_many(self, t: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Field values at (t_j, x_j); rows of points are manifold points."""
@@ -170,10 +168,6 @@ class PriorField:
         if np.max(norms) > b * (1.0 + 1e-12) + 1e-15:
             raise ConfigError(f"field bound() = {b} violated by random sample "
                               f"({np.max(norms)})")
-
-
-def zero_field(manifold: Manifold) -> PriorField:
-    return PriorField(manifold, "zero")
 
 
 def field_from_config(manifold: Manifold, cfg: dict) -> PriorField:

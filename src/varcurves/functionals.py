@@ -187,9 +187,13 @@ def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> TangentField:
     return TangentField(curve, g)
 
 
+def gradient_norm(curve: DiscreteCurve, g: np.ndarray) -> float:
+    """Discrete L2 norm sqrt(sum_j w_j |g_j|^2) of a gradient array g, with
+    w the node weights of the curve's grid."""
+    return float(np.sqrt(np.sum(node_weights(curve) * row_dot(g, g))))
+
+
 def el_residual(spec: FunctionalSpec, curve: DiscreteCurve, free) -> float:
-    """Discrete L2 norm of the gradient over free samples: zero exactly at
+    """gradient_norm of the gradient over free samples: zero exactly at
     discrete critical points; the convergence certificate of the solver."""
-    g = gradient(spec, curve, free).vectors
-    w = node_weights(curve)
-    return float(np.sqrt(np.sum(w * row_dot(g, g))))
+    return gradient_norm(curve, gradient(spec, curve, free).vectors)

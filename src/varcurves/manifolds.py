@@ -17,11 +17,9 @@ accordingly relative to conventions that use angle directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ConfigError, CutLocusError, UsageError
+from .errors import ConfigError, CutLocusError
 
 # Refuse log/transport this close (in angle) to the cut locus instead of
 # silently picking a branch.
@@ -90,14 +88,6 @@ class Manifold:
     def constraint_residual(self, x: np.ndarray) -> np.ndarray:
         """Distance of x from satisfying the defining constraint (0 on-manifold)."""
         return np.zeros(np.shape(x)[:-1])
-
-    def may_be_off_manifold(self, x: np.ndarray, tol: float) -> bool:
-        """False only if constraint_residual(x) <= tol on every row of x.
-
-        A cheap screen in front of the exact residual test; True (run the
-        exact test) unless a manifold knows better, as SO(3) does.
-        """
-        return True
 
     def random_point(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         raise NotImplementedError
@@ -403,27 +393,19 @@ class SO3(Manifold):
         return out.reshape(x.shape)
 
     def constraint_residual(self, x):
-        m = self._mat(x)
-        eye = np.eye(3)
-        ortho = np.linalg.norm(
-            np.swapaxes(m, -1, -2) @ m - eye, axis=(-2, -1))
-        det = np.abs(np.linalg.det(m) - 1.0)
-        return np.maximum(ortho, det)
+        """max(||m^T m - I||_F, |det(m) - 1|) of each sample m, from its rows r_i.
 
-    def may_be_off_manifold(self, x, tol):
-        # With e the largest |r_i . r_j - delta_ij| over the rows r_i of a
-        # sample m, ||m^T m - I||_F = ||m m^T - I||_F <= 3e, so every squared
-        # singular value lies in [1 - 3e, 1 + 3e]; the triple product
-        # r0 . (r1 x r2) is det(m), and when it is positive
-        # |det(m) - 1| <= 4.5e + O(e^2).  e <= tol / 100 thus keeps both parts
-        # of constraint_residual far below tol.  A NaN fails both tests.
+        ||m^T m - I||_F = ||m m^T - I||_F, and the entries of m m^T - I are
+        e_ij = r_i . r_j - delta_ij, so the first part is
+        sqrt(sum_i e_ii^2 + 2 sum_{i<j} e_ij^2); det(m) is the triple
+        product r0 . (r1 x r2).  A NaN sample gives a NaN residual.
+        """
         x = np.asarray(x, float)
         r = [x[..., 3 * i:3 * i + 3] for i in range(3)]
-        e = np.abs(row_dot(r[0], r[0]) - 1.0)
-        for i, j in ((1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
-            e = np.maximum(e, np.abs(row_dot(r[i], r[j]) - float(i == j)))
+        diag = sum((row_dot(r[i], r[i]) - 1.0) ** 2 for i in range(3))
+        off = sum(row_dot(r[i], r[j]) ** 2 for i, j in ((0, 1), (0, 2), (1, 2)))
         det = row_dot(r[0], row_cross(r[1], r[2]))
-        return not (np.all(e <= tol / 100) and np.all(det > 0.5))
+        return np.maximum(np.sqrt(diag + 2.0 * off), np.abs(det - 1.0))
 
     def random_point(self, rng, n=1):
         return self.canonicalize(rng.normal(size=(n, 9)))
@@ -529,104 +511,3 @@ def make_manifold(spec: str) -> Manifold:
             return Torus(dim)
     raise ConfigError(f"unknown manifold id {spec!r} "
                       "(expected euclidean:d, sphere:d, torus:d or so3)")
-
-
-# ---------------------------------------------------------------------------
-# Typed point/vector wrappers
-# ---------------------------------------------------------------------------
-
-_POINT_TOL = 1e-6   # reject coords farther than this from the manifold
-_INVARIANT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ManifoldPoint:
-    """A point on a manifold; coords are canonicalized at construction."""
-
-    manifold: Manifold
-    coords: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, float)
-        if c.shape != (self.manifold.ambient_dim,):
-            raise UsageError(f"point coords must have shape ({self.manifold.ambient_dim},)")
-        if self.manifold.constraint_residual(c) > _POINT_TOL:
-            raise UsageError(f"coords are not on {self.manifold.name} "
-                             f"(residual {float(self.manifold.constraint_residual(c)):.2e})")
-        object.__setattr__(self, "coords", self.manifold.canonicalize(c))
-
-    def residual(self) -> float:
-        return float(self.manifold.constraint_residual(self.coords))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector at a base point; components projected at construction."""
-
-    base: ManifoldPoint
-    components: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.components, float)
-        if v.shape != (self.base.manifold.ambient_dim,):
-            raise UsageError("tangent components have the wrong ambient dimension")
-        proj = self.base.manifold.project_tangent(self.base.coords, v)
-        if np.linalg.norm(proj - v) > _POINT_TOL * (1.0 + np.linalg.norm(v)):
-            raise UsageError("components do not lie in the tangent space at base")
-        object.__setattr__(self, "components", proj)
-
-    @property
-    def manifold(self) -> Manifold:
-        return self.base.manifold
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-
-def _same_base(u: TangentVector, v: TangentVector) -> None:
-    if u.base.manifold is not v.base.manifold or \
-            np.max(np.abs(u.base.coords - v.base.coords)) > _INVARIANT_TOL * 1e3:
-        raise UsageError("tangent vectors are based at different points")
-
-
-def inner(p: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-    """Riemannian inner product g(p)(u, v) (the ambient dot product)."""
-    _same_base(u, v)
-    if np.max(np.abs(u.base.coords - p.coords)) > _INVARIANT_TOL * 1e3:
-        raise UsageError("vectors are not based at p")
-    return float(np.dot(u.components, v.components))
-
-
-def exp(p: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-    """Exponential map: endpoint of the geodesic from p with initial velocity v."""
-    _same_base(v, v)
-    if v.base is not p and np.max(np.abs(v.base.coords - p.coords)) > _INVARIANT_TOL * 1e3:
-        raise UsageError("v is not based at p")
-    m = p.manifold
-    return ManifoldPoint(m, m.exp(p.coords, v.components))
-
-
-def log(p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
-    """Inverse exponential; the returned vector has norm dist(p, q)."""
-    if p.manifold is not q.manifold:
-        raise UsageError("points live on different manifolds")
-    return TangentVector(p, p.manifold.log(p.coords, q.coords))
-
-
-def dist(p: ManifoldPoint, q: ManifoldPoint) -> float:
-    if p.manifold is not q.manifold:
-        raise UsageError("points live on different manifolds")
-    return float(p.manifold.dist(p.coords, q.coords))
-
-
-def transport(p: ManifoldPoint, q: ManifoldPoint, u: TangentVector) -> TangentVector:
-    """Parallel transport of u from p to q along the minimal geodesic."""
-    if np.max(np.abs(u.base.coords - p.coords)) > _INVARIANT_TOL * 1e3:
-        raise UsageError("u is not based at p")
-    m = p.manifold
-    return TangentVector(q, m.transport(p.coords, q.coords, u.components))
-
-
-def project_tangent(p: ManifoldPoint, a: np.ndarray) -> TangentVector:
-    """Orthogonal projection of an arbitrary ambient vector onto T_p M."""
-    return TangentVector(p, p.manifold.project_tangent(p.coords, np.asarray(a, float)))

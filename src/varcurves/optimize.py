@@ -21,6 +21,11 @@ empty memory, on every solve's first step, the direction is the flat one.
 Armijo backtracking thus gives strict descent, and convergence is still
 certified by the plain discrete L2 gradient norm.
 
+The line search's constants are fixed (Nocedal & Wright, ch. 3): from a
+first trial step of INITIAL_STEP it multiplies the step by BACKTRACK until
+the objective falls by at least ARMIJO_C1 times the predicted decrease, and
+it gives up once the step is below STEP_FLOOR.
+
 Near a minimizer the predicted decrease falls below the objective's roundoff,
 and objective differences no longer tell descent from rounding.  A search
 whose first step predicts less than NOISE_K*eps*|objective| therefore runs a
@@ -51,7 +56,7 @@ from .constraints import ConstraintSet, fixed_indices, free_mask, impose
 from .curves import (DiscreteCurve, length, node_weights, stencil_operators,
                      velocity, winding_vector, covariant_accel)
 from .errors import DegenerateCurveError, CutLocusError, UsageError
-from .functionals import FunctionalSpec, el_residual, evaluate, gradient
+from .functionals import FunctionalSpec, el_residual, evaluate, gradient, gradient_norm
 from .manifolds import Torus, row_dot, row_norm
 
 STEP_CAP = np.pi / 2  # max per-sample displacement on compact manifolds
@@ -62,6 +67,12 @@ NOISE_K = 100          # objective changes below NOISE_K*eps*|obj| are roundoff
 NOISE_GRAD_DROP = 0.9  # factor by which a noise-phase step cuts the gradient norm
 NOISE_STEP_MIN = 1e-3  # smallest noise-phase step
 
+# the Armijo line search (see the module docstring)
+ARMIJO_C1 = 1e-4       # sufficient-decrease constant
+BACKTRACK = 0.5        # factor by which each failed trial step shrinks
+INITIAL_STEP = 1.0     # first trial step, before the compact-manifold cap
+STEP_FLOOR = 1e-14     # the search fails once the step falls below this
+
 # the quasi-Newton memory (see the module docstring)
 LBFGS_MEMORY = 3       # (s, y) pairs kept
 CURVATURE_TOL = 1e-12  # a pair is kept while y.s > CURVATURE_TOL*|y||s|
@@ -71,11 +82,6 @@ CURVATURE_TOL = 1e-12  # a pair is kept while y.s > CURVATURE_TOL*|y||s|
 class SolveOptions:
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
-    step_floor: float = 1e-14
-    record_every: int = 1
 
     def __post_init__(self):
         for f in fields(self):
@@ -85,25 +91,13 @@ class SolveOptions:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise UsageError(f"{f.name} must be "
                                  f"{'an integer' if integral else 'a real number'}")
-            # an infinite initial step never halves below the floor
+            # an infinite grad_tol would certify any curve
             if not integral and not math.isfinite(value):
                 raise UsageError(f"{f.name} must be finite")
         if self.max_iters < 0:
             raise UsageError("max_iters must be >= 0")
-        if self.record_every < 1:
-            raise UsageError("record_every must be >= 1")
         if self.grad_tol < 0:
             raise UsageError("grad_tol must be >= 0")
-        if not 0 < self.armijo_c1 < 1:
-            raise UsageError("armijo_c1 must be in (0, 1)")
-        if not 0 < self.backtrack < 1:
-            raise UsageError("backtrack factor must be in (0, 1)")
-        # a zero floor would keep the backtracking loop alive once the step
-        # has halved down to 0.0
-        if self.step_floor <= 0:
-            raise UsageError("step_floor must be > 0")
-        if self.initial_step <= 0:
-            raise UsageError("initial_step must be > 0")
 
 
 @dataclass(frozen=True)
@@ -270,11 +264,6 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     # The factor comes first, so a new grid's stencils are built inside
     # _stencil_matrices, the assembly step
     lu = _flat_model_factor(spec, x, free) if len(free) else None
-    wq = node_weights(x)
-
-    def grad_norm(g):
-        return float(np.sqrt(np.sum(wq * row_dot(g, g))))
-
     obj = evaluate(spec, x)
     g = gradient(spec, x, free).vectors
 
@@ -288,8 +277,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     it = 0
     verdict = "iter_limit"
     message = ""
-    last_step, last_phase = 0.0, None
-    resid = grad_norm(g)
+    resid = gradient_norm(x, g)
     record(0, obj, resid, 0.0, None)
 
     while True:
@@ -307,7 +295,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             d = flat_direction(g)
             gd = _dot(g, d)
 
-        step = opts.initial_step
+        step = INITIAL_STEP
         if m.compact:
             max_disp = float(np.max(row_norm(d)))   # d is zero on fixed rows
             if max_disp > 0:
@@ -323,7 +311,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         rounding = np.finfo(float).eps * abs(obj)
         noise = NOISE_K * rounding
         noise_phase = step * gd < noise
-        floor = NOISE_STEP_MIN if noise_phase else opts.step_floor
+        floor = NOISE_STEP_MIN if noise_phase else STEP_FLOOR
         phase = None
         while step >= floor:
             trial = m.exp(x.samples, -step * d)
@@ -331,21 +319,21 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             try:
                 x_trial = x.with_samples(trial)
             except DegenerateCurveError:
-                step *= opts.backtrack
+                step *= BACKTRACK
                 continue
             obj_trial = evaluate(spec, x_trial)
-            if (obj_trial <= obj - opts.armijo_c1 * step * gd and obj_trial < obj
+            if (obj_trial <= obj - ARMIJO_C1 * step * gd and obj_trial < obj
                     and (not noise_phase or step * gd >= rounding)):
                 phase = "armijo"
                 break
             if noise_phase and obj_trial <= obj + noise:
                 g_trial = gradient(spec, x_trial, free).vectors
-                resid_trial = grad_norm(g_trial)
+                resid_trial = gradient_norm(x_trial, g_trial)
                 if resid_trial < NOISE_GRAD_DROP * resid:
                     phase = "noise"
                     break
             x_trial.clear_memo()   # before the next trial is built
-            step *= opts.backtrack
+            step *= BACKTRACK
         if phase is None:
             message = ("stalled at the roundoff floor" if noise_phase
                        else "line search step underflow")
@@ -353,7 +341,6 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
 
         x, obj = x_trial, obj_trial
         it += 1
-        last_step, last_phase = step, phase
         if track_winding:
             w_drift = max(w_drift, float(np.max(np.abs(winding_vector(x) - w_ref))))
         g_prev = g
@@ -361,16 +348,13 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             g, resid = g_trial, resid_trial
         else:
             g = gradient(spec, x, free).vectors
-            resid = grad_norm(g)
+            resid = gradient_norm(x, g)
         # the step and the gradient change, both in the new tangent spaces
         memory.transport(m, x.samples)
         memory.push(m.project_tangent(x.samples, -step * d),
                     g - m.project_tangent(x.samples, g_prev))
-        if it % opts.record_every == 0:
-            record(it, obj, resid, step, last_phase)
+        record(it, obj, resid, step, phase)
 
-    if not history or history[-1].iteration != it:
-        record(it, obj, resid, last_step, last_phase)
     x.clear_memo()   # the report keeps the minimizer, not its derived arrays
     return SolveReport(x, spec, verdict, it, obj, resid, tuple(history),
                        winding_drift=w_drift, message=message)

@@ -133,10 +133,12 @@ def test_solve_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("record_every", 0), ("armijo_c1", "x"),
-                                       ("step_floor", 0), ("initial_step", float("inf"))])
+                                       ("step_floor", 0), ("initial_step", float("inf")),
+                                       ("backtrack", 0.5), ("max_iters", -1),
+                                       ("grad_tol", float("nan"))])
 def test_bad_solve_option_is_config_error(key, value):
-    # parsed without solving: a zero step_floor or an infinite initial_step
-    # used to hang the line search
+    # parsed without solving; the line-search settings are constants of the
+    # solver, so a config that sets one names an unknown option
     with pytest.raises(ConfigError, match=key):
         parse_config(dict(HERMITE_CFG, solve={key: value}))
 
@@ -144,7 +146,7 @@ def test_bad_solve_option_is_config_error(key, value):
 def test_solve_bad_record_every_exit_code(tmp_path, capsys):
     path = write_cfg(tmp_path, dict(HERMITE_CFG, solve={"record_every": 0}))
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    assert "record_every" in capsys.readouterr().err
+    assert "unknown solve options: ['record_every']" in capsys.readouterr().err
 
 
 def _with(cfg, path, value):
@@ -174,9 +176,17 @@ def _with(cfg, path, value):
     (("grid_n",), 16.7, "grid_n"),
     (("winding_hint",), 0.5, "winding hints"),    # fails only at seeding
     (("winding_hints",), [0, 0.5], "winding hints"),   # multistart seeding
+    (("functional",), {"kind": "conditional", "k": 2,
+                       "field": {"kind": "torus_constant", "params": [float("nan")]}},
+     "field params must be finite"),
+    (("functional",), {"kind": "conditional", "k": 2,
+                       "field": {"kind": "torus_constant", "params": [1.0],
+                                 "modulation": [1.0] * 100 + [float("inf")]}},
+     "field modulation must be finite"),
 ], ids=["tau-nan", "tau-inf", "tau-1e300", "tau-str", "tau-null", "k-str", "field-str",
         "field-params-str", "knot-t-str", "knot-position-str", "winding_hint-str", "winding_hint-huge",
-        "grid_n-float", "winding_hint-half", "winding_hints-half"])
+        "grid_n-float", "winding_hint-half", "winding_hints-half", "field-params-nan",
+        "field-modulation-inf"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, path, value, key):
     cfg = write_cfg(tmp_path, _with(CIRCLE_CFG, path, value))
     out = tmp_path / "o"

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varcurves import ConfigError, PriorField, field_from_config, make_manifold, zero_field
+from varcurves import ConfigError, PriorField, field_from_config, make_manifold
 from varcurves.fields import KINDS
 from varcurves.manifolds import row_cross
 
@@ -26,7 +26,7 @@ KIND_CASES = [
 
 def test_zero_field():
     m = make_manifold("sphere:2")
-    f = zero_field(m)
+    f = PriorField(m, "zero")
     pts = m.random_point(np.random.default_rng(0), 5)
     assert np.all(f.eval_many(np.zeros(5), pts) == 0.0)
     assert f.bound() == 0.0
@@ -51,7 +51,7 @@ def test_bound_examples():
     assert PriorField(s, "sphere_rotation", np.array([0, 0, 2.0])).bound() == pytest.approx(2.0)
     t2 = make_manifold("torus:2")
     assert PriorField(t2, "torus_constant", np.array([1.0, 1.0])).bound() == pytest.approx(np.sqrt(2))
-    assert zero_field(s).bound() == 0.0
+    assert PriorField(s, "zero").bound() == 0.0
 
 
 @pytest.mark.parametrize("mid,kind,params", [
@@ -90,14 +90,18 @@ def test_kind_manifold_mismatch_rejected():
         PriorField(make_manifold("sphere:2"), "torus_constant", np.array([1.0, 0, 0]))
 
 
-def test_typed_eval_returns_tangent_vector():
-    from varcurves import ManifoldPoint
-    m = make_manifold("sphere:2")
-    f = PriorField(m, "sphere_rotation", np.array([0.0, 0.0, 1.0]))
-    p = ManifoldPoint(m, [1.0, 0.0, 0.0])
-    v = f.eval(0.0, p)
-    assert v.base is p
-    assert np.allclose(v.components, [0.0, 1.0, 0.0], atol=1e-14)
+@pytest.mark.parametrize("cfg,key", [
+    ({"kind": "sphere_rotation", "params": [0, 0, float("nan")]}, "params"),
+    ({"kind": "constant_ambient", "params": [float("-inf"), 0, 0]}, "params"),
+    ({"kind": "sphere_rotation", "params": [0, 0, 1],
+      "modulation": [1.0, float("inf"), 0.5]}, "modulation"),
+    ({"kind": "sphere_rotation", "params": [0, 0, 1],
+      "modulation": [1.0, float("nan"), 0.5]}, "modulation"),
+], ids=["nan-params", "inf-params", "inf-modulation", "nan-modulation"])
+def test_non_finite_field_rejected(cfg, key):
+    # the bound of such a field is NaN or inf, which the spot check cannot catch
+    with pytest.raises(ConfigError, match=f"^field {key} must be finite$"):
+        field_from_config(make_manifold("sphere:2"), cfg)
 
 
 def test_field_from_config():

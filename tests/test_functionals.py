@@ -4,7 +4,7 @@ import pytest
 from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, PriorField,
                        el_residual, evaluate, geodesic, gradient, hermite_cubic,
                        make_manifold, quadrature_length, seed, sobolev_norm_sq,
-                       velocity, zero_field)
+                       velocity)
 from varcurves.checks import _random_curve, _random_direction, _specs_for, fd_directional_error
 from varcurves.optimize import _flat_model_factor
 
@@ -79,7 +79,7 @@ def test_reduction_identity_bitwise():
     b = FunctionalSpec.tension_cost(0.0)
     for mid in ALL_IDS:
         m = make_manifold(mid)
-        specs = (FunctionalSpec.conditional(2), FunctionalSpec.conditional(2, zero_field(m)))
+        specs = (FunctionalSpec.conditional(2), FunctionalSpec.conditional(2, PriorField(m, "zero")))
         assert specs[0].terms == specs[1].terms == b.terms
         for a, x in zip(specs * 5, [_random_curve(m, rng) for _ in range(5)] +
                         [closed_curve(m, rng) for _ in range(5)]):
@@ -241,7 +241,7 @@ def test_field_config_is_written_back_whole():
     modulated = dict(rot, modulation=[0.5, 1.0, -0.25])
     assert FunctionalSpec.from_config({"kind": "conditional", "k": 1, "field": modulated},
                                       m).to_config()["field"] == modulated
-    for spec in (FunctionalSpec.conditional(2), FunctionalSpec.conditional(2, zero_field(m))):
+    for spec in (FunctionalSpec.conditional(2), FunctionalSpec.conditional(2, PriorField(m, "zero"))):
         assert spec.field is None
         assert spec.to_config() == {"kind": "conditional", "k": 2, "field": {"kind": "zero"}}
         assert spec.describe() == "conditional(k=2, field=zero)"

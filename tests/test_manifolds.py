@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from varcurves import (CutLocusError, ManifoldPoint, TangentVector, UsageError,
-                       dist, exp, inner, log, make_manifold, project_tangent,
-                       transport)
+from varcurves import ConfigError, CutLocusError, make_manifold
+from varcurves.config import ON_MANIFOLD_TOL, parse_config
 from varcurves.manifolds import POLAR_STEP_TOL, row_cross, row_dot, row_norm
 
 ALL_IDS = ["euclidean:2", "sphere:2", "torus:2", "so3"]
@@ -19,39 +18,28 @@ def random_tangent(m, rng, p, scale=1.0):
     return v / n * scale if n > 0 else v
 
 
-# -- inner ------------------------------------------------------------------
+# -- inner product ------------------------------------------------------------
+# the metric is the ambient dot product of tangent vectors
 
 def test_inner_euclidean_orthogonal():
     m = mk("euclidean:2")
-    p = ManifoldPoint(m, [0.0, 0.0])
-    u = TangentVector(p, [1.0, 0.0])
-    v = TangentVector(p, [0.0, 1.0])
-    assert inner(p, u, v) == 0.0
+    p = np.array([0.0, 0.0])
+    u = m.project_tangent(p, [1.0, 0.0])
+    v = m.project_tangent(p, [0.0, 1.0])
+    assert np.dot(u, v) == 0.0
 
 
 def test_inner_sphere_ambient_dot():
     m = mk("sphere:2")
-    p = ManifoldPoint(m, [1.0, 0.0, 0.0])
-    u = TangentVector(p, [0.0, 2.0, 0.0])
-    assert inner(p, u, u) == pytest.approx(4.0, abs=1e-14)
+    u = m.project_tangent(np.array([1.0, 0.0, 0.0]), [0.0, 2.0, 0.0])
+    assert np.dot(u, u) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_inner_so3_unit_axis_skew():
     m = mk("so3")
-    p = ManifoldPoint(m, np.eye(3).reshape(9))
     omega = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    u = TangentVector(p, omega.reshape(9))
-    assert inner(p, u, u) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_inner_mismatched_base_points():
-    m = mk("sphere:2")
-    p = ManifoldPoint(m, [1.0, 0.0, 0.0])
-    q = ManifoldPoint(m, [0.0, 1.0, 0.0])
-    u = TangentVector(p, [0.0, 1.0, 0.0])
-    v = TangentVector(q, [1.0, 0.0, 0.0])
-    with pytest.raises(UsageError):
-        inner(p, u, v)
+    u = m.project_tangent(np.eye(3).reshape(9), omega.reshape(9))
+    assert np.dot(u, u) == pytest.approx(2.0, abs=1e-14)
 
 
 # -- exp / log ---------------------------------------------------------------
@@ -60,59 +48,53 @@ def test_inner_mismatched_base_points():
 def test_exp_zero_vector(mid):
     m = mk(mid)
     rng = np.random.default_rng(3)
-    p = ManifoldPoint(m, m.random_point(rng, 1)[0])
-    q = exp(p, TangentVector(p, np.zeros(m.ambient_dim)))
-    assert np.allclose(q.coords, p.coords, atol=1e-14)
+    p = m.random_point(rng, 1)[0]
+    q = m.exp(p, np.zeros(m.ambient_dim))
+    assert np.allclose(q, p, atol=1e-14)
 
 
 def test_exp_sphere_quarter_circle():
     m = mk("sphere:2")
-    p = ManifoldPoint(m, [1.0, 0.0, 0.0])
-    q = exp(p, TangentVector(p, [0.0, np.pi / 2, 0.0]))
-    assert np.allclose(q.coords, [0.0, 1.0, 0.0], atol=1e-14)
+    q = m.exp(np.array([1.0, 0.0, 0.0]), np.array([0.0, np.pi / 2, 0.0]))
+    assert np.allclose(q, [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_exp_circle_mod_canonicalization():
     m = mk("torus:1")
-    p = ManifoldPoint(m, [0.0])
-    q = exp(p, TangentVector(p, [3 * np.pi]))
-    assert q.coords[0] == pytest.approx(np.pi, abs=1e-12)
+    q = m.exp(np.array([0.0]), np.array([3 * np.pi]))
+    assert q[0] == pytest.approx(np.pi, abs=1e-12)
 
 
 @pytest.mark.parametrize("mid", ALL_IDS)
 def test_log_at_same_point(mid):
     m = mk(mid)
-    p = ManifoldPoint(m, m.random_point(np.random.default_rng(5), 1)[0])
-    assert np.allclose(log(p, p).components, 0.0, atol=1e-12)
+    p = m.random_point(np.random.default_rng(5), 1)[0]
+    assert np.allclose(m.log(p, p), 0.0, atol=1e-12)
 
 
 def test_log_sphere_inverts_exp_example():
     m = mk("sphere:2")
-    p = ManifoldPoint(m, [1.0, 0.0, 0.0])
-    q = ManifoldPoint(m, [0.0, 1.0, 0.0])
-    assert np.allclose(log(p, q).components, [0.0, np.pi / 2, 0.0], atol=1e-12)
+    v = m.log(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    assert np.allclose(v, [0.0, np.pi / 2, 0.0], atol=1e-12)
 
 
 def test_log_sphere_antipode_is_cut_locus():
     m = mk("sphere:2")
-    p = ManifoldPoint(m, [1.0, 0.0, 0.0])
-    q = ManifoldPoint(m, [-1.0, 0.0, 0.0])
     with pytest.raises(CutLocusError):
-        log(p, q)
+        m.log(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
 
 
 def test_log_torus_cut_locus():
     m = mk("torus:1")
     with pytest.raises(CutLocusError):
-        log(ManifoldPoint(m, [0.0]), ManifoldPoint(m, [np.pi]))
+        m.log(np.array([0.0]), np.array([np.pi]))
 
 
 def test_log_so3_half_turn_is_cut_locus():
     m = mk("so3")
-    p = ManifoldPoint(m, np.eye(3).reshape(9))
     half_turn = np.diag([1.0, -1.0, -1.0]).reshape(9)
     with pytest.raises(CutLocusError):
-        log(p, ManifoldPoint(m, half_turn))
+        m.log(np.eye(3).reshape(9), half_turn)
 
 
 @pytest.mark.parametrize("mid", ALL_IDS)
@@ -120,10 +102,10 @@ def test_exp_dist_consistency(mid):
     m = mk(mid)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        p = ManifoldPoint(m, m.random_point(rng, 1)[0])
+        p = m.random_point(rng, 1)[0]
         r = rng.uniform(0.05, 0.9) * min(m.injectivity_radius, 3.0)
-        v = TangentVector(p, random_tangent(m, rng, p.coords, r))
-        assert dist(exp(p, v), p) == pytest.approx(np.linalg.norm(v.components), abs=1e-10)
+        v = random_tangent(m, rng, p, r)
+        assert m.dist(m.exp(p, v), p) == pytest.approx(np.linalg.norm(v), abs=1e-10)
 
 
 @pytest.mark.parametrize("mid", ALL_IDS)
@@ -131,11 +113,10 @@ def test_log_exp_roundtrip(mid):
     m = mk(mid)
     rng = np.random.default_rng(12)
     for _ in range(20):
-        p = ManifoldPoint(m, m.random_point(rng, 1)[0])
+        p = m.random_point(rng, 1)[0]
         r = rng.uniform(0.05, 0.9) * min(m.injectivity_radius, 5.0)
-        v = TangentVector(p, random_tangent(m, rng, p.coords, r))
-        back = log(p, exp(p, v))
-        assert np.allclose(back.components, v.components, atol=1e-8)
+        v = random_tangent(m, rng, p, r)
+        assert np.allclose(m.log(p, m.exp(p, v)), v, atol=1e-8)
 
 
 # -- transport ----------------------------------------------------------------
@@ -144,25 +125,22 @@ def test_log_exp_roundtrip(mid):
 def test_transport_to_same_point(mid):
     m = mk(mid)
     rng = np.random.default_rng(13)
-    p = ManifoldPoint(m, m.random_point(rng, 1)[0])
-    u = TangentVector(p, random_tangent(m, rng, p.coords))
-    assert np.allclose(transport(p, p, u).components, u.components, atol=1e-12)
+    p = m.random_point(rng, 1)[0]
+    u = random_tangent(m, rng, p)
+    assert np.allclose(m.transport(p, p, u), u, atol=1e-12)
 
 
 def test_transport_euclidean_identity():
     m = mk("euclidean:2")
-    p = ManifoldPoint(m, [0.0, 0.0])
-    q = ManifoldPoint(m, [3.0, -1.0])
-    u = TangentVector(p, [0.5, 0.25])
-    assert np.array_equal(transport(p, q, u).components, [0.5, 0.25])
+    u = m.transport(np.array([0.0, 0.0]), np.array([3.0, -1.0]), np.array([0.5, 0.25]))
+    assert np.array_equal(u, [0.5, 0.25])
 
 
 def test_transport_sphere_normal_vector_invariant():
     m = mk("sphere:2")
-    p = ManifoldPoint(m, [1.0, 0.0, 0.0])
-    q = ManifoldPoint(m, [0.0, 1.0, 0.0])
-    u = TangentVector(p, [0.0, 0.0, 1.0])
-    assert np.allclose(transport(p, q, u).components, [0.0, 0.0, 1.0], atol=1e-12)
+    u = m.transport(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                    np.array([0.0, 0.0, 1.0]))
+    assert np.allclose(u, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("mid", ALL_IDS)
@@ -183,15 +161,14 @@ def test_transport_preserves_inner_products(mid):
 
 def test_project_tangent_sphere_removes_radial_part():
     m = mk("sphere:2")
-    p = ManifoldPoint(m, [1.0, 0.0, 0.0])
-    v = project_tangent(p, [5.0, 1.0, 0.0])
-    assert np.allclose(v.components, [0.0, 1.0, 0.0], atol=1e-14)
+    v = m.project_tangent(np.array([1.0, 0.0, 0.0]), np.array([5.0, 1.0, 0.0]))
+    assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_project_tangent_euclidean_identity():
     m = mk("euclidean:2")
-    p = ManifoldPoint(m, [1.0, 2.0])
-    assert np.array_equal(project_tangent(p, [3.0, 4.0]).components, [3.0, 4.0])
+    v = m.project_tangent(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    assert np.array_equal(v, [3.0, 4.0])
 
 
 @pytest.mark.parametrize("mid", ALL_IDS)
@@ -256,28 +233,31 @@ def test_constraint_residual_after_chained_exp(mid):
     assert m.constraint_residual(p) < 1e-9
 
 
-# -- typed wrappers ---------------------------------------------------------------
+# -- on-manifold tolerances ---------------------------------------------------------
 
 def test_manifold_point_invariant_tolerance():
+    # a configured point within ON_MANIFOLD_TOL of the sphere is accepted and
+    # canonicalizes onto it; one farther off is refused
     m = mk("sphere:2")
-    p = ManifoldPoint(m, [1.0 + 1e-8, 0.0, 0.0])  # canonicalized on construction
-    assert p.residual() < 1e-12
-    with pytest.raises(UsageError):
-        ManifoldPoint(m, [2.0, 0.0, 0.0])
-
-
-def test_tangent_vector_rejects_normal_component():
-    m = mk("sphere:2")
-    p = ManifoldPoint(m, [1.0, 0.0, 0.0])
-    with pytest.raises(UsageError):
-        TangentVector(p, [1.0, 0.0, 0.0])
+    near = np.array([1.0 + 1e-8, 0.0, 0.0])
+    assert m.constraint_residual(near) <= ON_MANIFOLD_TOL
+    assert m.constraint_residual(m.canonicalize(near)) < 1e-12
+    far = np.array([2.0, 0.0, 0.0])
+    assert m.constraint_residual(far) > ON_MANIFOLD_TOL
+    cfg = {"manifold": "sphere:2", "grid_n": 20, "functional": {"kind": "tension", "tau": 0.0},
+           "constraints": {"kind": "clamped", "k": 1,
+                           "left": {"position": list(near)}, "right": {"position": [0, 1, 0]}}}
+    parse_config(cfg)
+    cfg["constraints"]["left"]["position"] = list(far)
+    with pytest.raises(ConfigError, match="left position is not on sphere:2"):
+        parse_config(cfg)
 
 
 def test_so3_point_invariant():
     m = mk("so3")
     rng = np.random.default_rng(18)
-    p = ManifoldPoint(m, m.random_point(rng, 1)[0])
-    assert p.residual() < 1e-12
+    p = m.canonicalize(m.random_point(rng, 1)[0])
+    assert m.constraint_residual(p) < 1e-12
 
 
 def _canonicalize_with_fix(x):
@@ -357,22 +337,34 @@ def test_so3_canonicalize_twice_moves_rows_by_rounding():
         assert np.max(np.abs(m.canonicalize(once) - once)) <= 4 * np.spacing(1.0)
 
 
+def _so3_residual_by_matrices(x):
+    """SO3.constraint_residual in its matrix form: ||m^T m - I||_F and
+    |det(m) - 1| from LAPACK."""
+    m = np.asarray(x, float).reshape(np.shape(x)[:-1] + (3, 3))
+    ortho = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
+    return np.maximum(ortho, np.abs(np.linalg.det(m) - 1.0))
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-7, 1e-3])
 def test_so3_off_manifold_screen_clears_only_tiny_residuals(scale):
+    # the row-form residual is the on-manifold test of curve validation: it
+    # agrees with the matrix form to rounding, so a sample it clears is
+    # within the tolerance by both; reflections and NaN are never cleared
     m = mk("so3")
     rng = np.random.default_rng(20)
     x = m.random_point(rng, 200) + scale * rng.normal(size=(200, 9))
     tol = 1e-8
     for y in (x, -x):
-        cleared = np.array([not m.may_be_off_manifold(row, tol) for row in y])
-        # residual <= 4.5 e + O(e^2) with e <= tol / 100, plus rounding
-        assert np.all(m.constraint_residual(y)[cleared] <= 5e-10)
-        assert m.may_be_off_manifold(y, tol) == (not np.all(cleared))
+        res, by_matrices = m.constraint_residual(y), _so3_residual_by_matrices(y)
+        assert np.max(np.abs(res - by_matrices)) <= 8 * np.finfo(float).eps * (1.0 + np.max(res))
+        cleared = res <= tol
+        assert np.all(by_matrices[cleared] <= tol + 1e-15)
+        assert np.array_equal(cleared, [m.constraint_residual(row) <= tol for row in y])
     if scale <= 1e-12:
-        assert not m.may_be_off_manifold(x, tol)
-    assert m.may_be_off_manifold(-x, tol)   # det -1
+        assert np.all(m.constraint_residual(x) <= tol / 100)
+    assert not np.any(m.constraint_residual(-x) <= tol)   # det -1
     x[3, 4] = np.nan
-    assert m.may_be_off_manifold(x, tol)
+    assert not m.constraint_residual(x)[3] <= tol
 
 
 # -- retraction parts ------------------------------------------------------------
@@ -432,6 +424,36 @@ def test_canonicalize_treats_rows_independently(mid):
     assert whole[7].tobytes() == m.canonicalize(x[7]).tobytes()
 
 
+# the arguments of each row-wise method: points p, nearby points q, tangent
+# vectors v at p, ambient vectors a and b, and ambient rows x near the manifold
+ROW_OPS = {
+    "project_tangent": "pa", "dproj_bilinear": "pab", "dproj_quad": "pa", "exp": "pv",
+    "log": "pq", "dist": "pq", "transport": "pqv", "relative_step": "pq",
+    "constraint_residual": "x",
+}
+
+
+@pytest.mark.parametrize("op", ROW_OPS)
+@pytest.mark.parametrize("mid", ALL_IDS)
+def test_array_api_treats_rows_independently(mid, op):
+    # the contract of the array API: a batch of rows gives, row by row, the
+    # bytes of one-row calls
+    m = mk(mid)
+    rng = np.random.default_rng(28)
+    n = 200
+    p = m.random_point(rng, n)
+    v = m.project_tangent(p, rng.normal(size=p.shape))
+    v *= (rng.uniform(0.0, 0.8, size=n) * min(m.injectivity_radius, 3.0)
+          / row_norm(v))[:, None]
+    args = {"p": p, "q": m.exp(p, v), "v": v, "a": rng.normal(size=p.shape),
+            "b": rng.normal(size=p.shape), "x": _ambient_rows(m, rng, n)}
+    method = getattr(m, op)
+    whole = method(*(args[k] for k in ROW_OPS[op]))
+    assert len(whole) == n
+    for i in range(n):
+        assert whole[i].tobytes() == method(*(args[k][i] for k in ROW_OPS[op])).tobytes()
+
+
 def _rodrigues(om):
     theta = np.linalg.norm(om, axis=(-2, -1)) / np.sqrt(2.0)
     t = theta[..., None, None]
@@ -473,7 +495,6 @@ def test_exp_matches_written_out_formula_bitwise(mid):
 
 
 def test_make_manifold_rejects_unknown():
-    from varcurves import ConfigError
     with pytest.raises(ConfigError):
         make_manifold("hyperbolic:2")
     with pytest.raises(ConfigError):

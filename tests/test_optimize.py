@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import varcurves.optimize as opt
 
 from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOptions,
-                       evaluate_family, geodesic, hermite_cubic, impose, length,
+                       el_residual, evaluate_family, geodesic, hermite_cubic, impose, length,
                        make_manifold, minimize, multistart, ps_diagnostics, seed,
                        sup_distance, tension_1d)
 from varcurves.checks import _random_curve
@@ -215,6 +215,18 @@ def _knot_chain_problem(mid, s, n=1000):
     return c, seed(c, m, n)
 
 
+@pytest.mark.parametrize("mid", ["sphere:2", "so3"])
+def test_el_residual_is_the_final_residual_bitwise(mid):
+    # the solver certifies with the one definition of the residual
+    c, x0 = _knot_chain_problem(mid, 1, n=200)
+    spec = FunctionalSpec.tension_cost(0.5)
+    rep = minimize(spec, c, x0)
+    assert rep.verdict == "converged" and rep.iterations > 0
+    free = free_mask(c, x0.grid_n, x0.domain)
+    got = el_residual(spec, rep.minimizer, free)
+    assert np.float64(got).tobytes() == np.float64(rep.final_residual).tobytes()
+
+
 _CHAINS = [("sphere:2", s) for s in range(4)] + [("so3", s) for s in range(4)]
 
 
@@ -222,8 +234,8 @@ _CHAINS = [("sphere:2", s) for s in range(4)] + [("so3", s) for s in range(4)]
 def chain_solves():
     """N=1000 solves of the knot chains, with the trials of each line search.
 
-    A trial is one exp call from minimize and a history record ends a
-    search, so with record_every=1 the trials between records i-1 and i are
+    A trial is one exp call from minimize, and the history record of each
+    iteration ends its search, so the trials between records i-1 and i are
     those of the search that record i accepted; those after the last record
     belong to the search that found no step.
     """
@@ -375,17 +387,16 @@ def test_history_phase_in_report_and_families():
     assert hist[0]["phase"] is None
     assert [h["phase"] for h in hist[1:]] == [h.phase for h in rep.history[1:]]
     assert {h["phase"] for h in hist[1:]} == {"armijo", "noise"}
-    # the closing record of a sparse history still names its step's phase
-    sparse = minimize(FunctionalSpec.tension_cost(0.5), c, x0, SolveOptions(record_every=1000))
-    assert sparse.history == (rep.history[0], rep.history[-1])
     fam = evaluate_family(FunctionalSpec.tension_cost(0.5), c, [x0, rep.minimizer])
     assert [h.phase for h in fam.history] == [None, None]
 
 
-def test_armijo_underflow_keeps_its_message():
-    # no step of at least step_floor meets so demanding an Armijo constant
+def test_armijo_underflow_keeps_its_message(monkeypatch):
+    # no step of at least STEP_FLOOR meets so demanding an Armijo constant
+    monkeypatch.setattr(opt, "ARMIJO_C1", 0.9)
+    monkeypatch.setattr(opt, "STEP_FLOOR", 0.5)
     spec, c, x0 = hermite_setup(100)
-    rep = minimize(spec, c, x0, SolveOptions(armijo_c1=0.9, step_floor=0.5))
+    rep = minimize(spec, c, x0)
     assert (rep.verdict, rep.message, rep.iterations) == \
         ("iter_limit", "line search step underflow", 0)
 
@@ -616,12 +627,9 @@ def test_flat_model_without_zero_term_solves_bitwise(domain, spec, coef):
 
 
 class _ExactSO3(SO3):
-    """SO(3) that runs every exact test and forms c p^T c twice in
-    dproj_quad: the reference that the screens and shortcuts of SO3 must
+    """SO(3) that runs the exact cut-locus test and forms c p^T c twice in
+    dproj_quad: the reference that the screen and shortcut of SO3 must
     match bit for bit."""
-
-    def may_be_off_manifold(self, x, tol):
-        return True
 
     def may_reach_cut_locus(self, p, q):
         return True
