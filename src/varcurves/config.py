@@ -10,6 +10,7 @@ from typing import List, Optional
 import numpy as np
 
 from .constraints import ConstraintSet, constraint_from_config, free_mask, seed
+from .curves import MIN_GRID
 from .errors import ConfigError, UsageError
 from .functionals import FunctionalSpec
 from .manifolds import Manifold, make_manifold
@@ -58,10 +59,15 @@ def parse_config(data: dict) -> RunConfig:
     if isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral):
         raise ConfigError(f"grid_n must be an integer, got {n_grid!r}")
     n_grid = int(n_grid)
-    if n_grid < 4:
-        raise ConfigError("grid_n must be at least 4")
+    if n_grid < MIN_GRID:
+        raise ConfigError(f"grid_n must be at least {MIN_GRID}")
 
     spec = FunctionalSpec.from_config(data["functional"], manifold)
+    if spec.field is not None:
+        try:
+            spec.field.check_grid(n_grid)
+        except UsageError as e:
+            raise ConfigError(str(e)) from e
     constraint = constraint_from_config(data["constraints"])
     free_mask(constraint, n_grid, domain)  # validates domain fit and knot snapping
 

@@ -51,7 +51,7 @@ class PriorField:
     kind is a key of KINDS.  params is the kind's parameter vector (ambient
     vector, rotation axis, skew-generator axis); the zero kind has none.
     modulation, when given, is a scalar sample per grid node, read at grid
-    times only.
+    times only; check_grid says which grids it fits.
     """
 
     manifold: Manifold
@@ -80,6 +80,8 @@ class PriorField:
             value = getattr(self, key)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ConfigError(f"field {key} must be finite")
+        if self.modulation is not None and self.modulation.ndim != 1:
+            raise ConfigError("field modulation must be a list of numbers")
         if spec is None:
             raise ConfigError(f"unknown field kind {self.kind!r}")
         if not isinstance(m, spec.manifold) or spec.ambient_dim not in (None, m.ambient_dim):
@@ -96,6 +98,14 @@ class PriorField:
         if self.modulation is not None:
             cfg["modulation"] = list(self.modulation)
         return cfg
+
+    def check_grid(self, grid_n: int) -> None:
+        """Raise UsageError unless the field is defined on a grid of grid_n
+        steps: a modulation has one entry per grid time j/grid_n, j = 0..grid_n,
+        on both domains."""
+        if self.modulation is not None and len(self.modulation) != grid_n + 1:
+            raise UsageError(f"field modulation has {len(self.modulation)} entries, "
+                             f"but grid_n = {grid_n} needs {grid_n + 1}")
 
     # -- evaluation ---------------------------------------------------------
 

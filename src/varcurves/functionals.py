@@ -140,8 +140,11 @@ class FunctionalSpec:
 
 
 def _check_field(spec: FunctionalSpec, curve: DiscreteCurve) -> None:
-    if spec.field is not None and spec.field.manifold.name != curve.manifold.name:
+    if spec.field is None:
+        return
+    if spec.field.manifold.name != curve.manifold.name:
         raise UsageError("prior field and curve live on different manifolds")
+    spec.field.check_grid(curve.grid_n)
 
 
 def evaluate(spec: FunctionalSpec, curve: DiscreteCurve) -> float:

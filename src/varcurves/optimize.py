@@ -11,11 +11,13 @@ the tolerances the acceptance suite demands, while the flat model alone is
 Newton-like on flat manifolds and mesh-independent on curved ones.  It
 omits the curvature terms, though, so on S^2 and SO(3) the flat direction
 converges only linearly; the memory of the last LBFGS_MEMORY accepted steps
-s and gradient changes y supplies the missing curvature.  Each pair is
-re-projected onto the new tangent space at every step (projection as the
-vector transport; Huang, Gallivan & Absil, SIAM J. Optim. 25(3), 2015) and
-kept only while y.s > CURVATURE_TOL*|y||s|, so the direction has positive
-inner product with the gradient up to rounding; should rounding make it
+s = -step*d and gradient changes y = g - g_prev supplies the missing
+curvature.  A pair is kept, as taken and in ambient coordinates, if
+y.s > CURVATURE_TOL*|y||s|, and is never re-projected or re-tested.  The
+initial inverse Hessian is P F^-1 P (P the tangent projection at the
+iterate, F the flat model), which is symmetric, and the result is projected
+once; for a tangent g, g.P r = g.r, so the direction has positive inner
+product with the gradient up to rounding; should rounding make it
 non-positive, the memory is cleared and the flat direction used.  With an
 empty memory, on every solve's first step, the direction is the flat one.
 Armijo backtracking thus gives strict descent, and convergence is still
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field, fields, asdict
 from typing import List, Optional, Sequence, Tuple
 
@@ -167,68 +170,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _curved(s: np.ndarray, y: np.ndarray) -> bool:
-    """The curvature test that keeps a pair in the memory."""
+    """The curvature test a pair passes, once, to enter the memory."""
     return _dot(y, s) > CURVATURE_TOL * math.sqrt(_dot(y, y) * _dot(s, s))
 
 
-class _PairMemory:
-    """The last LBFGS_MEMORY kept (s, y) pairs of a solve, oldest first.
-
-    The pairs sit in the first k rows of two (LBFGS_MEMORY, n_samples,
-    ambient) buffers, allocated when the first pair is kept.
-    """
-
-    def __init__(self):
-        self.s = self.y = None
-        self.k = 0
-
-    def clear(self) -> None:
-        self.k = 0
-
-    def transport(self, m, p: np.ndarray) -> None:
-        """Re-project the pairs onto the tangent spaces at the samples p and
-        keep those that still pass the curvature test."""
-        k = self.k
-        if not k:
-            return
-        self.s[:k] = m.project_tangent(p, self.s[:k])
-        self.y[:k] = m.project_tangent(p, self.y[:k])
-        keep = [i for i in range(k) if _curved(self.s[i], self.y[i])]
-        self.k = len(keep)
-        self.s[:self.k] = self.s[keep]
-        self.y[:self.k] = self.y[keep]
-
-    def push(self, s: np.ndarray, y: np.ndarray) -> None:
-        """Keep the pair if it passes the curvature test, dropping the oldest
-        pair from a full memory."""
-        if not _curved(s, y):
-            return
-        if self.s is None:
-            self.s = np.empty((LBFGS_MEMORY,) + s.shape)
-            self.y = np.empty_like(self.s)
-        if self.k == LBFGS_MEMORY:
-            self.s[:-1] = self.s[1:]
-            self.y[:-1] = self.y[1:]
-            self.k -= 1
-        self.s[self.k] = s
-        self.y[self.k] = y
-        self.k += 1
-
-    def direction(self, g: np.ndarray, flat) -> np.ndarray:
-        """The two-loop recursion: the inverse-BFGS update of the initial
-        inverse Hessian `flat` by the pairs, applied to g.  With no pair it
-        returns flat(g)."""
-        s, y = self.s, self.y
-        rho = [1.0 / _dot(y[i], s[i]) for i in range(self.k)]
-        alpha = [0.0] * self.k
-        q = g
-        for i in reversed(range(self.k)):
-            alpha[i] = rho[i] * _dot(s[i], q)
-            q = q - alpha[i] * y[i]
-        r = flat(q)
-        for i in range(self.k):
-            r += (alpha[i] - rho[i] * _dot(y[i], r)) * s[i]
-        return r
+def _two_loop(pairs, g: np.ndarray, flat, project) -> np.ndarray:
+    """The two-loop recursion: the inverse-BFGS update of H0 = P F^-1 P
+    (flat(v) = P F^-1 v, project(v) = P v) by the pairs, oldest first,
+    applied to the tangent g.  With no pair it returns flat(g)."""
+    if not pairs:
+        return flat(g)
+    rho = [1.0 / _dot(y, s) for s, y in pairs]
+    alpha = []
+    q = g
+    for (s, y), rh in zip(reversed(pairs), reversed(rho)):
+        alpha.append(rh * _dot(s, q))
+        q = q - alpha[-1] * y
+    r = flat(project(q))
+    for (s, y), rh, a in zip(pairs, rho, reversed(alpha)):
+        r += (a - rh * _dot(y, r)) * s
+    return project(r)
 
 
 def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
@@ -267,13 +228,16 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     obj = evaluate(spec, x)
     g = gradient(spec, x, free).vectors
 
+    def project(v):
+        return m.project_tangent(x.samples, v)
+
     def flat_direction(v):
         # the flat-model solve on the free rows, projected at the iterate
         d = np.zeros_like(v)
         d[free] = lu.solve(np.take(v, free, axis=0))
-        return m.project_tangent(x.samples, d)
+        return project(d)
 
-    memory = _PairMemory()
+    pairs = deque(maxlen=LBFGS_MEMORY)   # (s, y), oldest first
     it = 0
     verdict = "iter_limit"
     message = ""
@@ -288,10 +252,10 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             message = "iteration budget exhausted"
             break
 
-        d = memory.direction(g, flat_direction)
+        d = _two_loop(pairs, g, flat_direction, project)
         gd = _dot(g, d)
-        if memory.k and gd <= 0:   # rounding broke descent: start afresh
-            memory.clear()
+        if pairs and gd <= 0:   # rounding broke descent: start afresh
+            pairs.clear()
             d = flat_direction(g)
             gd = _dot(g, d)
 
@@ -349,10 +313,10 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         else:
             g = gradient(spec, x, free).vectors
             resid = gradient_norm(x, g)
-        # the step and the gradient change, both in the new tangent spaces
-        memory.transport(m, x.samples)
-        memory.push(m.project_tangent(x.samples, -step * d),
-                    g - m.project_tangent(x.samples, g_prev))
+        # the pair is kept as taken, in ambient coordinates, and never changed
+        s, y = -step * d, g - g_prev
+        if _curved(s, y):
+            pairs.append((s, y))
         record(it, obj, resid, step, phase)
 
     x.clear_memo()   # the report keeps the minimizer, not its derived arrays

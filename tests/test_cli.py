@@ -183,10 +183,16 @@ def _with(cfg, path, value):
                        "field": {"kind": "torus_constant", "params": [1.0],
                                  "modulation": [1.0] * 100 + [float("inf")]}},
      "field modulation must be finite"),
+    (("functional",), {"kind": "conditional", "k": 2,
+                       "field": {"kind": "torus_constant", "params": [1.0],
+                                 "modulation": [[1.0]] * 101}}, "modulation"),
+    (("functional",), {"kind": "conditional", "k": 2,
+                       "field": {"kind": "torus_constant", "params": [1.0],
+                                 "modulation": 2.0}}, "modulation"),
 ], ids=["tau-nan", "tau-inf", "tau-1e300", "tau-str", "tau-null", "k-str", "field-str",
         "field-params-str", "knot-t-str", "knot-position-str", "winding_hint-str", "winding_hint-huge",
         "grid_n-float", "winding_hint-half", "winding_hints-half", "field-params-nan",
-        "field-modulation-inf"])
+        "field-modulation-inf", "field-modulation-nested", "field-modulation-scalar"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, path, value, key):
     cfg = write_cfg(tmp_path, _with(CIRCLE_CFG, path, value))
     out = tmp_path / "o"
@@ -194,6 +200,24 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, path, value, key):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_modulation_has_one_entry_per_grid_time(domain):
+    # grid_n + 1 entries on both domains, though a closed curve has grid_n
+    # samples; any other length is a config error that names the key
+    n = 40
+    cfg = dict(CIRCLE_CFG, grid_n=n, domain=domain)
+    if domain == "circle":
+        cfg["constraints"] = {"kind": "periodic"}
+    for length in (n - 1, n, n + 1, 2 * n + 1):
+        field = {"kind": "torus_constant", "params": [1.0], "modulation": [0.5] * length}
+        cfg["functional"] = {"kind": "conditional", "k": 2, "field": field}
+        if length == n + 1:
+            assert len(parse_config(cfg).spec.field.modulation) == n + 1
+        else:
+            with pytest.raises(ConfigError, match="modulation"):
+                parse_config(cfg)
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):

@@ -233,6 +233,26 @@ def test_field_manifold_mismatch_raises():
         evaluate(spec, x)
 
 
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_modulation_must_fit_the_curve_grid(domain):
+    from varcurves import UsageError
+    m = make_manifold("sphere:2")
+    mod = np.linspace(0.5, 1.0, 21)   # grid_n = 20
+    spec = FunctionalSpec.conditional(2, PriorField(m, "sphere_rotation",
+                                                    np.array([0.0, 0.0, 1.0]), mod))
+    free = np.arange(1, 5)
+    make = closed_curve if domain == "circle" else _random_curve
+    for n in (20, 10, 40):
+        x = make(m, np.random.default_rng(n), n)
+        if n == 20:
+            assert evaluate(spec, x) > 0
+            gradient(spec, x, free)
+        else:
+            for call in (lambda: evaluate(spec, x), lambda: gradient(spec, x, free)):
+                with pytest.raises(UsageError, match="modulation"):
+                    call()
+
+
 def test_field_config_is_written_back_whole():
     m = make_manifold("sphere:2")
     rot = {"kind": "sphere_rotation", "params": [0.0, 0.0, 1.0]}

@@ -1,4 +1,5 @@
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -412,19 +413,19 @@ def _flat_direction(spec, c, x, g):
 
 
 def _spy_directions(mp, hook=None):
-    """Record (pairs held, g, direction) of every direction minimize asks for;
-    hook(memory, g, flat) runs first."""
+    """Record (pairs held, g, direction) of every two-loop direction minimize
+    asks for; hook(pairs, g, flat, project) runs first."""
     calls = []
-    two_loop = opt._PairMemory.direction
+    two_loop = opt._two_loop
 
-    def direction(self, g, flat):
+    def spy(pairs, g, flat, project):
         if hook is not None:
-            hook(self, g, flat)
-        d = two_loop(self, g, flat)
-        calls.append((self.k, np.array(g), np.array(d)))
+            hook(pairs, g, flat, project)
+        d = two_loop(pairs, g, flat, project)
+        calls.append((len(pairs), np.array(g), np.array(d)))
         return d
 
-    mp.setattr(opt._PairMemory, "direction", direction)
+    mp.setattr(opt, "_two_loop", spy)
     return calls
 
 
@@ -439,29 +440,30 @@ def test_first_direction_is_the_flat_one(mid, monkeypatch):
     k, g, d = calls[0]
     assert k == 0
     assert d.tobytes() == _flat_direction(spec, c, x0, g).tobytes()
-    monkeypatch.setattr(opt._PairMemory, "push", lambda self, s, y: None)
+    monkeypatch.setattr(opt, "LBFGS_MEMORY", 0)   # a memory that keeps no pair
     flat = minimize(spec, c, x0, SolveOptions(max_iters=5))
     assert flat.history[:2] == rep.history[:2]
 
 
 def test_two_loop_matches_dense_inverse_bfgs(monkeypatch):
-    # H0 is the flat direction as a dense matrix; each pair, oldest first,
-    # updates H to (I - rho s y^T) H (I - rho y s^T) + rho s s^T
+    # H0 = P F^-1 P as a dense matrix; each pair, oldest first, updates H to
+    # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, and the direction is P H g
     spec = FunctionalSpec.tension_cost(0.5)
     c, x0 = _five_knot_problem("sphere:2", n=16)
     full = []
 
-    def dense(memory, g, flat):
-        if memory.k < opt.LBFGS_MEMORY:
+    def dense(pairs, g, flat, project):
+        if len(pairs) < opt.LBFGS_MEMORY:
             return
-        shape = g.shape
-        h = np.column_stack([flat(e.reshape(shape)).ravel() for e in np.eye(g.size)])
-        for s, y in zip(memory.s[:memory.k], memory.y[:memory.k]):
+        shape, eye = g.shape, np.eye(g.size)
+        p = np.column_stack([project(e.reshape(shape)).ravel() for e in eye])
+        h = np.column_stack([flat(e.reshape(shape)).ravel() for e in eye]) @ p
+        for s, y in pairs:
             s, y = s.ravel(), y.ravel()
             rho = 1.0 / (y @ s)
-            v = np.eye(g.size) - rho * np.outer(y, s)
+            v = eye - rho * np.outer(y, s)
             h = v.T @ h @ v + rho * np.outer(s, s)
-        full.append((h @ g.ravel()).reshape(shape))
+        full.append((p @ h @ g.ravel()).reshape(shape))
 
     calls = _spy_directions(monkeypatch, dense)
     minimize(spec, c, x0, SolveOptions(grad_tol=0.0, max_iters=12))
@@ -478,18 +480,20 @@ def test_non_descent_direction_clears_the_memory(monkeypatch):
     spec = FunctionalSpec.tension_cost(0.5)
     c, x0 = _knot_chain_problem("sphere:2", 0, n=200)
 
-    def plant(memory, g, flat):
+    def plant(pairs, g, flat, project):
         if len(calls) == 1:
-            if memory.s is None:
-                memory.s = np.empty((opt.LBFGS_MEMORY,) + g.shape)
-                memory.y = np.empty_like(memory.s)
-            memory.s[0], memory.y[0], memory.k = flat(g), -g, 1
+            deque.clear(pairs)   # not counted as minimize's clear
+            pairs.append((flat(g), -g))
+
+    cleared = []
+
+    class Memory(deque):
+        def clear(self):
+            cleared.append(len(self))
+            super().clear()
 
     calls = _spy_directions(monkeypatch, plant)
-    cleared = []
-    clear = opt._PairMemory.clear
-    monkeypatch.setattr(opt._PairMemory, "clear",
-                        lambda self: (cleared.append(self.k), clear(self)))
+    monkeypatch.setattr(opt, "deque", Memory)
     rep = minimize(spec, c, x0)
     _, g, d = calls[1]
     assert np.sum(g * d) < 0
@@ -497,6 +501,47 @@ def test_non_descent_direction_clears_the_memory(monkeypatch):
     assert rep.history[2].phase == "armijo"
     assert rep.history[2].objective < rep.history[1].objective
     assert rep.verdict == "converged"
+
+
+def test_kept_pairs_never_change(monkeypatch):
+    # a pair is stored as taken: the arrays the two-loop sees are never
+    # re-projected, rescaled or rewritten while the solve runs
+    spec = FunctionalSpec.tension_cost(0.5)
+    c, x0 = _knot_chain_problem("sphere:2", 1, n=200)
+    seen = {}
+
+    def remember(pairs, g, flat, project):
+        for pair in pairs:
+            for a in pair:
+                seen.setdefault(id(a), (a, a.tobytes()))
+
+    calls = _spy_directions(monkeypatch, remember)
+    rep = minimize(spec, c, x0, SolveOptions(grad_tol=0.0, max_iters=20))
+    assert rep.iterations > opt.LBFGS_MEMORY + 2
+    assert max(k for k, _, _ in calls) == opt.LBFGS_MEMORY
+    assert len(seen) >= 2 * (opt.LBFGS_MEMORY + 2)   # the memory has rotated
+    for a, taken in seen.values():
+        assert a.tobytes() == taken
+
+
+@pytest.mark.parametrize("mid", ["sphere:2", "so3"])
+def test_tangent_projections_per_iteration(mid, monkeypatch):
+    # the pairs are not re-projected at each step: an iteration projects
+    # about 7.2 curve-sized arrays (the derivative memos, the gradient and
+    # its tangency check, the two-loop's q, the flat solve and the result)
+    c, x0 = _knot_chain_problem(mid, 0, n=200)
+    cls = type(x0.manifold)
+    project, rows = cls.project_tangent, [0]
+
+    def counted(self, p, v):
+        rows[0] += np.size(v) // np.shape(v)[-1]
+        return project(self, p, v)
+
+    monkeypatch.setattr(cls, "project_tangent", counted)
+    spec = FunctionalSpec.tension_cost(0.5 if mid == "sphere:2" else 0.0)
+    rep = minimize(spec, c, x0)
+    assert rep.verdict == "converged" and rep.iterations > 0
+    assert rows[0] <= 8 * x0.n_samples * rep.iterations
 
 
 @pytest.mark.parametrize("s", range(4))
