@@ -7,8 +7,8 @@ knot-interpolation constraints, with homotopy-class (winding) control and
 compactness diagnostics.
 """
 
-from .errors import (ConfigError, CutLocusError, DegenerateCurveError, UsageError,
-                     VarcurvesError)
+from .errors import (ConfigError, CutLocusError, DegenerateCurveError,
+                     FactorizationError, UsageError, VarcurvesError)
 from .manifolds import SO3, Euclidean, Manifold, Sphere, Torus, make_manifold
 from .curves import (DiscreteCurve, TangentField, covariant_accel, dump_curve,
                      equicontinuity_ratio, length, load_curve, parse_curve,
@@ -28,8 +28,8 @@ from .config import RunConfig, load_config, parse_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "CutLocusError", "DegenerateCurveError", "UsageError",
-    "VarcurvesError",
+    "ConfigError", "CutLocusError", "DegenerateCurveError", "FactorizationError",
+    "UsageError", "VarcurvesError",
     "Manifold", "Euclidean", "Sphere", "Torus", "SO3", "make_manifold",
     "DiscreteCurve", "TangentField", "velocity", "covariant_accel",
     "sobolev_norm_sq", "sup_norm", "length", "quadrature_length",

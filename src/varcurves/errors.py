@@ -26,5 +26,9 @@ class DegenerateCurveError(VarcurvesError):
                                     f"are at or beyond the injectivity radius")
 
 
+class FactorizationError(VarcurvesError):
+    """Raised when LAPACK reports a failed factorization or solve of the flat-model preconditioner."""
+
+
 class ConfigError(VarcurvesError):
     """Raised for invalid run configurations (bad JSON values, off-grid knots, ...)."""

@@ -3,8 +3,10 @@
 The search direction is a limited-memory BFGS direction (the two-loop
 recursion of Nocedal & Wright, Numerical Optimization, ch. 7) whose initial
 inverse Hessian is the flat-space model operator of the same discrete
-functional: a fixed sparse SPD matrix, factorized once per solve, applied on
-the free rows and followed by the tangent projection.  Preconditioning is
+functional: a fixed sparse SPD matrix, factorized once per solve (by banded
+Cholesky on the interval, where it is pentadiagonal, and by sparse LU on the
+circle, where the periodic wrap leaves it no band), applied on the free
+rows and followed by the tangent projection.  Preconditioning is
 essential here: the fourth-order objectives have Hessian condition numbers
 growing like N^4, which makes unpreconditioned steepest descent hopeless at
 the tolerances the acceptance suite demands, while the flat model alone is
@@ -54,11 +56,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .constraints import ConstraintSet, fixed_indices, free_mask, impose
 from .curves import (DiscreteCurve, length, node_weights, stencil_operators,
                      velocity, winding_vector, covariant_accel)
-from .errors import DegenerateCurveError, CutLocusError, UsageError
+from .errors import DegenerateCurveError, CutLocusError, FactorizationError, UsageError
 from .functionals import FunctionalSpec, el_residual, evaluate, gradient, gradient_norm
 from .manifolds import Torus, row_dot, row_norm
 
@@ -145,17 +148,70 @@ def _stencil_matrices(curve: DiscreteCurve):
     return tuple(s.matrix for s in stencil_operators(curve.grid_n, curve.domain))
 
 
+class _BandedCholesky:
+    """Cholesky factor of an SPD pentadiagonal matrix, given in LAPACK's
+    lower band storage (row s holds the s-th subdiagonal)."""
+
+    def __init__(self, ab: np.ndarray):
+        self._c, info = lapack.dpbtrf(ab, lower=1)
+        _check_lapack("dpbtrf", info)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution for each column of b."""
+        x, info = lapack.dpbtrs(self._c, b, lower=1)
+        _check_lapack("dpbtrs", info)
+        return x
+
+
+def _check_lapack(routine: str, info: int):
+    if info != 0:
+        raise FactorizationError(f"LAPACK {routine} failed on the flat model (info={info})")
+
+
 def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray):
-    """Factorized flat-space model Hessian sum c D_k^T W_k D_k over the spec's
-    terms, restricted to the free samples."""
+    """Factorized flat-space model Hessian H = sum c D_k^T W_k D_k over the
+    spec's terms, restricted to the free samples and shifted by
+    1e-12*max(max diag, 1) on the diagonal; solve(b) applies its inverse to
+    the columns of b.
+
+    On the interval every stencil row spans at most 3 consecutive samples,
+    so H is pentadiagonal, and so is its restriction to the sorted free
+    samples: its bands are assembled in O(N) from the diagonals of the D_k
+    and factorized by banded Cholesky (LAPACK dpbtrf).  On the circle the
+    periodic wrap couples samples 0 and N-1 and no sample is fixed, so H has
+    no band in natural order; it is assembled as a sparse matrix and
+    factorized by sparse LU.
+    """
     ds = _stencil_matrices(curve)
-    terms = [t.coef * (ds[t.order - 1].T @ sp.diags(curve.stencil(t.order).weights)
-                       @ ds[t.order - 1]) for t in spec.terms]
-    h = sum(terms[1:], terms[0])
-    h = h.tocsc()[free][:, free].tocsc()
-    diag_scale = max(float(h.diagonal().max()), 1.0)
-    h = h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale)
-    return spla.splu(h)
+    if curve.domain == "circle":
+        terms = [t.coef * (ds[t.order - 1].T @ sp.diags(curve.stencil(t.order).weights)
+                           @ ds[t.order - 1]) for t in spec.terms]
+        h = sum(terms[1:], terms[0])
+        h = h.tocsc()[free][:, free].tocsc()
+        diag_scale = max(float(h.diagonal().max()), 1.0)
+        h = h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale)
+        return spla.splu(h)
+    ns = curve.n_samples
+    acc = np.zeros((3, ns + 4))   # H[a, a + s] in acc[s, a + 2]
+    for t in spec.terms:
+        d = ds[t.order - 1]
+        e = np.zeros((7, ns))     # D[j, j + p] in e[p + 2, j]; rows 5, 6 stay 0
+        for p in range(-2, 3):
+            e[p + 2, max(-p, 0):ns - max(p, 0)] = d.diagonal(p)
+        we = t.coef * curve.stencil(t.order).weights * e
+        # row j of D adds w_j D[j, a] D[j, a + s] to H[a, a + s], a = j + p
+        for p in range(-2, 3):
+            acc[:, p + 2:p + 2 + ns] += we[p + 2] * e[p + 2:p + 5]
+    bands = acc[:, 2:-2]
+    # on the free samples, H[f_i, f_(i+s)] is bands[gap, f_i] for a gap
+    # f_(i+s) - f_i of at most 2, and 0 beyond
+    ab = np.zeros((3, len(free)))
+    ab[0] = bands[0, free]
+    for s in (1, 2):
+        gap = free[s:] - free[:-s]
+        ab[s, :len(gap)] = np.where(gap <= 2, bands[np.minimum(gap, 2), free[:-s]], 0.0)
+    ab[0] += 1e-12 * max(float(ab[0].max()), 1.0)
+    return _BandedCholesky(ab)
 
 
 def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:

@@ -118,6 +118,22 @@ def test_sweep_no_free_samples(tmp_path):
     rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[3:] for r in rows] == [["0", "0", "converged"]] * 2
 
+
+@pytest.mark.parametrize("routine", ["dpbtrf", "dpbtrs"])
+def test_failed_lapack_call_exits_1_with_a_message(tmp_path, capsys, monkeypatch, routine):
+    from varcurves import optimize
+
+    def failing(*arrays, lower):
+        return arrays[-1], 1
+
+    monkeypatch.setattr(optimize.lapack, routine, failing)
+    path = write_cfg(tmp_path, HERMITE_CFG)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"LAPACK {routine} failed on the flat model (info=1)" in err
+    assert "Traceback" not in err
+
+
 def test_solve_zero_budget_exit_code(tmp_path):
     cfg = dict(HERMITE_CFG)
     cfg["solve"] = {"max_iters": 0}

@@ -1,5 +1,6 @@
 import json
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from varcurves.checks import _random_curve
 from varcurves.constraints import fixed_indices, free_mask
 from varcurves.curves import node_weights, quadrature_length, velocity
 from varcurves.fields import PriorField
-from varcurves.functionals import gradient
+from varcurves.functionals import Term, gradient
 from varcurves import manifolds
 from varcurves.manifolds import SO3, Manifold, row_norm
 from varcurves.optimize import _curve_stats, _stencil_matrices
@@ -644,7 +645,11 @@ def test_stencil_matrices_bit_identical_to_loop_build(domain, n):
 
 
 def _two_term_factor(ca, cv, curve, free):
-    """The flat model built as the sum of both terms, zero coefficients included."""
+    """The flat model built from both terms, zero coefficients included: on the
+    interval by the banded factor, on the circle as the sparse sum."""
+    if curve.domain == "interval":
+        both = SimpleNamespace(terms=(Term(2, ca, None), Term(1, cv, None)))
+        return opt._flat_model_factor(both, curve, free)
     sv, sa = _stencil_matrices(curve)
     wv, wa = sp.diags(node_weights(curve)), sp.diags(curve.stencil(2).weights)
     h = ca * (sa.T @ wa @ sa) + cv * (sv.T @ wv @ sv)
@@ -662,13 +667,104 @@ def _two_term_factor(ca, cv, curve, free):
     (FunctionalSpec.energy(1), (0.0, 1.0)),
 ], ids=["tension0", "conditional2", "conditional1", "energy1"])
 def test_flat_model_without_zero_term_solves_bitwise(domain, spec, coef):
-    # the term with coefficient 0 is not built; its explicit zeros never
-    # reached the factor, as the sparse sums drop them
+    # the term with coefficient 0 is not built; on the circle its explicit
+    # zeros never reached the factor, as the sparse sums drop them, and on the
+    # interval its zero bands add nothing to the others
     curve = _euclid_curve(domain, 200)
     free = np.setdiff1d(np.arange(curve.n_samples), [0, 50, 100, 150, 200])
     b = np.random.default_rng(8).normal(size=(len(free), 3))
     got = opt._flat_model_factor(spec, curve, free).solve(b)
     assert got.tobytes() == _two_term_factor(*coef, curve, free).solve(b).tobytes()
+
+
+def _dense_flat_model(spec, curve, free):
+    """The shifted flat model on the free samples, dense, from its definition."""
+    ds = _stencil_matrices(curve)
+    h = sum(t.coef * (ds[t.order - 1].T @ sp.diags(curve.stencil(t.order).weights)
+                      @ ds[t.order - 1]).toarray() for t in spec.terms)
+    h = h[np.ix_(free, free)]
+    return h + np.eye(len(free)) * (1e-12 * max(float(np.max(np.diag(h))), 1.0))
+
+
+_FREE_SETS = {
+    "five_knots": lambda n: [0, round(n / 4), round(n / 2), round(3 * n / 4), n],
+    "clamped1": lambda n: [0, n],
+    "clamped2": lambda n: [0, 1, n - 1, n],
+    "one_fixed": lambda n: [n // 2],
+}
+
+
+@pytest.mark.parametrize("spec", [
+    FunctionalSpec.tension_cost(0.0), FunctionalSpec.tension_cost(1.5),
+    FunctionalSpec.energy(1), FunctionalSpec.energy(2), FunctionalSpec.conditional(1),
+], ids=["tension0", "tension1.5", "energy1", "energy2", "conditional1"])
+@pytest.mark.parametrize("n,fixed", [
+    (n, fixed) for n in (4, 5, 6, 7, 64, 1000) for fixed in _FREE_SETS
+    if (n, fixed) != (4, "five_knots")   # five knots on N = 4 fix every sample
+])
+def test_interval_factor_is_backward_stable(n, fixed, spec):
+    # banded Cholesky is backward stable: the solve is exact for a matrix
+    # within a few rounding units of the shifted flat model
+    curve = _euclid_curve("interval", n)
+    free = np.setdiff1d(np.arange(n + 1), _FREE_SETS[fixed](n))
+    h = _dense_flat_model(spec, curve, free)
+    b = np.random.default_rng(n).normal(size=(len(free), 3))
+    x = opt._flat_model_factor(spec, curve, free).solve(b)
+    for xc, bc in zip(x.T, b.T):
+        backward = (np.max(np.abs(h @ xc - bc))
+                    / (np.max(np.sum(np.abs(h), axis=1)) * np.max(np.abs(xc)) + np.max(np.abs(bc))))
+        assert backward <= 16 * np.finfo(float).eps
+
+
+def _count_factorizations(monkeypatch):
+    """Count the splu calls of a solve, and the sparse matrix products made
+    inside _flat_model_factor."""
+    counts = {"splu": 0, "products": 0}
+    inside = []
+    splu, factor = spla.splu, opt._flat_model_factor
+
+    def counting_splu(*args, **kwargs):
+        counts["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def marked_factor(*args):
+        inside.append(True)
+        try:
+            return factor(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(opt.spla, "splu", counting_splu)
+    monkeypatch.setattr(opt, "_flat_model_factor", marked_factor)
+    for name in ("__matmul__", "__rmatmul__"):
+        owner = next(c for c in sp.csr_matrix.__mro__ if name in vars(c))
+
+        def counting(self, other, _product=vars(owner)[name]):
+            counts["products"] += bool(inside)
+            return _product(self, other)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+def test_interval_solve_factors_without_splu_or_sparse_products(monkeypatch):
+    spec, c, x0 = hermite_setup(200)
+    _stencil_matrices(x0)   # the grid's stencils are built once, before counting
+    counts = _count_factorizations(monkeypatch)
+    rep = minimize(spec, c, x0)
+    assert rep.verdict == "converged"
+    assert counts == {"splu": 0, "products": 0}
+
+
+def test_circle_solve_factors_by_one_splu(monkeypatch):
+    m = make_manifold("torus:1")
+    x0 = DiscreteCurve(m, "circle", m.canonicalize(
+        (2 * np.pi * np.arange(64) / 64 + 0.3 * np.sin(4 * np.pi * np.arange(64) / 64))[:, None]))
+    counts = _count_factorizations(monkeypatch)
+    rep = minimize(FunctionalSpec.tension_cost(1.0), ConstraintSet.periodic(), x0,
+                   SolveOptions(max_iters=5))
+    assert rep.iterations > 0
+    assert counts["splu"] == 1
 
 
 class _ExactSO3(SO3):
