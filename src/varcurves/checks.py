@@ -24,6 +24,7 @@ ORDER_MIN_POS_ONLY = 1.8
 ORDER_MIN_CLAMPED = 0.9
 ORACLE_TOL = 0.02
 _FD_EPS = 1e-5
+CONVERGENCE_GRIDS = (25, 50, 100, 200)
 
 
 @dataclass(frozen=True)
@@ -62,19 +63,18 @@ def _random_direction(curve: DiscreteCurve, free: np.ndarray,
 
 
 def fd_directional_error(spec: FunctionalSpec, curve: DiscreteCurve,
-                         free: np.ndarray, eta: np.ndarray,
-                         eps: float = _FD_EPS) -> float:
+                         free: np.ndarray, eta: np.ndarray) -> float:
     """Relative error between <gradient, eta> and a central finite difference
-    along the exp-perturbation x -> exp_x(+-eps * eta)."""
+    along the exp-perturbation x -> exp_x(+-_FD_EPS * eta)."""
     m = curve.manifold
 
     def shifted(sign):
         x = np.array(curve.samples)
-        x[free] = m.exp(curve.samples[free], sign * eps * eta[free])
+        x[free] = m.exp(curve.samples[free], sign * _FD_EPS * eta[free])
         return curve.with_samples(x)
 
-    fd = (evaluate(spec, shifted(+1.0)) - evaluate(spec, shifted(-1.0))) / (2 * eps)
-    an = float(np.sum(gradient(spec, curve, free).vectors * eta))
+    fd = (evaluate(spec, shifted(+1.0)) - evaluate(spec, shifted(-1.0))) / (2 * _FD_EPS)
+    an = float(np.sum(gradient(spec, curve, free) * eta))
     return abs(fd - an) / max(abs(fd), abs(an), 1e-12)
 
 
@@ -163,11 +163,12 @@ def _scenarios() -> List[ConvergenceScenario]:
     ]
 
 
-def scenario_errors(sc: ConvergenceScenario, grids=(25, 50, 100, 200)) -> np.ndarray:
+def scenario_errors(sc: ConvergenceScenario) -> np.ndarray:
+    """Sup distance from the oracle of the minimizer on each CONVERGENCE_GRIDS grid."""
     m = make_manifold(sc.manifold_id)
     oracle = sc.oracle()
     errs = []
-    for n in grids:
+    for n in CONVERGENCE_GRIDS:
         x0 = seed(sc.constraint, m, n)
         report = minimize(sc.spec, sc.constraint, x0, SolveOptions(grad_tol=1e-10))
         errs.append(max(sup_distance(report.minimizer, oracle.sample(n)), 1e-14))
@@ -179,11 +180,10 @@ def fitted_order(grids, errs) -> float:
 
 
 def convergence_suite() -> List[CheckResult]:
-    grids = (25, 50, 100, 200)
     results = []
     for sc in _scenarios():
-        errs = scenario_errors(sc, grids)
-        order = fitted_order(grids, errs)
+        errs = scenario_errors(sc)
+        order = fitted_order(CONVERGENCE_GRIDS, errs)
         need = ORDER_MIN_POS_ONLY if sc.family == "position_only" else ORDER_MIN_CLAMPED
         detail = ("errors " + ", ".join(f"{e:.2e}" for e in errs)
                   + f"; fitted order {order:.2f} (need >= {need})")

@@ -1,6 +1,7 @@
 """Batch command-line front door: solve, sweep, check, seed.
 
-Exit codes: 0 converged / all checks pass, 1 configuration or usage error,
+Exit codes: 0 converged / all checks pass, 1 configuration or usage error
+(also a FactorizationError of the flat model and a CutLocusError seed),
 2 iteration limit hit, 3 degenerate curve.
 All outputs are deterministic functions of the config (no timestamps, fixed
 float formatting), so reruns are byte-identical.
@@ -15,12 +16,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config
-from .constraints import free_mask, seed, zero_hint
+from .constraints import seed, zero_hint
 from .curves import length, save_curve
 from .errors import ConfigError, DegenerateCurveError, VarcurvesError
-from .functionals import el_residual, evaluate
 from . import checks
-from .optimize import minimize, multistart
+from .optimize import evaluate_family, minimize, multistart
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,8 +68,6 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_values(args):
-    if args.values is None or args.values.strip() == "":
-        raise ConfigError("sweep needs a non-empty --values list")
     vals = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not vals:
         raise ConfigError("sweep needs a non-empty --values list")
@@ -93,12 +91,10 @@ def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool) -> dict:
         hint = zero_hint(cfg.manifold)
         hint[0] = int(value)
     x0 = seed(cfg.constraint, cfg.manifold, cfg.n_grid, cfg.domain, hint)
-    free = free_mask(cfg.constraint, cfg.n_grid, cfg.domain)
     if evaluate_only:
-        return {"value": value, "objective": evaluate(spec, x0),
-                "length": length(x0), "residual": el_residual(spec, x0, free),
-                "iterations": 0, "verdict": "evaluated"}
-    report = minimize(spec, cfg.constraint, x0, cfg.options)
+        report = evaluate_family(spec, cfg.constraint, [x0])
+    else:
+        report = minimize(spec, cfg.constraint, x0, cfg.options)
     return {"value": value, "objective": report.final_objective,
             "length": length(report.minimizer), "residual": report.final_residual,
             "iterations": report.iterations, "verdict": report.verdict}

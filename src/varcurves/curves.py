@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -269,42 +269,37 @@ def node_weights(curve: DiscreteCurve) -> np.ndarray:
     return curve.stencil(1).weights
 
 
-def field_covariant_derivative(f: TangentField) -> TangentField:
-    """Covariant derivative of a field along its curve: projected central differences.
-
-    One-sided second-order stencils at interval endpoints (fields, unlike
-    accelerations, are defined at every sample).
-    """
+def _covariant_derivatives(f: TangentField, k: int) -> List[np.ndarray]:
+    """The field's covariant derivatives of orders 0..k along its curve, as
+    arrays: projected central differences, with one-sided second-order
+    stencils at interval endpoints (fields, unlike accelerations, are defined
+    at every sample)."""
+    if not 0 <= k <= 2:
+        raise UsageError(f"norms of fields support orders 0 <= k <= 2, got {k}")
     curve = f.curve
-    raw = curve.stencil(1).matrix @ f.vectors
-    return TangentField(curve, curve.manifold.project_tangent(curve.samples, raw))
+    out = [f.vectors]
+    for _ in range(k):
+        raw = curve.stencil(1).matrix @ out[-1]
+        out.append(curve.manifold.project_tangent(curve.samples, raw))
+    return out
+
+
+def _l2_sq(curve: DiscreteCurve, v: np.ndarray) -> float:
+    """Squared discrete L2 norm of a field's array v, trapezoid quadrature."""
+    return float(np.sum(node_weights(curve) * row_dot(v, v)))
 
 
 def sobolev_norm_sq(f: TangentField, k: int) -> float:
     """Squared discrete Sobolev norm: sum over orders j <= k of the L2 norm of the
     j-th covariant derivative, trapezoid quadrature."""
-    if not 0 <= k <= 2:
-        raise UsageError("sobolev_norm_sq supports orders 0 <= k <= 2")
-    w = node_weights(f.curve)
-    total = 0.0
-    g = f
-    for i in range(k + 1):
-        if i > 0:
-            g = field_covariant_derivative(g)
-        total += float(np.sum(w * row_dot(g.vectors, g.vectors)))
-    return total
+    return sum(_l2_sq(f.curve, g) for g in _covariant_derivatives(f, k))
 
 
 def sup_norm(f: TangentField, k: int) -> float:
     """Discrete C^k norm: max over samples of the summed derivative norms."""
-    if not 0 <= k <= 2:
-        raise UsageError("sup_norm supports orders 0 <= k <= 2")
     acc = np.zeros(f.curve.n_samples)
-    g = f
-    for i in range(k + 1):
-        if i > 0:
-            g = field_covariant_derivative(g)
-        acc += row_norm(g.vectors)
+    for g in _covariant_derivatives(f, k):
+        acc += row_norm(g)
     return float(np.max(acc))
 
 
@@ -344,7 +339,7 @@ def equicontinuity_ratio(curve: DiscreteCurve, pairs: np.ndarray) -> float:
     skipped.
     """
     pairs = np.asarray(pairs, int)
-    vnorm = np.sqrt(sobolev_norm_sq(velocity(curve), 0))
+    vnorm = np.sqrt(_l2_sq(curve, curve.derivative(1)[1]))
     if vnorm == 0.0:
         d = curve.manifold.dist(curve.samples[pairs[:, 0]], curve.samples[pairs[:, 1]])
         return 0.0 if np.all(d == 0) else np.inf

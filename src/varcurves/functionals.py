@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, TangentField, node_weights
+from .curves import DiscreteCurve, node_weights
 from .errors import ConfigError, UsageError
 from .fields import PriorField, field_from_config
 from .manifolds import row_dot
@@ -160,11 +160,12 @@ def evaluate(spec: FunctionalSpec, curve: DiscreteCurve) -> float:
     return total
 
 
-def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> TangentField:
+def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> np.ndarray:
     """Exact Riemannian gradient of the discrete objective over the free samples.
 
-    free is an index array (or boolean mask) of samples allowed to move; the
-    returned field is zero on all other samples.
+    free is an index array (or boolean mask) of samples allowed to move.  The
+    result is the ambient (n_samples, ambient_dim) array, projected onto the
+    tangent space at each sample and zero on all other samples.
     """
     _check_field(spec, curve)
     m = curve.manifold
@@ -187,7 +188,7 @@ def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> TangentField:
     mask = np.zeros(curve.n_samples, bool)
     mask[np.asarray(free)] = True
     g[~mask] = 0.0
-    return TangentField(curve, g)
+    return g
 
 
 def gradient_norm(curve: DiscreteCurve, g: np.ndarray) -> float:
@@ -199,4 +200,4 @@ def gradient_norm(curve: DiscreteCurve, g: np.ndarray) -> float:
 def el_residual(spec: FunctionalSpec, curve: DiscreteCurve, free) -> float:
     """gradient_norm of the gradient over free samples: zero exactly at
     discrete critical points; the convergence certificate of the solver."""
-    return gradient_norm(curve, gradient(spec, curve, free).vectors)
+    return gradient_norm(curve, gradient(spec, curve, free))

@@ -59,8 +59,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .constraints import ConstraintSet, fixed_indices, free_mask, impose
-from .curves import (DiscreteCurve, length, node_weights, stencil_operators,
-                     velocity, winding_vector, covariant_accel)
+from .curves import DiscreteCurve, length, node_weights, stencil_operators, winding_vector
 from .errors import DegenerateCurveError, CutLocusError, FactorizationError, UsageError
 from .functionals import FunctionalSpec, el_residual, evaluate, gradient, gradient_norm
 from .manifolds import Torus, row_dot, row_norm
@@ -282,7 +281,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     # _stencil_matrices, the assembly step
     lu = _flat_model_factor(spec, x, free) if len(free) else None
     obj = evaluate(spec, x)
-    g = gradient(spec, x, free).vectors
+    g = gradient(spec, x, free)
 
     def project(v):
         return m.project_tangent(x.samples, v)
@@ -347,7 +346,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
                 phase = "armijo"
                 break
             if noise_phase and obj_trial <= obj + noise:
-                g_trial = gradient(spec, x_trial, free).vectors
+                g_trial = gradient(spec, x_trial, free)
                 resid_trial = gradient_norm(x_trial, g_trial)
                 if resid_trial < NOISE_GRAD_DROP * resid:
                     phase = "noise"
@@ -367,7 +366,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         if phase == "noise":
             g, resid = g_trial, resid_trial
         else:
-            g = gradient(spec, x, free).vectors
+            g = gradient(spec, x, free)
             resid = gradient_norm(x, g)
         # the pair is kept as taken, in ambient coordinates, and never changed
         s, y = -step * d, g - g_prev
@@ -485,8 +484,8 @@ def _h2_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     w = node_weights(a)
     try:
         d0 = m.dist(a.samples, b.samples)
-        va, vb = velocity(a).vectors, velocity(b).vectors
-        aa, ab = covariant_accel(a).vectors, covariant_accel(b).vectors
+        va, vb = a.derivative(1)[1], b.derivative(1)[1]
+        aa, ab = a.derivative(2)[1], b.derivative(2)[1]
         vb_t = m.transport(b.samples, a.samples, vb)
         ab_t = m.transport(b.samples, a.samples, ab)
         dv, da = va - vb_t, aa - ab_t
@@ -500,11 +499,10 @@ def _h2_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
 
 def multistart(spec: FunctionalSpec, constraint: ConstraintSet,
                seeds: Sequence[Tuple[DiscreteCurve, str]],
-               opts: SolveOptions = SolveOptions(),
-               cluster_tol: float = CLUSTER_TOL) -> MultistartResult:
+               opts: SolveOptions = SolveOptions()) -> MultistartResult:
     """Independent solves from labelled seeds plus a distinctness matrix.
 
-    Minimizers closer than cluster_tol in sup-distance are clustered together
+    Minimizers closer than CLUSTER_TOL in sup-distance are clustered together
     (union-find); the number of clusters counts distinct critical points.
     """
     reports = tuple(minimize(spec, constraint, curve, opts) for curve, _ in seeds)
@@ -528,7 +526,7 @@ def multistart(spec: FunctionalSpec, constraint: ConstraintSet,
 
     for i in range(k):
         for j in range(i + 1, k):
-            if supd[i, j] < cluster_tol:
+            if supd[i, j] < CLUSTER_TOL:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(k):

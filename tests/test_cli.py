@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import varcurves
-from varcurves import ConfigError, load_curve
+from varcurves import (ConfigError, FunctionalSpec, el_residual, evaluate, free_mask,
+                       length, load_curve, seed)
 from varcurves.cli import main
 from varcurves.config import parse_config
 
@@ -348,6 +349,46 @@ def test_sweep_winding_evaluate_only(tmp_path):
     for a, b in zip(lengths, lengths[1:]):
         assert b - a >= 2 * np.pi - 1e-9
     assert all(r[5] == "evaluated" for r in rows)
+
+
+KINKED_SPHERE_CFG = {
+    "manifold": "sphere:2",
+    "grid_n": 64,
+    "functional": {"kind": "tension", "tau": 0.0},
+    "constraints": {"kind": "interpolation",
+                    "knots": [{"t": 0.0, "position": [1.0, 0.0, 0.0]},
+                              {"t": 0.5, "position": [0.0, 1.0, 0.0]},
+                              {"t": 1.0, "position": [0.0, 0.0, 1.0]}]},
+}
+
+
+def test_sweep_evaluate_only_cells_are_the_seed_values(tmp_path):
+    # the seed's kink at the middle knot gives it a non-zero residual
+    path = write_cfg(tmp_path, KINKED_SPHERE_CFG)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", path, "--param", "tau",
+                 "--values", "0,0.5", "--evaluate-only", "--out", str(out)]) == 0
+    cfg = parse_config(KINKED_SPHERE_CFG)
+    x0 = seed(cfg.constraint, cfg.manifold, cfg.n_grid, cfg.domain)
+    free = free_mask(cfg.constraint, cfg.n_grid, cfg.domain)
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    for row, tau in zip(rows, (0.0, 0.5)):
+        spec = FunctionalSpec.tension_cost(tau)
+        residual = el_residual(spec, x0, free)
+        assert residual > 1.0
+        want = [f"{v:.17g}" for v in (tau, evaluate(spec, x0), length(x0), residual)]
+        assert row.split(",") == want + ["0", "evaluated"]
+
+
+def test_cut_locus_seed_exits_1_with_a_message(tmp_path, capsys):
+    cfg = dict(KINKED_SPHERE_CFG, constraints={
+        "kind": "clamped", "k": 1,
+        "left": {"position": [1.0, 0.0, 0.0]}, "right": {"position": [-1.0, 0.0, 0.0]}})
+    path = write_cfg(tmp_path, cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "antipodal" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_empty_values_is_config_error(tmp_path):

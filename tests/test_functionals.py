@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, PriorField,
-                       el_residual, evaluate, geodesic, gradient, hermite_cubic,
+                       TangentField, el_residual, evaluate, geodesic, gradient, hermite_cubic,
                        make_manifold, quadrature_length, seed, sobolev_norm_sq,
                        velocity)
 from varcurves.checks import _random_curve, _random_direction, _specs_for, fd_directional_error
@@ -85,7 +85,7 @@ def test_reduction_identity_bitwise():
                         [closed_curve(m, rng) for _ in range(5)]):
             free = all_but_ends(x)
             assert np.float64(evaluate(a, x)).tobytes() == np.float64(evaluate(b, x)).tobytes()
-            assert gradient(a, x, free).vectors.tobytes() == gradient(b, x, free).vectors.tobytes()
+            assert gradient(a, x, free).tobytes() == gradient(b, x, free).tobytes()
             rhs = rng.normal(size=(len(free), m.ambient_dim))
             assert (_flat_model_factor(a, x, free).solve(rhs).tobytes()
                     == _flat_model_factor(b, x, free).solve(rhs).tobytes())
@@ -130,16 +130,30 @@ def test_gradient_zero_at_constant_curve():
     x = constant_curve()
     free = np.arange(1, x.n_samples - 1)
     for spec in (FunctionalSpec.tension_cost(1.0), FunctionalSpec.conditional(2)):
-        assert np.allclose(gradient(spec, x, free).vectors, 0.0, atol=1e-14)
+        assert np.allclose(gradient(spec, x, free), 0.0, atol=1e-14)
 
 
 def test_gradient_masked_indices_are_zero():
     rng = np.random.default_rng(5)
     x = _random_curve(make_manifold("sphere:2"), rng)
     free = np.arange(2, x.n_samples - 2)
-    g = gradient(FunctionalSpec.tension_cost(0.5), x, free).vectors
+    g = gradient(FunctionalSpec.tension_cost(0.5), x, free)
     assert np.all(g[[0, 1, -2, -1]] == 0.0)
     assert np.any(g[2:-2] != 0.0)
+
+
+@pytest.mark.parametrize("mid", ALL_IDS)
+def test_gradient_is_a_tangent_array(mid):
+    # gradient returns its array unwrapped; the array passes the tangency
+    # check of TangentField, and wrapping it keeps its bytes
+    x = _random_curve(make_manifold(mid), np.random.default_rng(6))
+    free = all_but_ends(x)
+    for spec in _specs_for(x.manifold):
+        g = gradient(spec, x, free)
+        assert type(g) is np.ndarray and g.shape == x.samples.shape
+        off = x.manifold.project_tangent(x.samples, g) - g
+        assert np.max(np.abs(off)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
+        assert TangentField(x, g).vectors.tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("mid", ALL_IDS)
@@ -201,7 +215,7 @@ def test_gradient_vanishes_at_direct_discrete_solution():
     x[freeidx] = np.linalg.solve(H[np.ix_(freeidx, freeidx)], rhs)
 
     curve = DiscreteCurve(m, "interval", x[:, None])
-    g = gradient(FunctionalSpec.tension_cost(0.0), curve, freeidx).vectors
+    g = gradient(FunctionalSpec.tension_cost(0.0), curve, freeidx)
     assert np.max(np.abs(g)) < 1e-8
 
 

@@ -38,7 +38,7 @@ def results(curve):
     """Every memo-reading entry point, as exact bytes."""
     free = free_of(curve)
     out = [np.float64(evaluate(s, curve)).tobytes() for s in SPECS]
-    out += [gradient(s, curve, free).vectors.tobytes() for s in SPECS]
+    out += [gradient(s, curve, free).tobytes() for s in SPECS]
     out += [velocity(curve).vectors.tobytes(), covariant_accel(curve).vectors.tobytes(),
             np.float64(length(curve)).tobytes(),
             np.float64(quadrature_length(curve)).tobytes()]
