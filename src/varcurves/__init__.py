@@ -10,10 +10,9 @@ compactness diagnostics.
 from .errors import (ConfigError, CutLocusError, DegenerateCurveError,
                      FactorizationError, UsageError, VarcurvesError)
 from .manifolds import SO3, Euclidean, Manifold, Sphere, Torus, make_manifold
-from .curves import (DiscreteCurve, TangentField, covariant_accel, dump_curve,
-                     equicontinuity_ratio, length, load_curve, parse_curve,
-                     quadrature_length, save_curve, sobolev_norm_sq, sup_norm,
-                     velocity, winding_vector)
+from .curves import (DiscreteCurve, TangentField, dump_curve, equicontinuity_ratio,
+                     length, load_curve, parse_curve, quadrature_length, save_curve,
+                     winding_vector)
 from .fields import PriorField, field_from_config
 from .functionals import FunctionalSpec, el_residual, evaluate, gradient
 from .constraints import (ConstraintSet, constraint_from_config, free_mask, impose,
@@ -31,8 +30,7 @@ __all__ = [
     "ConfigError", "CutLocusError", "DegenerateCurveError", "FactorizationError",
     "UsageError", "VarcurvesError",
     "Manifold", "Euclidean", "Sphere", "Torus", "SO3", "make_manifold",
-    "DiscreteCurve", "TangentField", "velocity", "covariant_accel",
-    "sobolev_norm_sq", "sup_norm", "length", "quadrature_length",
+    "DiscreteCurve", "TangentField", "length", "quadrature_length",
     "winding_vector", "equicontinuity_ratio", "save_curve", "load_curve",
     "dump_curve", "parse_curve",
     "PriorField", "field_from_config",

@@ -253,9 +253,3 @@ SUITES = {
     "convergence": convergence_suite,
     "oracle": oracle_suite,
 }
-
-
-def run_suite(name: str) -> List[CheckResult]:
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name]()

@@ -67,15 +67,16 @@ def cmd_solve(args) -> int:
     return _VERDICT_CODE[report.verdict]
 
 
+# the sweep parameters, each with the converter of its --values entries
+_SWEEP_PARAMS = {"tau": float, "winding": int}
+
+
 def _sweep_values(args):
     vals = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not vals:
         raise ConfigError("sweep needs a non-empty --values list")
-    convert = {"tau": float, "winding": int}.get(args.param)
-    if convert is None:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}")
     try:
-        return [convert(v) for v in vals]
+        return [_SWEEP_PARAMS[args.param](v) for v in vals]
     except ValueError as e:
         raise ConfigError(f"bad --values for {args.param}: {e}") from None
 
@@ -84,8 +85,6 @@ def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool) -> dict:
     spec = cfg.spec
     hint = cfg.hints[0] if cfg.hints else None
     if param == "tau":
-        if spec.kind != "tension":
-            raise ConfigError("tau sweeps need a tension functional")
         spec = replace(spec, tau=float(value))
     else:
         hint = zero_hint(cfg.manifold)
@@ -103,6 +102,8 @@ def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool) -> dict:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     values = _sweep_values(args)
+    if args.param == "tau" and cfg.spec.kind != "tension":
+        raise ConfigError("tau sweeps need a tension functional")
     out = _out_dir(args)
 
     def run(value):
@@ -126,11 +127,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        results = checks.run_suite(args.suite)
-    except KeyError:
-        raise ConfigError(f"unknown check suite {args.suite!r} "
-                          f"(choose from {sorted(checks.SUITES)})")
+    results = checks.SUITES[args.suite]()
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -166,14 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="one solve (or evaluation) per parameter value")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--param", required=True, choices=("tau", "winding"))
+    p.add_argument("--param", required=True, choices=list(_SWEEP_PARAMS))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--evaluate-only", action="store_true",
                    help="evaluate seeds without descending")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("check", help="run a built-in verification suite")
-    p.add_argument("--suite", required=True, choices=("gradient", "convergence", "oracle"))
+    p.add_argument("--suite", required=True, choices=list(checks.SUITES))
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("seed", help="emit the seed curve(s) without solving")

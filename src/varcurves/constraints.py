@@ -70,6 +70,9 @@ class ConstraintSet:
             if self.knot_times is None or self.knot_points is None or \
                     len(self.knot_times) != len(self.knot_points) or len(self.knot_times) < 2:
                 raise ConfigError("interpolation needs at least two (time, point) knots")
+            if self.knot_points.ndim != 2:
+                raise ConfigError("constraint data knot_points must be one coordinate "
+                                  "list per knot")
             if len(set(np.round(self.knot_times, 12))) != len(self.knot_times):
                 raise ConfigError("interpolation knot times must be distinct")
             if np.any(np.diff(self.knot_times) <= 0):
@@ -275,8 +278,6 @@ def constraint_from_config(cfg: dict) -> ConstraintSet:
             raise ConfigError("clamped constraints need 'left' and 'right' objects")
         lv = left.get("velocity") if k == 2 else None
         rv = right.get("velocity") if k == 2 else None
-        if k == 2 and (lv is None or rv is None):
-            raise ConfigError("clamped k=2 needs velocities at both ends")
         return ConstraintSet("clamped", k=k,
                              left_pos=left.get("position"), left_vel=lv,
                              right_pos=right.get("position"), right_vel=rv)

@@ -1,9 +1,10 @@
-"""Discrete curves on a uniform grid and their derived fields and norms.
+"""Discrete curves on a uniform grid and their derived fields.
 
 A curve is a list of manifold samples at times t_j = j/N, either on the unit
 interval (N+1 samples) or on the circle (N samples, index arithmetic mod N).
-Velocities and covariant accelerations are projected difference stencils:
-central second-order differences at interior samples, one-sided second-order
+Velocities and covariant accelerations, `curve.derivative(1)` and
+`curve.derivative(2)`, are projected difference stencils: central
+second-order differences at interior samples, one-sided second-order
 velocity stencils at interval endpoints.  Covariant acceleration is only
 defined at interior samples on the interval; the endpoint entries of the field
 are zero and are never read by functionals.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -250,57 +251,10 @@ def _consecutive(x: np.ndarray, domain: str):
     return x, np.roll(x, -1, axis=0)
 
 
-def velocity(curve: DiscreteCurve) -> TangentField:
-    """Discrete velocity field: projected difference stencils, exact on affine data."""
-    return TangentField(curve, curve.derivative(1)[1])
-
-
-def covariant_accel(curve: DiscreteCurve) -> TangentField:
-    """Discrete covariant acceleration: tangential part of the ambient second difference.
-
-    Zero (by convention, not by computation) at interval endpoints.
-    """
-    return TangentField(curve, curve.derivative(2)[1])
-
-
 def node_weights(curve: DiscreteCurve) -> np.ndarray:
     """Trapezoid quadrature weights at the curve samples (uniform on the
     circle); read-only and shared by every curve on the grid."""
     return curve.stencil(1).weights
-
-
-def _covariant_derivatives(f: TangentField, k: int) -> List[np.ndarray]:
-    """The field's covariant derivatives of orders 0..k along its curve, as
-    arrays: projected central differences, with one-sided second-order
-    stencils at interval endpoints (fields, unlike accelerations, are defined
-    at every sample)."""
-    if not 0 <= k <= 2:
-        raise UsageError(f"norms of fields support orders 0 <= k <= 2, got {k}")
-    curve = f.curve
-    out = [f.vectors]
-    for _ in range(k):
-        raw = curve.stencil(1).matrix @ out[-1]
-        out.append(curve.manifold.project_tangent(curve.samples, raw))
-    return out
-
-
-def _l2_sq(curve: DiscreteCurve, v: np.ndarray) -> float:
-    """Squared discrete L2 norm of a field's array v, trapezoid quadrature."""
-    return float(np.sum(node_weights(curve) * row_dot(v, v)))
-
-
-def sobolev_norm_sq(f: TangentField, k: int) -> float:
-    """Squared discrete Sobolev norm: sum over orders j <= k of the L2 norm of the
-    j-th covariant derivative, trapezoid quadrature."""
-    return sum(_l2_sq(f.curve, g) for g in _covariant_derivatives(f, k))
-
-
-def sup_norm(f: TangentField, k: int) -> float:
-    """Discrete C^k norm: max over samples of the summed derivative norms."""
-    acc = np.zeros(f.curve.n_samples)
-    for g in _covariant_derivatives(f, k):
-        acc += row_norm(g)
-    return float(np.max(acc))
 
 
 def length(curve: DiscreteCurve) -> float:
@@ -311,9 +265,10 @@ def length(curve: DiscreteCurve) -> float:
 def quadrature_length(curve: DiscreteCurve) -> float:
     """Quadrature of the discrete speed (trapezoid of nodal velocity norms).
 
-    By the Cauchy-Schwarz inequality this length satisfies
-    quadrature_length(x)^2 <= sobolev_norm_sq(velocity(x), 0) exactly, which is
-    the discrete form of the length-domination bound used by the diagnostics.
+    The weights sum to 1, so by the Cauchy-Schwarz inequality this length
+    satisfies quadrature_length(x)^2 <= sum_j W_j |v_j|^2 exactly, with
+    v = x.derivative(1)[1] and W = node_weights(x): the discrete form of the
+    length-domination bound used by the diagnostics.
     """
     w = node_weights(curve)
     return float(np.sum(w * row_norm(curve.derivative(1)[1])))
@@ -339,7 +294,8 @@ def equicontinuity_ratio(curve: DiscreteCurve, pairs: np.ndarray) -> float:
     skipped.
     """
     pairs = np.asarray(pairs, int)
-    vnorm = np.sqrt(_l2_sq(curve, curve.derivative(1)[1]))
+    v = curve.derivative(1)[1]
+    vnorm = np.sqrt(np.sum(node_weights(curve) * row_dot(v, v)))
     if vnorm == 0.0:
         d = curve.manifold.dist(curve.samples[pairs[:, 0]], curve.samples[pairs[:, 1]])
         return 0.0 if np.all(d == 0) else np.inf

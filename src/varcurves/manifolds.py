@@ -69,8 +69,12 @@ def row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Manifold:
-    """Base class; concrete manifolds implement the array-level geometry.
+    """Base class: the array-level flat geometry of the ambient space.
 
+    Euclidean uses it whole; Torus adds its point handling, wrapped
+    relative_step and cut-locus check in log.  A curved manifold overrides
+    canonicalize, constraint_residual, project_tangent, dproj_bilinear,
+    exp_ambient, log, dist, transport and, where it can, may_reach_cut_locus.
     Instances are immutable and safe to share across concurrent solves.
     """
 
@@ -95,8 +99,9 @@ class Manifold:
     # -- tangent structure --------------------------------------------------
 
     def project_tangent(self, p: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ambient vector a onto the tangent space at p."""
-        raise NotImplementedError
+        """Orthogonal projection of ambient vector a onto the tangent space at p
+        (a copy of a here)."""
+        return np.array(a, float, copy=True)
 
     def dproj_bilinear(self, p: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Ambient gradient in p of <u, P(p) w> with u, w held fixed.
@@ -129,16 +134,19 @@ class Manifold:
         return self.canonicalize(self.exp_ambient(p, v))
 
     def log(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Inverse of exp; raises CutLocusError within CUT_LOCUS_TOL of the cut locus."""
-        raise NotImplementedError
+        """Inverse of exp (relative_step here); raises CutLocusError within
+        CUT_LOCUS_TOL of the cut locus."""
+        return self.relative_step(p, q)
 
     def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Geodesic distance.  Total (defined at the cut locus, where it is unambiguous)."""
-        raise NotImplementedError
+        """Geodesic distance (the norm of relative_step here).  Total (defined
+        at the cut locus, where it is unambiguous)."""
+        return row_norm(self.relative_step(p, q))
 
     def transport(self, p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Parallel transport of u along the minimal geodesic from p to q."""
-        raise NotImplementedError
+        """Parallel transport of u along the minimal geodesic from p to q (a
+        copy of u here)."""
+        return np.array(u, float, copy=True)
 
     def may_reach_cut_locus(self, p: np.ndarray, q: np.ndarray) -> bool:
         """False only if no pair (p, q) is within CUT_LOCUS_TOL of the cut locus.
@@ -176,18 +184,6 @@ class Euclidean(Manifold):
 
     def random_point(self, rng, n=1):
         return rng.normal(size=(n, self.dim))
-
-    def project_tangent(self, p, a):
-        return np.array(a, float, copy=True)
-
-    def log(self, p, q):
-        return np.asarray(q, float) - np.asarray(p, float)
-
-    def dist(self, p, q):
-        return row_norm(np.asarray(q, float) - np.asarray(p, float))
-
-    def transport(self, p, q, u):
-        return np.array(u, float, copy=True)
 
 
 class Sphere(Manifold):
@@ -322,20 +318,11 @@ class Torus(Manifold):
     def random_point(self, rng, n=1):
         return rng.uniform(0.0, 2 * np.pi, size=(n, self.dim))
 
-    def project_tangent(self, p, a):
-        return np.array(a, float, copy=True)
-
     def log(self, p, q):
-        d = self.wrap(np.asarray(q, float) - np.asarray(p, float))
+        d = self.relative_step(p, q)
         if np.any(np.abs(d) >= np.pi - CUT_LOCUS_TOL):
             raise CutLocusError("torus log: a coordinate is (nearly) at the cut locus")
         return d
-
-    def dist(self, p, q):
-        return row_norm(self.wrap(np.asarray(q, float) - np.asarray(p, float)))
-
-    def transport(self, p, q, u):
-        return np.array(u, float, copy=True)
 
     def relative_step(self, p, q):
         return self.wrap(np.asarray(q, float) - np.asarray(p, float))

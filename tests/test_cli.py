@@ -188,6 +188,10 @@ def _with(cfg, path, value):
                        "field": {"kind": "constant_ambient", "params": "x"}}, "params"),
     (("constraints", "knots", 1, "t"), "a", "'t'"),
     (("constraints", "knots", 1, "position"), ["a"], "knot_points"),
+    (("constraints", "knots"), [{"t": 0.0, "position": 0.0},
+                                {"t": 1.0, "position": 1.0}], "knot_points"),
+    (("constraints", "knots"), [{"t": 0.0, "position": [[0.0]]},
+                                {"t": 1.0, "position": [[1.0]]}], "knot_points"),
     (("winding_hint",), "abc", "winding_hint"),
     (("winding_hint",), 1e30, "winding hints"),   # beyond int64
     (("grid_n",), 16.7, "grid_n"),
@@ -207,7 +211,8 @@ def _with(cfg, path, value):
                        "field": {"kind": "torus_constant", "params": [1.0],
                                  "modulation": 2.0}}, "modulation"),
 ], ids=["tau-nan", "tau-inf", "tau-1e300", "tau-str", "tau-null", "k-str", "field-str",
-        "field-params-str", "knot-t-str", "knot-position-str", "winding_hint-str", "winding_hint-huge",
+        "field-params-str", "knot-t-str", "knot-position-str", "knot-position-scalar",
+        "knot-position-nested", "winding_hint-str", "winding_hint-huge",
         "grid_n-float", "winding_hint-half", "winding_hints-half", "field-params-nan",
         "field-modulation-inf", "field-modulation-nested", "field-modulation-scalar"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, path, value, key):
@@ -389,6 +394,27 @@ def test_cut_locus_seed_exits_1_with_a_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "antipodal" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("functional", [{"kind": "energy", "k": 2},
+                                        {"kind": "conditional", "k": 2}],
+                         ids=["energy", "conditional"])
+def test_tau_sweep_needs_a_tension_functional(tmp_path, capsys, functional):
+    path = write_cfg(tmp_path, dict(CIRCLE_CFG, functional=functional))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", path, "--param", "tau",
+                 "--values", "1,2", "--out", str(out)]) == 1
+    assert "config error: tau sweeps need a tension functional" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_clamped_k2_without_a_velocity_is_config_error(tmp_path, capsys):
+    cfg = _with(HERMITE_CFG, ("constraints", "right"), {"position": [1.0]})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: clamped k=2 needs velocities at both ends\n"
+    assert not out.exists()
 
 
 def test_sweep_empty_values_is_config_error(tmp_path):

@@ -262,6 +262,13 @@ def test_constraint_from_config():
         constraint_from_config({"kind": "mystery"})
 
 
+@pytest.mark.parametrize("points", [[0.0, 1.0], [[[0.0]], [[1.0]]]],
+                         ids=["scalar", "nested"])
+def test_interpolation_knot_points_are_one_row_per_knot(points):
+    with pytest.raises(ConfigError, match="knot_points must be one coordinate list"):
+        ConstraintSet.interpolation(list(zip([0, 1], points)))
+
+
 def test_clamped_k1_rejects_velocities():
     with pytest.raises(ConfigError):
         ConstraintSet("clamped", k=1, left_pos=[0.0], left_vel=[1.0],

@@ -3,10 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from varcurves import (DegenerateCurveError, DiscreteCurve, TangentField, UsageError,
-                       covariant_accel, dump_curve, equicontinuity_ratio, geodesic,
-                       length, load_curve, make_manifold, parse_curve, quadrature_length,
-                       sobolev_norm_sq, sup_norm, velocity, winding_vector)
+from varcurves import (DegenerateCurveError, DiscreteCurve, UsageError, dump_curve,
+                       equicontinuity_ratio, geodesic, length, load_curve, make_manifold,
+                       parse_curve, quadrature_length, winding_vector)
 from varcurves.checks import _random_curve
 from varcurves.curves import _SAMPLE_TOL
 from varcurves.manifolds import CUT_LOCUS_TOL, SO3, row_dot
@@ -25,12 +24,12 @@ def euclid_curve(fn, n=100, dim=1):
 
 def test_velocity_constant_curve_is_zero():
     c = euclid_curve(lambda t: np.stack([np.ones_like(t), 2 * np.ones_like(t)]), dim=2)
-    assert np.allclose(velocity(c).vectors, 0.0, atol=1e-12)
+    assert np.allclose(c.derivative(1)[1], 0.0, atol=1e-12)
 
 
 def test_velocity_exact_on_affine_data():
     c = euclid_curve(lambda t: np.stack([t, np.zeros_like(t)]), dim=2)
-    v = velocity(c).vectors
+    v = c.derivative(1)[1]
     assert np.allclose(v, np.array([1.0, 0.0]), atol=1e-12)
 
 
@@ -38,7 +37,7 @@ def test_velocity_sphere_great_circle_speed():
     m = make_manifold("sphere:2")
     cf = geodesic(m, [1, 0, 0], [0, 1, 0])
     c = cf.sample(100)
-    speeds = np.linalg.norm(velocity(c).vectors, axis=1)
+    speeds = np.linalg.norm(c.derivative(1)[1], axis=1)
     assert np.max(np.abs(speeds - np.pi / 2)) < 1e-3
 
 
@@ -46,7 +45,7 @@ def test_velocity_sphere_great_circle_speed():
 
 def test_accel_exact_on_quadratic():
     c = euclid_curve(lambda t: np.stack([t**2, np.zeros_like(t)]), dim=2)
-    a = covariant_accel(c).vectors[1:-1]
+    a = c.derivative(2)[1][1:-1]
     assert np.allclose(a, np.array([2.0, 0.0]), atol=1e-9)
 
 
@@ -55,7 +54,7 @@ def test_accel_geodesic_small_under_refinement():
     cf = geodesic(m, [1, 0, 0], [0, 1, 0])
     peak = {}
     for n in (50, 100, 200, 400):
-        a = covariant_accel(cf.sample(n)).vectors
+        a = cf.sample(n).derivative(2)[1]
         peak[n] = np.max(np.linalg.norm(a, axis=1))
     assert peak[100] <= 2e-2 * (np.pi / 2) ** 2
     ns = np.array([50, 100, 200, 400], float)
@@ -79,7 +78,7 @@ def test_accel_second_order_against_latitude_circle():
                       np.sin(alpha) * np.cos(w * t),
                       np.sin(alpha) * np.sin(w * t)], axis=1)
         c = DiscreteCurve(m, "interval", x)
-        norms = np.linalg.norm(covariant_accel(c).vectors[1:-1], axis=1)
+        norms = np.linalg.norm(c.derivative(2)[1][1:-1], axis=1)
         errs.append(np.max(np.abs(norms - w**2 * np.sin(alpha) * np.cos(alpha))))
     order = -np.polyfit(np.log(grids), np.log(errs), 1)[0]
     assert order >= 1.8
@@ -90,51 +89,7 @@ def test_accel_circle_full_wrap_is_zero():
     n = 100
     theta = (2 * np.pi * np.arange(n + 1) / n) % (2 * np.pi)
     c = DiscreteCurve(m, "interval", theta[:, None])
-    assert np.allclose(covariant_accel(c).vectors[1:-1], 0.0, atol=1e-10)
-
-
-# -- norms -------------------------------------------------------------------------
-
-def test_sobolev_norm_zero_field():
-    c = euclid_curve(lambda t: t)
-    z = TangentField(c, np.zeros_like(c.samples))
-    for k in (0, 1, 2):
-        assert sobolev_norm_sq(z, k) == 0.0
-
-
-def test_sobolev_norm_constant_unit_field():
-    c = euclid_curve(lambda t: t)
-    f = TangentField(c, np.ones_like(c.samples))
-    assert sobolev_norm_sq(f, 0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sobolev_norm_sine_field():
-    c = euclid_curve(lambda t: t, n=100)
-    f = TangentField(c, np.sin(np.pi * c.times)[:, None])
-    assert sobolev_norm_sq(f, 0) == pytest.approx(0.5, abs=1e-3)
-
-
-def test_sobolev_monotone_under_domination():
-    c = euclid_curve(lambda t: t, n=50)
-    rng = np.random.default_rng(0)
-    f = rng.normal(size=c.samples.shape)
-    g = f * rng.uniform(0.0, 1.0, size=(c.n_samples, 1))
-    assert sobolev_norm_sq(TangentField(c, g), 0) <= sobolev_norm_sq(TangentField(c, f), 0)
-
-
-def test_sup_norm_examples():
-    c = euclid_curve(lambda t: t, n=100)
-    assert sup_norm(TangentField(c, np.zeros_like(c.samples)), 0) == 0.0
-    assert sup_norm(TangentField(c, np.ones_like(c.samples)), 0) == pytest.approx(1.0)
-    f = TangentField(c, np.sin(np.pi * c.times)[:, None])
-    assert sup_norm(f, 0) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_sobolev_rejects_high_order():
-    c = euclid_curve(lambda t: t)
-    f = TangentField(c, np.zeros_like(c.samples))
-    with pytest.raises(UsageError):
-        sobolev_norm_sq(f, 3)
+    assert np.allclose(c.derivative(2)[1][1:-1], 0.0, atol=1e-10)
 
 
 # -- length --------------------------------------------------------------------------
@@ -174,7 +129,8 @@ def test_quadrature_length_cauchy_schwarz():
         for _ in range(5):
             c = _random_curve(m, rng)
             ql = quadrature_length(c)
-            assert ql * ql <= sobolev_norm_sq(velocity(c), 0) + 1e-12
+            v = c.derivative(1)[1]
+            assert ql * ql <= np.sum(c.stencil(1).weights * row_dot(v, v)) + 1e-12
 
 
 def test_equicontinuity_on_smooth_curves():

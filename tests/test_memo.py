@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOptions,
-                       covariant_accel, evaluate, gradient, length, make_manifold,
-                       minimize, quadrature_length, seed, velocity)
+                       evaluate, gradient, length, make_manifold, minimize,
+                       quadrature_length, seed)
 from varcurves.checks import _random_curve
 from varcurves.curves import _MEMO, STENCILS, node_weights, stencil_operators
 
@@ -39,7 +39,7 @@ def results(curve):
     free = free_of(curve)
     out = [np.float64(evaluate(s, curve)).tobytes() for s in SPECS]
     out += [gradient(s, curve, free).tobytes() for s in SPECS]
-    out += [velocity(curve).vectors.tobytes(), covariant_accel(curve).vectors.tobytes(),
+    out += [curve.derivative(1)[1].tobytes(), curve.derivative(2)[1].tobytes(),
             np.float64(length(curve)).tobytes(),
             np.float64(quadrature_length(curve)).tobytes()]
     return out

@@ -15,7 +15,7 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        sup_distance, tension_1d)
 from varcurves.checks import _random_curve
 from varcurves.constraints import fixed_indices, free_mask
-from varcurves.curves import TangentField, node_weights, quadrature_length, velocity
+from varcurves.curves import TangentField, node_weights, quadrature_length
 from varcurves.fields import PriorField
 from varcurves.functionals import Term, gradient
 from varcurves import manifolds
@@ -156,7 +156,7 @@ def test_curve_stats_match_their_definitions(mid):
     m = make_manifold(mid)
     curve = _random_curve(m, np.random.default_rng(4), 40)
     ref = (length(curve), quadrature_length(curve),
-           float(np.max(row_norm(velocity(curve).vectors))))
+           float(np.max(row_norm(curve.derivative(1)[1]))))
     fresh = DiscreteCurve(m, "interval", curve.samples)   # nothing memoized yet
     got = _curve_stats(fresh)
     assert np.array(got).tobytes() == np.array(ref).tobytes()
@@ -815,3 +815,12 @@ def test_exp_has_one_definition():
                   if isinstance(c, type) and issubclass(c, Manifold) and c is not Manifold]
     assert {c.__name__ for c in subclasses} >= {"Euclidean", "Sphere", "Torus", "SO3"}
     assert all("exp" not in vars(c) for c in subclasses)
+
+
+def test_flat_geometry_has_one_definition():
+    # the flat tangent projection, log, distance and transport are written in
+    # the base class only; Torus reaches its wrapped forms through
+    # relative_step
+    flat = ("project_tangent", "log", "dist", "transport")
+    assert [(c.__name__, name) for c in (manifolds.Euclidean, manifolds.Torus)
+            for name in flat if name in vars(c)] == [("Torus", "log")]
