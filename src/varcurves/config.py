@@ -9,7 +9,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constraints import ConstraintSet, constraint_from_config, free_mask, seed
+from .constraints import (ConstraintSet, constraint_from_config, free_mask, seed,
+                          validate_geometry)
 from .curves import MIN_GRID
 from .errors import ConfigError, UsageError
 from .functionals import FunctionalSpec
@@ -19,7 +20,6 @@ from .optimize import SolveOptions
 _SOLVE_KEYS = {f.name for f in fields(SolveOptions)}
 _TOP_KEYS = {"manifold", "grid_n", "domain", "functional", "constraints",
              "winding_hint", "winding_hints", "solve"}
-ON_MANIFOLD_TOL = 1e-6   # largest constraint residual of a configured point
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(str(e)) from e
     constraint = constraint_from_config(data["constraints"])
     free_mask(constraint, n_grid, domain)  # validates domain fit and knot snapping
-
-    _validate_geometry(manifold, constraint)
+    validate_geometry(manifold, constraint)
 
     hints = None
     multistart = False
@@ -112,29 +111,6 @@ def _hint(value, key: str) -> np.ndarray:
                          np.issubdtype(h.dtype, np.floating)):
         raise ConfigError(f"{key} must be an integer or a list of integers, got {value!r}")
     return h
-
-
-def _validate_geometry(manifold: Manifold, c: ConstraintSet) -> None:
-    dim = manifold.ambient_dim
-
-    def check_vec(v, what):
-        if v is not None and np.asarray(v).shape != (dim,):
-            raise ConfigError(f"{what} must have {dim} coordinates on {manifold.name}")
-
-    if c.kind == "clamped":
-        check_vec(c.left_pos, "left position")
-        check_vec(c.right_pos, "right position")
-        check_vec(c.left_vel, "left velocity")
-        check_vec(c.right_vel, "right velocity")
-        for p, what in ((c.left_pos, "left position"), (c.right_pos, "right position")):
-            if manifold.constraint_residual(np.asarray(p, float)) > ON_MANIFOLD_TOL:
-                raise ConfigError(f"{what} is not on {manifold.name}")
-    elif c.kind == "interpolation":
-        if c.knot_points.shape[1] != dim:
-            raise ConfigError(f"knot positions must have {dim} coordinates")
-        res = manifold.constraint_residual(c.knot_points)
-        if np.any(res > ON_MANIFOLD_TOL):
-            raise ConfigError(f"knot {int(np.argmax(res))} is not on {manifold.name}")
 
 
 def load_config(path) -> RunConfig:

@@ -8,11 +8,13 @@ measures its effect: the sup distance to the exact solution falls at order
 1.95 and 1.94 on its two clamped scenarios (2.96-3.01 position-only).
 
 Seeds are piecewise-geodesic interpolants through the fixed data; impose and
-seed take the fixed rows from one definition (`_pinned`).  Each geodesic
-segment is one Manifold.exp call along one tangent vector.  Integer winding
-hints select the homotopy class on multiply-connected manifolds (and, on the
-sphere and SO(3), the wrapped representative): the hinted wraps are inserted
-in the first segment with a free sample.
+seed take the fixed rows from one definition (`_pinned`), which first refuses
+data that does not fit the manifold (`validate_geometry`, the check the
+config applies too).  Each geodesic segment is one Manifold.exp call along
+one tangent vector.  Integer winding hints select the homotopy class on
+multiply-connected manifolds (and, on the sphere and SO(3), the wrapped
+representative): the hinted wraps are inserted in the first segment with a
+free sample.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import ConfigError, CutLocusError
 from .manifolds import SO3, Euclidean, Manifold, Sphere, Torus
 
 _KNOT_SNAP_TOL = 1e-9
+ON_MANIFOLD_TOL = 1e-6   # largest constraint residual of a configured point
 # generator of rotations about the z axis: the wrap direction of SO(3) loops
 _BODY_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
@@ -140,10 +143,37 @@ def impose(c: ConstraintSet, curve: DiscreteCurve) -> DiscreteCurve:
     return curve.with_samples(x)
 
 
+def validate_geometry(m: Manifold, c: ConstraintSet) -> None:
+    """Refuse constraint data that does not fit m: a position or velocity of
+    the wrong width, or a position farther than ON_MANIFOLD_TOL off m."""
+    dim = m.ambient_dim
+
+    def check_vec(v, what):
+        if v is not None and v.shape != (dim,):
+            raise ConfigError(f"{what} must have {dim} coordinates on {m.name}")
+
+    if c.kind == "clamped":
+        check_vec(c.left_pos, "left position")
+        check_vec(c.right_pos, "right position")
+        check_vec(c.left_vel, "left velocity")
+        check_vec(c.right_vel, "right velocity")
+        for p, what in ((c.left_pos, "left position"), (c.right_pos, "right position")):
+            if m.constraint_residual(p) > ON_MANIFOLD_TOL:
+                raise ConfigError(f"{what} is not on {m.name}")
+    elif c.kind == "interpolation":
+        if c.knot_points.shape[1] != dim:
+            raise ConfigError(f"knot positions must have {dim} coordinates")
+        res = m.constraint_residual(c.knot_points)
+        if np.any(res > ON_MANIFOLD_TOL):
+            raise ConfigError(f"knot {int(np.argmax(res))} is not on {m.name}")
+
+
 def _pinned(c: ConstraintSet, m: Manifold, n_grid: int,
             domain: str) -> Tuple[np.ndarray, np.ndarray]:
-    """The fixed sample indices, ascending, and the rows the data pins there."""
+    """The fixed sample indices, ascending, and the rows the data pins there,
+    once validate_geometry has accepted the data."""
     idx = fixed_indices(c, n_grid, domain)
+    validate_geometry(m, c)
     if c.kind == "periodic":
         return idx, np.empty((0, m.ambient_dim))
     if c.kind == "interpolation":

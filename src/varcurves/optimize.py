@@ -39,7 +39,12 @@ NOISE_STEP_MIN, it accepts the first step that passes the Armijo test with a
 predicted decrease of at least eps*|objective|, or that cuts the weighted
 gradient norm below NOISE_GRAD_DROP times the current one without raising
 the objective by more than that noise level.  Strict descent thus holds for
-steps accepted by the Armijo test only.
+steps accepted by the Armijo test only.  NOISE_STEP_MIN is 2^-5, so a noise
+phase tries at most the six steps 1, 1/2, ..., 1/32: no measured search (the
+benchmark pools, two-knot great-circle arcs on S^2, five far-apart random
+knots on S^2 and SO(3)) accepted a step below 2^-4, and a search that ends a
+stalled solve fails every trial, so the steps below 2^-5 only cost a stall
+four more futile trials.
 
 Per-sample displacements are capped at pi/2 on compact manifolds so homotopy
 class (winding) tracking stays valid along the run.
@@ -70,7 +75,7 @@ CLUSTER_TOL = 0.1     # sup-distance threshold for distinctness clustering
 # the line search's noise phase (see the module docstring)
 NOISE_K = 100          # objective changes below NOISE_K*eps*|obj| are roundoff
 NOISE_GRAD_DROP = 0.9  # factor by which a noise-phase step cuts the gradient norm
-NOISE_STEP_MIN = 1e-3  # smallest noise-phase step
+NOISE_STEP_MIN = 2.0 ** -5  # smallest noise-phase step: six trials from step 1
 
 # the Armijo line search (see the module docstring)
 ARMIJO_C1 = 1e-4       # sufficient-decrease constant

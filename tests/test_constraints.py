@@ -3,8 +3,8 @@ import pytest
 
 from varcurves import (ConfigError, ConstraintSet, CutLocusError, FunctionalSpec,
                        constraint_from_config, free_mask, geodesic, gradient,
-                       hermite_cubic, impose, length, make_manifold, seed,
-                       winding_vector)
+                       hermite_cubic, impose, length, make_manifold, minimize,
+                       seed, winding_vector)
 
 
 # -- free_mask -------------------------------------------------------------------
@@ -285,3 +285,31 @@ def test_non_finite_constraint_data_rejected(bad):
         ConstraintSet.clamped([0.0], [bad])
     with pytest.raises(ConfigError, match="left_vel must be finite"):
         ConstraintSet.clamped([0.0], [1.0], [bad], [0.0])
+
+
+# -- geometry of the constraint data: the library checks what the config checks ---
+
+def test_seed_rejects_knots_of_the_wrong_width():
+    c = ConstraintSet.interpolation([(0, [0.0, 0.0]), (1, [1.0, 1.0])])
+    with pytest.raises(ConfigError, match="knot positions must have 1 coordinates"):
+        seed(c, make_manifold("euclidean:1"), 10)
+
+
+def test_seed_rejects_clamped_positions_of_the_wrong_width():
+    c = ConstraintSet.clamped([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ConfigError,
+                       match="left position must have 1 coordinates on euclidean:1"):
+        seed(c, make_manifold("euclidean:1"), 10)
+
+
+def test_knot_off_the_manifold_is_refused_not_moved():
+    # canonicalize would move [2, 0, 0] to [1, 0, 0]; every entry point that
+    # pins the data refuses it instead, as the config does
+    m = make_manifold("sphere:2")
+    good = ConstraintSet.interpolation([(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0])])
+    bad = ConstraintSet.interpolation([(0, [2.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0])])
+    x0 = seed(good, m, 10)
+    for pin in (lambda: seed(bad, m, 10), lambda: impose(bad, x0),
+                lambda: minimize(FunctionalSpec.tension_cost(0.0), bad, x0)):
+        with pytest.raises(ConfigError, match="knot 0 is not on sphere:2"):
+            pin()

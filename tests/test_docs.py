@@ -1,13 +1,16 @@
 """README documents the surface the package exports: the config's solve
 options are the fields of SolveOptions, every name of varcurves.__all__ is
-named in README, and the solver paragraph states the memory constants."""
+named in README, and the solver paragraphs state the memory, line-search,
+noise-phase and polar-step constants."""
 
 import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
 import varcurves
-from varcurves import SolveOptions
+from varcurves import SolveOptions, manifolds, optimize
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -37,3 +40,28 @@ def test_readme_memory_sentence_matches_the_solver_constants():
     tol = re.findall(r"`y\.s > ([0-9.e+-]+) \|y\| \|s\|`", text)
     assert [int(k) for k in memory] == [LBFGS_MEMORY]
     assert [float(t) for t in tol] == [CURVATURE_TOL]
+
+
+_NUM = r"(2\^-?\d+|\d(?:[0-9.e+-]*\d)?)"   # 2^-5, 100, 0.9, 1e-14
+
+# constant name: (its module, the README phrase that quotes it)
+_QUOTED = {
+    "INITIAL_STEP": (optimize, rf"a first trial step of {_NUM} \(`INITIAL_STEP`"),
+    "BACKTRACK": (optimize, rf"`BACKTRACK = {_NUM}`"),
+    "ARMIJO_C1": (optimize, rf"`ARMIJO_C1 = {_NUM}`"),
+    "STEP_FLOOR": (optimize, rf"`STEP_FLOOR = {_NUM}`"),
+    "NOISE_K": (optimize, rf"`{_NUM} \* eps \* \|objective\|`"),
+    "NOISE_GRAD_DROP": (optimize, rf"below {_NUM} times the current one"),
+    "NOISE_STEP_MIN": (optimize, rf"capped-then-halved steps down to {_NUM}"),
+    "POLAR_STEP_TOL": (manifolds, rf"`POLAR_STEP_TOL = {_NUM}`"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUOTED))
+def test_readme_line_search_constants_match_the_solver(name):
+    module, pattern = _QUOTED[name]
+    text = " ".join(README.split())
+    quoted = [2.0 ** int(v[2:]) if v.startswith("2^") else float(v)
+              for v in re.findall(pattern, text)]
+    assert quoted, f"README does not quote {name}"
+    assert all(v == getattr(module, name) for v in quoted), (name, quoted)

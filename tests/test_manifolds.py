@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from varcurves import ConfigError, CutLocusError, make_manifold
-from varcurves.config import ON_MANIFOLD_TOL, parse_config
+from varcurves.config import parse_config
+from varcurves.constraints import ON_MANIFOLD_TOL
 from varcurves.manifolds import POLAR_STEP_TOL, row_cross, row_dot, row_norm
 
 ALL_IDS = ["euclidean:2", "sphere:2", "torus:2", "so3"]

@@ -20,7 +20,7 @@ from varcurves.fields import PriorField
 from varcurves.functionals import Term, gradient
 from varcurves import manifolds
 from varcurves.manifolds import SO3, Manifold, row_norm
-from varcurves.optimize import _curve_stats, _stencil_matrices
+from varcurves.optimize import NOISE_STEP_MIN, _curve_stats, _stencil_matrices
 
 
 def hermite_setup(n=200):
@@ -307,7 +307,8 @@ def test_phases_keep_their_invariants(chain_solves, mid, s):
     noise = [n for n, h in zip(searches, rep.history[1:]) if h.phase == "noise"]
     if stalled:
         noise.append(searches[-1])
-    assert 0 < max(noise) <= 11
+    # a noise phase tries at most the steps 1, 1/2, ..., 2^-5 = NOISE_STEP_MIN
+    assert 0 < max(noise) <= 6
 
 
 @pytest.mark.parametrize("mid,s,armijo_stop", [("sphere:2", 3, 88), ("so3", 12, 478)])
@@ -317,14 +318,88 @@ def test_noise_phase_keeps_armijo_steps_on_far_apart_knots(mid, s, armijo_stop):
     # still resolve it and the gradient norm rises along the direction; the
     # noise phase must take those Armijo steps and end no worse than plain
     # Armijo backtracking to step underflow (armijo_stop * grad_tol)
+    rep = minimize(*_far_apart_problem(mid, s))
+    assert rep.final_residual <= armijo_stop * SolveOptions().grad_tol
+    if rep.verdict != "converged":
+        assert rep.message == "stalled at the roundoff floor"
+
+
+def _far_apart_problem(mid, s):
+    """Five independent random knots at t = k/4, N=1000: tension(0.5) on
+    S^2, tension(0) on SO(3).  Returns (spec, constraint, seed)."""
     m = make_manifold(mid)
     knots = m.random_point(np.random.default_rng(s), 5)
     c = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)))
     spec = FunctionalSpec.tension_cost(0.5 if mid == "sphere:2" else 0.0)
-    rep = minimize(spec, c, seed(c, m, 1000))
-    assert rep.final_residual <= armijo_stop * SolveOptions().grad_tol
-    if rep.verdict != "converged":
-        assert rep.message == "stalled at the roundoff floor"
+    return spec, c, seed(c, m, 1000)
+
+
+def _arc_problem(hint, tau, n):
+    """A two-knot arc on S^2 from (1, 0, 0) at t = 0 to (cos 1, sin 1, 0) at
+    t = 1: hint -1 seeds the long way round (length 2 pi - 1), hint +1 once
+    more round (2 pi + 1).  Returns (spec, constraint, seed)."""
+    c = ConstraintSet.interpolation([(0.0, [1.0, 0.0, 0.0]),
+                                     (1.0, [np.cos(1.0), np.sin(1.0), 0.0])])
+    return FunctionalSpec.tension_cost(tau), c, seed(c, make_manifold("sphere:2"), n, hint=hint)
+
+
+def _logged_solve(monkeypatch, spec, c, x0):
+    """minimize, with the run's events: "n" for each step the noise phase
+    compares with NOISE_STEP_MIN, "e" for each evaluate, and "r" for each
+    history record.  Returns the report and the events split at the
+    records, so item i is the search that record i + 1 accepted, and the
+    last item is the search that found no step (empty once converged)."""
+    events = []
+
+    class NoiseFloor(float):
+        # `step >= floor` calls the reflected __le__ of this float subclass
+        def __le__(self, step):
+            events.append("n")
+            return float.__le__(self, step)
+
+    evaluate, stats = opt.evaluate, opt._curve_stats
+    monkeypatch.setattr(opt, "NOISE_STEP_MIN", NoiseFloor(NOISE_STEP_MIN))
+    monkeypatch.setattr(opt, "evaluate",
+                        lambda spec, curve: events.append("e") or evaluate(spec, curve))
+    monkeypatch.setattr(opt, "_curve_stats", lambda curve: events.append("r") or stats(curve))
+    rep = minimize(spec, c, x0)
+    return rep, "".join(events).split("r")[1:]
+
+
+_NOISE_FAMILIES = ([("arc", h, tau, n) for h in (-1, 1) for tau in (1.0, 3.0, 8.0)
+                    for n in (100, 200, 400, 1000)]
+                   + [("far", "sphere:2", s) for s in (1, 2, 3)]
+                   + [("far", "so3", s) for s in (10, 11, 12)])
+
+
+@pytest.mark.parametrize("problem", _NOISE_FAMILIES,
+                         ids=lambda p: "_".join(map(str, p)))
+def test_noise_phase_accepts_no_step_near_its_last(monkeypatch, problem):
+    # the noise schedule ends at NOISE_STEP_MIN = 2^-5 because no noise
+    # phase of these stops accepts a step below 2^-4; a change that makes
+    # the shorter schedule bind (a stop that 2^-5 or smaller steps would
+    # have moved) fails here instead of moving stops silently
+    make = _arc_problem if problem[0] == "arc" else _far_apart_problem
+    rep, searches = _logged_solve(monkeypatch, *make(*problem[1:]))
+    steps = [h.step for h, events in zip(rep.history[1:], searches) if "n" in events]
+    assert steps
+    assert min(steps) >= 2 * NOISE_STEP_MIN
+
+
+def test_torus_stall_ends_after_six_noise_trials(monkeypatch):
+    # a torus:1 winding problem at N=1000 (tension(1), five knots): on the
+    # flat torus the flat model is the exact Hessian, so it accepts 3 steps
+    # and then stalls near 2 grad_tol; the futile search evaluates the six
+    # steps 1, 1/2, ..., 2^-5 = NOISE_STEP_MIN once each
+    knots = (4.284813678700323, 5.067393969292644, 4.619454248603253,
+             5.431642205208096, 4.544118638236981)
+    c = ConstraintSet.interpolation([(t, [p]) for t, p in
+                                     zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)])
+    x0 = seed(c, make_manifold("torus:1"), 1000)
+    rep, searches = _logged_solve(monkeypatch, FunctionalSpec.tension_cost(1.0), c, x0)
+    assert rep.message == "stalled at the roundoff floor"
+    assert rep.iterations == 3
+    assert searches[-1].count("e") == 6
 
 
 def test_noise_phase_ignores_decreases_below_rounding(monkeypatch):
