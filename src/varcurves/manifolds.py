@@ -73,8 +73,9 @@ class Manifold:
 
     Euclidean uses it whole; Torus adds its point handling, wrapped
     relative_step and cut-locus check in log.  A curved manifold overrides
-    canonicalize, constraint_residual, project_tangent, dproj_bilinear,
-    exp_ambient, log, dist, transport and, where it can, may_reach_cut_locus.
+    canonicalize, constraint_residual, project_tangent, tangent_frame,
+    dproj_bilinear, exp_ambient, log, dist, transport and, where it can,
+    may_reach_cut_locus.
     Instances are immutable and safe to share across concurrent solves.
     """
 
@@ -102,6 +103,12 @@ class Manifold:
         """Orthogonal projection of ambient vector a onto the tangent space at p
         (a copy of a here)."""
         return np.array(a, float, copy=True)
+
+    def tangent_frame(self, p: np.ndarray):
+        """An orthonormal basis of the tangent space at each sample p_j, as
+        the rows of frame[j], shape (n, dim, ambient_dim); None here, where
+        the tangent space is the whole ambient space at every point."""
+        return None
 
     def dproj_bilinear(self, p: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Ambient gradient in p of <u, P(p) w> with u, w held fixed.
@@ -213,6 +220,20 @@ class Sphere(Manifold):
         p = np.asarray(p, float)
         a = np.asarray(a, float)
         return a - row_dot(a, p)[..., None] * p
+
+    def tangent_frame(self, p):
+        """The rows l != i of the Householder reflection H = I - 2 v v^T / v.v,
+        v = p + sign(p_i) e_i, with i the largest coordinate of p: H p is
+        -sign(p_i) e_i, so those rows are orthonormal and orthogonal to p."""
+        p = np.asarray(p, float)
+        n, m = p.shape
+        i = np.argmax(np.abs(p), axis=1)
+        rows = np.arange(n)
+        v = p.copy()
+        v[rows, i] += np.where(p[rows, i] < 0.0, -1.0, 1.0)
+        h = np.eye(m) - (2.0 / row_dot(v, v))[:, None, None] * v[:, :, None] * v[:, None, :]
+        keep = (i[:, None] + np.arange(1, m)) % m
+        return h[rows[:, None], keep]
 
     def dproj_bilinear(self, p, u, w):
         p = np.asarray(p, float)
@@ -403,6 +424,13 @@ class SO3(Manifold):
         b = np.swapaxes(pm, -1, -2) @ am
         skew = 0.5 * (b - np.swapaxes(b, -1, -2))
         return self._vec(pm @ skew)
+
+    def tangent_frame(self, p):
+        """The body frame p [e_i]_x / sqrt(2), i = 0, 1, 2: p^T times it is
+        skew, and the [e_i]_x are orthogonal with Frobenius norm sqrt(2)."""
+        # [e_i]_x e_c = e_i x e_c, so column c of [e_i]_x is row c of cross(e_i, I)
+        skew = np.cross(np.eye(3)[:, None], np.eye(3)).swapaxes(1, 2)
+        return self._vec(self._mat(p)[:, None] @ skew) / np.sqrt(2.0)
 
     def dproj_bilinear(self, p, u, w):
         pm, um, wm = self._mat(p), self._mat(u), self._mat(w)

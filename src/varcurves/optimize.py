@@ -2,28 +2,44 @@
 
 The search direction is a limited-memory BFGS direction (the two-loop
 recursion of Nocedal & Wright, Numerical Optimization, ch. 7) whose initial
-inverse Hessian is the flat-space model operator of the same discrete
-functional: a fixed sparse SPD matrix, factorized once per solve (by banded
-Cholesky on the interval, where it is pentadiagonal, and by sparse LU on the
-circle, where the periodic wrap leaves it no band), applied on the free
-rows and followed by the tangent projection.  Preconditioning is
-essential here: the fourth-order objectives have Hessian condition numbers
-growing like N^4, which makes unpreconditioned steepest descent hopeless at
-the tolerances the acceptance suite demands, while the flat model alone is
-Newton-like on flat manifolds and mesh-independent on curved ones.  It
-omits the curvature terms, though, so on S^2 and SO(3) the flat direction
-converges only linearly; the memory of the last LBFGS_MEMORY accepted steps
-s = -step*d and gradient changes y = g - g_prev supplies the missing
-curvature.  A pair is kept, as taken and in ambient coordinates, if
+inverse Hessian comes from the model Hessian of the same discrete
+functional: a sparse SPD matrix, factorized at the start of a solve (by
+banded Cholesky on the interval and by sparse LU on the circle, where the
+periodic wrap leaves it no band), applied on the free rows and followed by
+the tangent projection.  Preconditioning is essential here: the fourth-order
+objectives have Hessian condition numbers growing like N^4, which makes
+unpreconditioned steepest descent hopeless at the tolerances the
+acceptance suite demands.
+
+On a flat manifold the model is the flat-space operator F = sum c D^T W D
+of the functional's terms, which is the exact Hessian there.  On S^d and
+SO(3) it is the projected flat model in orthonormal tangent frames E
+(Manifold.tangent_frame; the embedded-submanifold Hessian of Absil, Mahony
+& Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 5.5
+and 8): H = sum c (Q D E)^T W (Q D E), with Q applying each stencil row's
+own frame E_j^T.  It keeps the projection r_j = P_{x_j} (D x)_j of every
+stencil value at its node; the plain flat model leaves that projection
+out, and with it the L-BFGS solves took about 13 iterations on the
+benchmark pools and stalled on most two-knot arcs.  The frames and H
+belong to the samples the model was built at; it is rebuilt after an
+accepted step that leaves some sample more than REBUILD_DIST (ambient
+norm) from them.  On S^d every frame vector e then has x.e <= 1/2 at the
+iterate x, so it keeps at least 3/4 of its squared norm in the tangent
+space.  F^-1 below stands for E H^-1 E^T on curved manifolds.
+
+The memory of the last LBFGS_MEMORY accepted steps s = -step*d and gradient
+changes y = g - g_prev supplies the curvature the model leaves out.  A pair
+is kept, as taken and in ambient coordinates and with its 1/(y.s), if
 y.s > CURVATURE_TOL*|y||s|, and is never re-projected or re-tested.  The
 initial inverse Hessian is P F^-1 P (P the tangent projection at the
-iterate, F the flat model), which is symmetric, and the result is projected
-once; for a tangent g, g.P r = g.r, so the direction has positive inner
-product with the gradient up to rounding; should rounding make it
-non-positive, the memory is cleared and the flat direction used.  With an
-empty memory, on every solve's first step, the direction is the flat one.
-Armijo backtracking thus gives strict descent, and convergence is still
-certified by the plain discrete L2 gradient norm.
+iterate), which is symmetric and positive semidefinite, and the result is
+projected once; for a tangent g, g.P r = g.r, so the flat direction has
+g.d = (E^T g)^T H^-1 (E^T g) > 0 (g^T F^-1 g on a flat manifold) up to
+rounding; should rounding make a direction non-positive, the memory is
+cleared and the flat direction used.  With an empty memory, on every
+solve's first step, the direction is the flat one.  Armijo backtracking
+thus gives strict descent, and convergence is still certified by the
+plain discrete L2 gradient norm.
 
 The line search's constants are fixed (Nocedal & Wright, ch. 3): from a
 first trial step of INITIAL_STEP it multiplies the step by BACKTRACK until
@@ -42,9 +58,9 @@ the objective by more than that noise level.  Strict descent thus holds for
 steps accepted by the Armijo test only.  NOISE_STEP_MIN is 2^-5, so a noise
 phase tries at most the six steps 1, 1/2, ..., 1/32: no measured search (the
 benchmark pools, two-knot great-circle arcs on S^2, five far-apart random
-knots on S^2 and SO(3)) accepted a step below 2^-4, and a search that ends a
-stalled solve fails every trial, so the steps below 2^-5 only cost a stall
-four more futile trials.
+knots on S^2 and SO(3)) accepted a step below 2^-4, under the projected
+model none below 1, and a search that ends a stalled solve fails every
+trial, so the steps below 2^-5 only cost a stall four more futile trials.
 
 Per-sample displacements are capped at pi/2 on compact manifolds so homotopy
 class (winding) tracking stays valid along the run.
@@ -86,6 +102,10 @@ STEP_FLOOR = 1e-14     # the search fails once the step falls below this
 # the quasi-Newton memory (see the module docstring)
 LBFGS_MEMORY = 3       # (s, y) pairs kept
 CURVATURE_TOL = 1e-12  # a pair is kept while y.s > CURVATURE_TOL*|y||s|
+
+# the projected flat model is rebuilt once a sample is this far (ambient
+# norm) from where it was built (see the module docstring)
+REBUILD_DIST = 0.5
 
 
 @dataclass(frozen=True)
@@ -153,15 +173,15 @@ def _stencil_matrices(curve: DiscreteCurve):
 
 
 class _BandedCholesky:
-    """Cholesky factor of an SPD pentadiagonal matrix, given in LAPACK's
-    lower band storage (row s holds the s-th subdiagonal)."""
+    """Cholesky factor of an SPD band matrix, given in LAPACK's lower band
+    storage (row s holds the s-th subdiagonal)."""
 
     def __init__(self, ab: np.ndarray):
         self._c, info = lapack.dpbtrf(ab, lower=1)
         _check_lapack("dpbtrf", info)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The solution for each column of b."""
+        """The solution for b, or for each column of b."""
         x, info = lapack.dpbtrs(self._c, b, lower=1)
         _check_lapack("dpbtrs", info)
         return x
@@ -172,22 +192,60 @@ def _check_lapack(routine: str, info: int):
         raise FactorizationError(f"LAPACK {routine} failed on the flat model (info={info})")
 
 
-def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray):
-    """Factorized flat-space model Hessian H = sum c D_k^T W_k D_k over the
-    spec's terms, restricted to the free samples and shifted by
-    1e-12*max(max diag, 1) on the diagonal; solve(b) applies its inverse to
-    the columns of b.
+class _FramedModel:
+    """The projected flat model in the tangent frames E of the free samples:
+    solve(b) is E H^-1 E^T b for the ambient rows b, given the factor of H."""
 
-    On the interval every stencil row spans at most 3 consecutive samples,
-    so H is pentadiagonal, and so is its restriction to the sorted free
-    samples: its bands are assembled in O(N) from the diagonals of the D_k
-    and factorized by banded Cholesky (LAPACK dpbtrf).  On the circle the
-    periodic wrap couples samples 0 and N-1 and no sample is fixed, so H has
-    no band in natural order; it is assembled as a sparse matrix and
-    factorized by sparse LU.
-    """
+    def __init__(self, frame: np.ndarray, factor):
+        self._frame = frame
+        self._factor = factor
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        xi = np.einsum("jkm,jm->jk", self._frame, b)
+        z = self._factor.solve(xi.ravel()).reshape(xi.shape)
+        return np.einsum("jk,jkm->jm", z, self._frame)
+
+
+def _row_products(spec: FunctionalSpec, curve: DiscreteCurve):
+    """Each term's products c w_j D[j, j+p] D[j, j+p+s] over the rows j of
+    its stencil D, in an array indexed [p + 2, s, j] for p = -2..2 and
+    s = 0..2, sample indices taken mod n_samples (the circle's wrap).  A
+    stencil row spans at most 3 consecutive samples, so these are all of
+    its products."""
+    ns = curve.n_samples
     ds = _stencil_matrices(curve)
+    out = []
+    for t in spec.terms:
+        d = ds[t.order - 1]
+        j = np.repeat(np.arange(ns), np.diff(d.indptr))
+        e = np.zeros((7, ns))     # D[j, j + p] in e[p + 2, j]; rows 5, 6 stay 0
+        e[(d.indices - j + 2) % ns, j] = d.data
+        we = t.coef * curve.stencil(t.order).weights * e
+        out.append(np.stack([we[:5] * e[s:s + 5] for s in range(3)], axis=1))
+    return out
+
+
+def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray):
+    """Factorized model Hessian of the spec's terms on the free samples,
+    shifted by 1e-12*max(max diag, 1) on the diagonal; solve(b) applies its
+    inverse to the ambient rows b of the free samples.
+
+    On a flat manifold (no tangent_frame) it is H = sum c D_k^T W_k D_k,
+    applied to each column of b.  On the interval every stencil row spans
+    at most 3 consecutive samples, so H is pentadiagonal, and so is its
+    restriction to the sorted free samples: its bands are summed in O(N)
+    from the stencil products and factorized by banded Cholesky (LAPACK
+    dpbtrf).  On the circle the periodic wrap couples samples 0 and N-1 and
+    no sample is fixed, so H has no band in natural order; it is assembled
+    as a sparse matrix and factorized by sparse LU.
+
+    On a curved manifold it is the projected flat model (see _framed_factor).
+    """
+    frame = curve.manifold.tangent_frame(curve.samples)
+    if frame is not None:
+        return _framed_factor(spec, curve, free, frame)
     if curve.domain == "circle":
+        ds = _stencil_matrices(curve)
         terms = [t.coef * (ds[t.order - 1].T @ sp.diags(curve.stencil(t.order).weights)
                            @ ds[t.order - 1]) for t in spec.terms]
         h = sum(terms[1:], terms[0])
@@ -197,25 +255,111 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
         return spla.splu(h)
     ns = curve.n_samples
     acc = np.zeros((3, ns + 4))   # H[a, a + s] in acc[s, a + 2]
-    for t in spec.terms:
-        d = ds[t.order - 1]
-        e = np.zeros((7, ns))     # D[j, j + p] in e[p + 2, j]; rows 5, 6 stay 0
+    for products in _row_products(spec, curve):
+        # row j adds its products to H[a, a + s], a = j + p
         for p in range(-2, 3):
-            e[p + 2, max(-p, 0):ns - max(p, 0)] = d.diagonal(p)
-        we = t.coef * curve.stencil(t.order).weights * e
-        # row j of D adds w_j D[j, a] D[j, a + s] to H[a, a + s], a = j + p
-        for p in range(-2, 3):
-            acc[:, p + 2:p + 2 + ns] += we[p + 2] * e[p + 2:p + 5]
-    bands = acc[:, 2:-2]
-    # on the free samples, H[f_i, f_(i+s)] is bands[gap, f_i] for a gap
-    # f_(i+s) - f_i of at most 2, and 0 beyond
-    ab = np.zeros((3, len(free)))
-    ab[0] = bands[0, free]
-    for s in (1, 2):
-        gap = free[s:] - free[:-s]
-        ab[s, :len(gap)] = np.where(gap <= 2, bands[np.minimum(gap, 2), free[:-s]], 0.0)
+            acc[:, p + 2:p + 2 + ns] += products[p + 2]
+    return _BandedCholesky(_free_band(acc[:, 2:-2, None, None], free))
+
+
+def _framed_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray,
+                   frame: np.ndarray) -> _FramedModel:
+    """The projected flat model H = sum c (Q D E)^T W (Q D E) in the
+    orthonormal tangent frames E of the samples, Q applying each stencil
+    row's own E_j^T: it keeps the projection r_j = P_{x_j} (D x)_j of every
+    stencil value at its node, which the flat model leaves out.
+
+    Its k x k block (a, b), k = dim, is sum_j S_j(a, b) (E_j^T E_a)^T
+    (E_j^T E_b) with the row products S_j(a, b) = sum c w_j D[j, a] D[j, b]
+    of _row_products.  On the interval the blocks of the free samples form
+    a band of half-bandwidth 3k - 1, factorized by dpbtrf; on the circle
+    they are assembled, with wrapped indices, into one sparse matrix for
+    sparse LU.  solve(b) returns E H^-1 E^T b, and E^T g . H^-1 E^T g > 0
+    for any g with E^T g != 0.  The blocks are built with the samples on
+    the last axis, where numpy's elementwise loops run long.
+    """
+    ns, k = frame.shape[:2]
+    ft = np.ascontiguousarray(frame.transpose(1, 2, 0))   # E_j^T in ft[:, :, j]
+    prods = sum(_row_products(spec, curve))
+    step = _row_dots(ft, np.roll(ft, -1, axis=2))   # E_j^T E_(j+1)
+    nearest = {1: step, -1: np.roll(step, 1, axis=2).swapaxes(0, 1)}
+
+    def overlap(p, rows):
+        """E_j^T E_(j+p) at the rows j of the slice, j + p mod N; None for
+        p = 0.  Offsets +-2 occur only in the interval's end rows."""
+        if p == 0:
+            return None
+        if abs(p) == 1:
+            return nearest[p][:, :, rows]
+        j = np.arange(rows.start, rows.stop) + p
+        return _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
+
+    acc = np.zeros((3, k, k, ns + 4))   # H(a, a + s) in acc[s, :, :, a + 2]
+    for p in range(-2, 3):
+        for s in range(min(3, 3 - p)):
+            c = prods[p + 2, s]
+            nz = np.flatnonzero(c)
+            if nz.size == 0:
+                continue
+            rows = slice(nz[0], nz[-1] + 1)
+            left, right = overlap(p, rows), overlap(p + s, rows)
+            if left is None:
+                block = np.eye(k)[:, :, None] if right is None else right
+            else:   # left^T right
+                left = left.swapaxes(0, 1)
+                block = left if right is None else _row_dots(left, right.swapaxes(0, 1))
+            # row j adds its products to the block (a, a + s), a = j + p
+            acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += c[rows] * block
+    # the circle's wrap: a = -2, -1 are N - 2, N - 1 and a = N, N + 1 are 0, 1
+    # (on the interval these entries are 0)
+    acc[..., 2:4] += acc[..., ns + 2:]
+    acc[..., ns:ns + 2] += acc[..., :2]
+    blocks = np.moveaxis(acc[..., 2:ns + 2], 3, 1)   # H(a, a + s) in blocks[s, a]
+    if curve.domain == "interval":
+        factor = _BandedCholesky(_free_band(blocks, free))
+    else:
+        a, r = np.arange(ns)[:, None, None], np.arange(k)[:, None]
+        ii, jj, vals = [], [], []
+        for s in range(3):
+            lo, hi = np.broadcast_arrays(a * k + r, (a + s) % ns * k + r.T)
+            for i, j in ((lo, hi), (hi, lo))[:1 + (s > 0)]:   # H(a + s, a) = H(a, a + s)^T
+                ii.append(i)
+                jj.append(j)
+                vals.append(blocks[s])
+        h = sp.csc_matrix((np.concatenate([v.ravel() for v in vals]),
+                           (np.concatenate([v.ravel() for v in ii]),
+                            np.concatenate([v.ravel() for v in jj]))), shape=(ns * k, ns * k))
+        dof = (np.asarray(free)[:, None] * k + np.arange(k)).ravel()
+        h = h[dof][:, dof].tocsc()
+        diag_scale = max(float(h.diagonal().max()), 1.0)
+        factor = spla.splu(h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale))
+    return _FramedModel(frame[free], factor)
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[r, r2, j] = sum_i u[r, i, j] v[r2, i, j]: the dot products of the
+    rows of u and v, for stacks of matrices with the samples last."""
+    return (u[:, None] * v[None]).sum(axis=2)
+
+
+def _free_band(blocks: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """LAPACK lower band storage, shifted, of the model on the sorted free
+    samples, from its k x k blocks H(a, a + s) = blocks[s, a], s = 0..2.
+
+    H(f_i, f_(i+s)) is blocks[gap, f_i] for a gap f_(i+s) - f_i of at most
+    2, and 0 beyond; its entry (r, r2) lies in row s*k + r2 - r of the
+    storage, at column i*k + r.
+    """
+    k, nf = blocks.shape[-1], len(free)
+    ab = np.zeros((3 * k, nf * k))
+    for s in range(min(3, nf)):
+        gap = free[s:] - free[:nf - s]
+        blk = np.where((gap <= 2)[:, None, None], blocks[np.minimum(gap, 2), free[:nf - s]], 0.0)
+        for r in range(k):
+            for r2 in range(max(r - s * k, 0), k):
+                ab[s * k + r2 - r, r:(nf - s) * k:k] = blk[:, r, r2]
     ab[0] += 1e-12 * max(float(ab[0].max()), 1.0)
-    return _BandedCholesky(ab)
+    return ab
 
 
 def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:
@@ -229,34 +373,39 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _curved(s: np.ndarray, y: np.ndarray) -> bool:
-    """The curvature test a pair passes, once, to enter the memory."""
-    return _dot(y, s) > CURVATURE_TOL * math.sqrt(_dot(y, y) * _dot(s, s))
+def _memory_pair(s: np.ndarray, y: np.ndarray):
+    """The memory's entry (s, y, 1/y.s) for a pair that passes the curvature
+    test, which it meets once, on entering; None for one that fails it."""
+    ys = _dot(y, s)
+    if ys > CURVATURE_TOL * math.sqrt(_dot(y, y) * _dot(s, s)):
+        return s, y, 1.0 / ys
+    return None
 
 
 def _two_loop(pairs, g: np.ndarray, flat, project) -> np.ndarray:
     """The two-loop recursion: the inverse-BFGS update of H0 = P F^-1 P
-    (flat(v) = P F^-1 v, project(v) = P v) by the pairs, oldest first,
-    applied to the tangent g.  With no pair it returns flat(g)."""
+    (flat(v) = P F^-1 v, project(v) = P v) by the pairs (s, y, 1/y.s),
+    oldest first, applied to the tangent g.  With no pair it returns
+    flat(g)."""
     if not pairs:
         return flat(g)
-    rho = [1.0 / _dot(y, s) for s, y in pairs]
     alpha = []
     q = g
-    for (s, y), rh in zip(reversed(pairs), reversed(rho)):
-        alpha.append(rh * _dot(s, q))
+    for s, y, rho in reversed(pairs):
+        alpha.append(rho * _dot(s, q))
         q = q - alpha[-1] * y
     r = flat(project(q))
-    for (s, y), rh, a in zip(pairs, rho, reversed(alpha)):
-        r += (a - rh * _dot(y, r)) * s
+    for (s, y, rho), a in zip(pairs, reversed(alpha)):
+        r += (a - rho * _dot(y, r)) * s
     return project(r)
 
 
 def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
              opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Quasi-Newton descent from a feasible start: L-BFGS directions on the
-    flat-model preconditioner, with Armijo backtracking, or the noise phase
-    once objective differences are roundoff.
+    model preconditioner of _flat_model_factor (rebuilt on a curved manifold
+    once a sample moves REBUILD_DIST from where it was built), with Armijo
+    backtracking, or the noise phase once objective differences are roundoff.
 
     The first direction, and every direction after the memory is cleared,
     is the flat one: the flat-model solve on the free rows, projected onto
@@ -285,6 +434,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     # The factor comes first, so a new grid's stencils are built inside
     # _stencil_matrices, the assembly step
     lu = _flat_model_factor(spec, x, free) if len(free) else None
+    built_at = x.samples if isinstance(lu, _FramedModel) else None
     obj = evaluate(spec, x)
     g = gradient(spec, x, free)
 
@@ -297,7 +447,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         d[free] = lu.solve(np.take(v, free, axis=0))
         return project(d)
 
-    pairs = deque(maxlen=LBFGS_MEMORY)   # (s, y), oldest first
+    pairs = deque(maxlen=LBFGS_MEMORY)   # (s, y, 1/y.s), oldest first
     it = 0
     verdict = "iter_limit"
     message = ""
@@ -374,9 +524,12 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
             g = gradient(spec, x, free)
             resid = gradient_norm(x, g)
         # the pair is kept as taken, in ambient coordinates, and never changed
-        s, y = -step * d, g - g_prev
-        if _curved(s, y):
-            pairs.append((s, y))
+        pair = _memory_pair(-step * d, g - g_prev)
+        if pair is not None:
+            pairs.append(pair)
+        if built_at is not None and np.max(row_norm(x.samples - built_at)) > REBUILD_DIST:
+            lu = _flat_model_factor(spec, x, free)
+            built_at = x.samples
         record(it, obj, resid, step, phase)
 
     x.clear_memo()   # the report keeps the minimizer, not its derived arrays

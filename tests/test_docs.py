@@ -54,6 +54,7 @@ _QUOTED = {
     "NOISE_GRAD_DROP": (optimize, rf"below {_NUM} times the current one"),
     "NOISE_STEP_MIN": (optimize, rf"capped-then-halved steps down to {_NUM}"),
     "POLAR_STEP_TOL": (manifolds, rf"`POLAR_STEP_TOL = {_NUM}`"),
+    "REBUILD_DIST": (optimize, rf"`REBUILD_DIST = {_NUM}`"),
 }
 
 

@@ -186,6 +186,28 @@ def test_projection_idempotent_and_self_adjoint(mid):
         assert np.dot(pa, b) == pytest.approx(np.dot(a, m.project_tangent(p, b)), abs=1e-10)
 
 
+@pytest.mark.parametrize("mid", ["sphere:1", "sphere:2", "sphere:3", "so3"])
+def test_tangent_frame_is_orthonormal_and_tangent(mid):
+    # E^T E = I and P_x E = E to rounding, also at the coordinate axes and
+    # their negatives, where the Householder pivot changes sign
+    m = mk(mid)
+    rng = np.random.default_rng(17)
+    p = m.random_point(rng, 200)
+    if mid.startswith("sphere"):
+        p = np.vstack([p, np.eye(m.ambient_dim), -np.eye(m.ambient_dim)])
+    e = m.tangent_frame(p)
+    assert e.shape == (len(p), m.dim, m.ambient_dim)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(e @ e.swapaxes(1, 2) - np.eye(m.dim))) <= 16 * eps
+    assert np.max(np.abs(m.project_tangent(p[:, None], e) - e)) <= 16 * eps
+
+
+@pytest.mark.parametrize("mid", ["euclidean:2", "torus:2"])
+def test_flat_manifolds_have_no_tangent_frame(mid):
+    m = mk(mid)
+    assert m.tangent_frame(m.random_point(np.random.default_rng(18), 5)) is None
+
+
 @pytest.mark.parametrize("mid", ["sphere:1"] + ALL_IDS)
 def test_dproj_quad_is_dproj_bilinear_bitwise(mid):
     m = mk(mid)

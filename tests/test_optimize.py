@@ -232,8 +232,7 @@ def test_el_residual_is_the_final_residual_bitwise(mid):
 _CHAINS = [("sphere:2", s) for s in range(4)] + [("so3", s) for s in range(4)]
 
 
-@pytest.fixture(scope="module")
-def chain_solves():
+def _solve_chains(opts):
     """N=1000 solves of the knot chains, with the trials of each line search.
 
     A trial is one exp call from minimize, and the history record of each
@@ -259,10 +258,21 @@ def chain_solves():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Manifold, "exp", counted_exp)
             mp.setattr(opt, "_curve_stats", counted_stats)
-            rep = minimize(spec, c, x0)
+            rep = minimize(spec, c, x0, opts)
         searches = [len(t) for t in "".join(events).split("r")[1:]]
         out[mid, s] = rep, searches
     return out
+
+
+@pytest.fixture(scope="module")
+def chain_solves():
+    return _solve_chains(SolveOptions())
+
+
+@pytest.fixture(scope="module")
+def noise_chain_solves():
+    # grad_tol=0 keeps a certificate from ending a solve before its noise phase
+    return _solve_chains(SolveOptions(grad_tol=0.0))
 
 
 @pytest.mark.parametrize("mid,s", _CHAINS)
@@ -287,8 +297,8 @@ def test_so3_solve_takes_no_svd(svd_rows):
 
 
 @pytest.mark.parametrize("mid,s", _CHAINS)
-def test_phases_keep_their_invariants(chain_solves, mid, s):
-    rep, searches = chain_solves[mid, s]
+def test_phases_keep_their_invariants(noise_chain_solves, mid, s):
+    rep, searches = noise_chain_solves[mid, s]
     eps = np.finfo(float).eps
     phases = [h.phase for h in rep.history]
     assert phases[0] is None
@@ -386,6 +396,55 @@ def test_noise_phase_accepts_no_step_near_its_last(monkeypatch, problem):
     assert min(steps) >= 2 * NOISE_STEP_MIN
 
 
+@pytest.mark.parametrize("problem", _NOISE_FAMILIES,
+                         ids=lambda p: "_".join(map(str, p)))
+def test_arcs_and_far_apart_knots_converge(problem):
+    # the two-knot arcs and the far-apart knots reach the certificate; with
+    # the flat model alone, without the node projections, most of them
+    # stalled far above the roundoff floor
+    make = _arc_problem if problem[0] == "arc" else _far_apart_problem
+    rep = minimize(*make(*problem[1:]))
+    assert rep.verdict == "converged"
+    assert rep.final_residual <= SolveOptions().grad_tol
+
+
+@pytest.mark.parametrize("mid", ["sphere:2", "so3"])
+@pytest.mark.parametrize("tau", [0.5, 2.0])
+def test_closed_curved_loops_converge(mid, tau):
+    # a bent closed loop of winding hint 1 on the circle domain (N=64): the
+    # sparse LU path of the projected model; with the flat model alone these
+    # solves ran out their iteration budget
+    m = make_manifold(mid)
+    x = seed(ConstraintSet.periodic(), m, 64, "circle", 1).samples
+    t = np.arange(64)[:, None] / 64
+    rng = np.random.default_rng(64)
+    bumps = (np.sin(2 * np.pi * t) * rng.normal(size=m.ambient_dim)
+             + np.cos(4 * np.pi * t) * rng.normal(size=m.ambient_dim))
+    x0 = DiscreteCurve(m, "circle", m.exp(x, m.project_tangent(x, 0.2 * bumps)))
+    rep = minimize(FunctionalSpec.tension_cost(tau), ConstraintSet.periodic(), x0)
+    assert rep.verdict == "converged"
+    assert rep.iterations <= 100
+
+
+def test_far_apart_solve_rebuilds_the_model(monkeypatch):
+    # far-apart S^2 knots, rng 1, move some sample more than REBUILD_DIST
+    # from where the model was built; without a rebuild this solve runs
+    # out its iteration budget
+    built = []
+    factor = opt._flat_model_factor
+
+    def counted(spec, curve, free):
+        built.append(curve.samples)
+        return factor(spec, curve, free)
+
+    monkeypatch.setattr(opt, "_flat_model_factor", counted)
+    rep = minimize(*_far_apart_problem("sphere:2", 1))
+    assert rep.verdict == "converged"
+    assert len(built) >= 2
+    for a, b in zip(built, built[1:]):
+        assert np.max(row_norm(b - a)) > opt.REBUILD_DIST
+
+
 def test_torus_stall_ends_after_six_noise_trials(monkeypatch):
     # a torus:1 winding problem at N=1000 (tension(1), five knots): on the
     # flat torus the flat model is the exact Hessian, so it accepts 3 steps
@@ -458,8 +517,9 @@ def test_noise_phase_rejects_a_rise_beyond_its_guard(monkeypatch):
 
 
 def test_history_phase_in_report_and_families():
+    # grad_tol=0 keeps a certificate from ending the solve before its noise phase
     c, x0 = _knot_chain_problem("sphere:2", 0, n=200)
-    rep = minimize(FunctionalSpec.tension_cost(0.5), c, x0)
+    rep = minimize(FunctionalSpec.tension_cost(0.5), c, x0, SolveOptions(grad_tol=0.0))
     hist = rep.to_dict()["history"]
     assert hist[0]["phase"] is None
     assert [h["phase"] for h in hist[1:]] == [h.phase for h in rep.history[1:]]
@@ -534,7 +594,7 @@ def test_two_loop_matches_dense_inverse_bfgs(monkeypatch):
         shape, eye = g.shape, np.eye(g.size)
         p = np.column_stack([project(e.reshape(shape)).ravel() for e in eye])
         h = np.column_stack([flat(e.reshape(shape)).ravel() for e in eye]) @ p
-        for s, y in pairs:
+        for s, y, _ in pairs:
             s, y = s.ravel(), y.ravel()
             rho = 1.0 / (y @ s)
             v = eye - rho * np.outer(y, s)
@@ -559,7 +619,8 @@ def test_non_descent_direction_clears_the_memory(monkeypatch):
     def plant(pairs, g, flat, project):
         if len(calls) == 1:
             deque.clear(pairs)   # not counted as minimize's clear
-            pairs.append((flat(g), -g))
+            s = flat(g)
+            pairs.append((s, -g, 1.0 / np.sum(-g * s)))
 
     cleared = []
 
@@ -588,7 +649,7 @@ def test_kept_pairs_never_change(monkeypatch):
 
     def remember(pairs, g, flat, project):
         for pair in pairs:
-            for a in pair:
+            for a in pair[:2]:
                 seen.setdefault(id(a), (a, a.tobytes()))
 
     calls = _spy_directions(monkeypatch, remember)
@@ -800,6 +861,68 @@ def test_interval_factor_is_backward_stable(n, fixed, spec):
         backward = (np.max(np.abs(h @ xc - bc))
                     / (np.max(np.sum(np.abs(h), axis=1)) * np.max(np.abs(xc)) + np.max(np.abs(bc))))
         assert backward <= 16 * np.finfo(float).eps
+
+
+def _dense_framed_model(spec, curve, free):
+    """The shifted projected flat model sum c (Q D E)^T W (Q D E) on the free
+    samples, dense, from its definition: block (j, a) of Q D E is
+    D[j, a] E_j^T E_a, with E the tangent frames.  Returns it and the free
+    samples' frames."""
+    e = curve.manifold.tangent_frame(curve.samples)   # E_j^T in e[j]
+    ns, k = e.shape[:2]
+    h = np.zeros((ns * k, ns * k))
+    for t, d in zip(spec.terms, (_stencil_matrices(curve)[t.order - 1] for t in spec.terms)):
+        d = d.toarray()
+        qde = np.zeros((ns * k, ns * k))
+        for j, a in zip(*np.nonzero(d)):
+            qde[j * k:(j + 1) * k, a * k:(a + 1) * k] = d[j, a] * e[j] @ e[a].T
+        w = np.repeat(curve.stencil(t.order).weights, k)
+        h += t.coef * qde.T @ (w[:, None] * qde)
+    dof = (free[:, None] * k + np.arange(k)).ravel()
+    h = h[np.ix_(dof, dof)]
+    return h + np.eye(len(dof)) * (1e-12 * max(float(np.max(np.diag(h))), 1.0)), e[free]
+
+
+def _curved_curve(mid, domain, n):
+    """A curve of n steps on the manifold: 0.3-rad random geodesic steps."""
+    m = make_manifold(mid)
+    rng = np.random.default_rng(n)
+    x = [m.random_point(rng, 1)[0]]
+    for _ in range(n if domain == "interval" else n - 1):
+        v = m.project_tangent(x[-1], rng.normal(size=m.ambient_dim))
+        x.append(m.exp(x[-1], 0.3 * v / np.linalg.norm(v)))
+    return DiscreteCurve(m, domain, np.array(x))
+
+
+@pytest.mark.parametrize("spec", [
+    FunctionalSpec.tension_cost(0.0), FunctionalSpec.tension_cost(1.5),
+    FunctionalSpec.energy(1), FunctionalSpec.conditional(1),
+], ids=["tension0", "tension1.5", "energy1", "conditional1"])
+@pytest.mark.parametrize("mid,domain,n,fixed", [
+    (mid, domain, n, fixed) for mid in ("sphere:2", "so3") for n in (4, 5, 7, 64)
+    for domain, fixed in (("interval", "five_knots"), ("interval", "clamped2"),
+                          ("interval", "one_fixed"), ("circle", None))
+    if (n, fixed) != (4, "five_knots")
+])
+def test_framed_factor_is_backward_stable(mid, domain, n, fixed, spec):
+    # on a curved manifold solve(b) is E H^-1 E^T b for the projected flat
+    # model H; the solve in the frame coordinates E^T b is exact for a
+    # matrix within a few rounding units of H built from its definition
+    curve = _curved_curve(mid, domain, n)
+    free = np.arange(curve.n_samples) if fixed is None else \
+        np.setdiff1d(np.arange(n + 1), _FREE_SETS[fixed](n))
+    h, e = _dense_framed_model(spec, curve, free)
+    b = np.random.default_rng(n).normal(size=(len(free), curve.manifold.ambient_dim))
+    got = opt._flat_model_factor(spec, curve, free).solve(b)
+    assert got.shape == b.shape
+    xi = np.einsum("jkm,jm->jk", e, b).ravel()
+    z = np.einsum("jkm,jm->jk", e, got).ravel()
+    backward = (np.max(np.abs(h @ z - xi))
+                / (np.max(np.sum(np.abs(h), axis=1)) * np.max(np.abs(z)) + np.max(np.abs(xi))))
+    assert backward <= 16 * np.finfo(float).eps
+    # the result lies in the span of the frames: E E^T got = got
+    assert np.max(np.abs(np.einsum("jk,jkm->jm", z.reshape(len(free), -1), e) - got)) \
+        <= 16 * np.finfo(float).eps * np.max(np.abs(got))
 
 
 def _count_factorizations(monkeypatch):
