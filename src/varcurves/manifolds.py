@@ -231,9 +231,9 @@ class Sphere(Manifold):
         rows = np.arange(n)
         v = p.copy()
         v[rows, i] += np.where(p[rows, i] < 0.0, -1.0, 1.0)
-        h = np.eye(m) - (2.0 / row_dot(v, v))[:, None, None] * v[:, :, None] * v[:, None, :]
-        keep = (i[:, None] + np.arange(1, m)) % m
-        return h[rows[:, None], keep]
+        keep = (i[:, None] + np.arange(1, m)) % m   # the rows l != i
+        return (np.eye(m)[keep] - (2.0 / row_dot(v, v))[:, None, None]
+                * np.take_along_axis(v, keep, axis=1)[:, :, None] * v[:, None, :])
 
     def dproj_bilinear(self, p, u, w):
         p = np.asarray(p, float)
@@ -428,9 +428,12 @@ class SO3(Manifold):
     def tangent_frame(self, p):
         """The body frame p [e_i]_x / sqrt(2), i = 0, 1, 2: p^T times it is
         skew, and the [e_i]_x are orthogonal with Frobenius norm sqrt(2)."""
-        # [e_i]_x e_c = e_i x e_c, so column c of [e_i]_x is row c of cross(e_i, I)
-        skew = np.cross(np.eye(3)[:, None], np.eye(3)).swapaxes(1, 2)
-        return self._vec(self._mat(p)[:, None] @ skew) / np.sqrt(2.0)
+        # column c of p [e_i]_x is p (e_i x e_c), a column of p or its negative
+        c0, c1, c2 = np.moveaxis(self._mat(p), -1, 0)
+        z = np.zeros_like(c0)
+        e = np.stack([np.stack(cols, axis=-1) for cols in
+                      ((z, c2, -c1), (-c2, z, c0), (c1, -c0, z))], axis=1)
+        return self._vec(e) / np.sqrt(2.0)
 
     def dproj_bilinear(self, p, u, w):
         pm, um, wm = self._mat(p), self._mat(u), self._mat(w)
