@@ -18,9 +18,9 @@ SO(3) it is the projected flat model in orthonormal tangent frames E
 & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 5.5
 and 8): H = sum c (Q D E)^T W (Q D E), with Q applying each stencil row's
 own frame E_j^T.  It keeps the projection r_j = P_{x_j} (D x)_j of every
-stencil value at its node; the plain flat model leaves that projection
-out, and with it the L-BFGS solves took about 13 iterations on the
-benchmark pools and stalled on most two-knot arcs.  The frames and H
+stencil value at its node; F leaves that projection out, and with F the
+L-BFGS solves on S^2 and SO(3) take about twice the iterations and stall
+far above the roundoff floor on most two-knot arcs.  The frames and H
 belong to the samples the model was built at; it is rebuilt after an
 accepted step that leaves some sample more than REBUILD_DIST (ambient
 norm) from them.  On S^d every frame vector e then has x.e <= 1/2 at the

@@ -413,7 +413,7 @@ def test_arcs_and_far_apart_knots_converge(problem):
 def test_closed_curved_loops_converge(mid, tau):
     # a bent closed loop of winding hint 1 on the circle domain (N=64): the
     # sparse LU path of the projected model; with the flat model alone these
-    # solves ran out their iteration budget
+    # solves end iter_limit, three of them at 1e8 * grad_tol
     m = make_manifold(mid)
     x = seed(ConstraintSet.periodic(), m, 64, "circle", 1).samples
     t = np.arange(64)[:, None] / 64
