@@ -1,8 +1,10 @@
 """Batch command-line front door: solve, sweep, check, seed.
 
 Exit codes: 0 converged / all checks pass, 1 configuration or usage error
-(also a FactorizationError of the flat model and a CutLocusError seed),
-2 iteration limit hit, 3 degenerate curve.
+(also a FactorizationError of the model preconditioner and a CutLocusError
+seed), 2 iteration limit hit (the budget ran out or the line search stalled
+at the roundoff floor), a sweep row not converged or a check suite failed,
+3 degenerate curve.
 All outputs are deterministic functions of the config (no timestamps, fixed
 float formatting), so reruns are byte-identical.
 """

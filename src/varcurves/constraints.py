@@ -106,6 +106,13 @@ class ConstraintSet:
         snapped = np.rint(idx)
         if np.any(np.abs(idx - snapped) > _KNOT_SNAP_TOL * n_grid):
             raise ConfigError("knot time not on grid")
+        # the times increase, so knots that share a sample are neighbours
+        shared = np.flatnonzero(np.diff(snapped) == 0)
+        if len(shared):
+            i = int(shared[0])
+            t0, t1 = float(self.knot_times[i]), float(self.knot_times[i + 1])
+            raise ConfigError(f"knots {i} (t = {t0!r}) and {i + 1} (t = {t1!r}) snap to "
+                              f"the same grid sample {int(snapped[i])}")
         return snapped.astype(int)
 
 

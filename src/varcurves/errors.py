@@ -27,7 +27,7 @@ class DegenerateCurveError(VarcurvesError):
 
 
 class FactorizationError(VarcurvesError):
-    """Raised when LAPACK reports a failed factorization or solve of the flat-model preconditioner."""
+    """Raised when LAPACK reports a failed factorization or solve of the model preconditioner."""
 
 
 class ConfigError(VarcurvesError):

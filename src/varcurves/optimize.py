@@ -11,21 +11,21 @@ objectives have Hessian condition numbers growing like N^4, which makes
 unpreconditioned steepest descent hopeless at the tolerances the
 acceptance suite demands.
 
-On a flat manifold the model is the flat-space operator F = sum c D^T W D
-of the functional's terms, which is the exact Hessian there.  On S^d and
-SO(3) it is the projected flat model in orthonormal tangent frames E
+The model is the projected flat model in orthonormal tangent frames E
 (Manifold.tangent_frame; the embedded-submanifold Hessian of Absil, Mahony
 & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 5.5
 and 8): H = sum c (Q D E)^T W (Q D E), with Q applying each stencil row's
 own frame E_j^T.  It keeps the projection r_j = P_{x_j} (D x)_j of every
-stencil value at its node; F leaves that projection out, and with F the
-L-BFGS solves on S^2 and SO(3) take about twice the iterations and stall
-far above the roundoff floor on most two-knot arcs.  The frames and H
-belong to the samples the model was built at; it is rebuilt after an
+stencil value at its node; F = sum c D^T W D leaves that projection out,
+and with F the L-BFGS solves on S^2 and SO(3) take about twice the
+iterations and stall far above the roundoff floor on most two-knot arcs.
+A flat manifold (R^d, T^d) has no frame and is the case of 1 x 1 identity
+frames, where H = F is the exact Hessian.  The frames and H belong to the
+samples the model was built at; on S^d and SO(3) it is rebuilt after an
 accepted step that leaves some sample more than REBUILD_DIST (ambient
 norm) from them.  On S^d every frame vector e then has x.e <= 1/2 at the
 iterate x, so it keeps at least 3/4 of its squared norm in the tangent
-space.  F^-1 below stands for E H^-1 E^T on curved manifolds.
+space.  F^-1 below stands for E H^-1 E^T.
 
 The memory of the last LBFGS_MEMORY accepted steps s = -step*d and gradient
 changes y = g - g_prev supplies the curvature the model leaves out.  A pair
@@ -34,7 +34,7 @@ y.s > CURVATURE_TOL*|y||s|, and is never re-projected or re-tested.  The
 initial inverse Hessian is P F^-1 P (P the tangent projection at the
 iterate), which is symmetric and positive semidefinite, and the result is
 projected once; for a tangent g, g.P r = g.r, so the flat direction has
-g.d = (E^T g)^T H^-1 (E^T g) > 0 (g^T F^-1 g on a flat manifold) up to
+g.d = (E^T g)^T H^-1 (E^T g) > 0 (E = I on a flat manifold) up to
 rounding; should rounding make a direction non-positive, the memory is
 cleared and the flat direction used.  With an empty memory, on every
 solve's first step, the direction is the flat one.  Armijo backtracking
@@ -228,96 +228,24 @@ def _row_products(spec: FunctionalSpec, curve: DiscreteCurve):
 def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray):
     """Factorized model Hessian of the spec's terms on the free samples,
     shifted by 1e-12*max(max diag, 1) on the diagonal; solve(b) applies its
-    inverse to the ambient rows b of the free samples.
+    inverse to the ambient rows b of the free samples: E H^-1 E^T b in the
+    tangent frames E, and H^-1 b, column by column, on a flat manifold,
+    which has no frame (the module docstring defines H).
 
-    On a flat manifold (no tangent_frame) it is H = sum c D_k^T W_k D_k,
-    applied to each column of b.  On the interval every stencil row spans
-    at most 3 consecutive samples, so H is pentadiagonal, and so is its
-    restriction to the sorted free samples: its bands are summed in O(N)
-    from the stencil products and factorized by banded Cholesky (LAPACK
-    dpbtrf).  On the circle the periodic wrap couples samples 0 and N-1 and
-    no sample is fixed, so H has no band in natural order; it is assembled
-    as a sparse matrix and factorized by sparse LU.
-
-    On a curved manifold it is the projected flat model (see _framed_factor).
+    The factor depends on the domain only.  On the interval the k x k
+    blocks of _model_blocks on the free samples form a band of
+    half-bandwidth 3k - 1, factorized by banded Cholesky (LAPACK dpbtrf).
+    On the circle the periodic wrap couples samples 0 and N-1 and no sample
+    is fixed, so H has no band in natural order; the blocks go, with
+    wrapped indices, into one sparse matrix for sparse LU.  E^T g . H^-1
+    E^T g > 0 for any g with E^T g != 0.
     """
     frame = curve.manifold.tangent_frame(curve.samples)
-    if frame is not None:
-        return _framed_factor(spec, curve, free, frame)
-    if curve.domain == "circle":
-        ds = _stencil_matrices(curve)
-        terms = [t.coef * (ds[t.order - 1].T @ sp.diags(curve.stencil(t.order).weights)
-                           @ ds[t.order - 1]) for t in spec.terms]
-        h = sum(terms[1:], terms[0])
-        h = h.tocsc()[free][:, free].tocsc()
-        diag_scale = max(float(h.diagonal().max()), 1.0)
-        h = h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale)
-        return spla.splu(h)
-    ns = curve.n_samples
-    acc = np.zeros((3, ns + 4))   # H[a, a + s] in acc[s, a + 2]
-    for products in _row_products(spec, curve):
-        # row j adds its products to H[a, a + s], a = j + p
-        for p in range(-2, 3):
-            acc[:, p + 2:p + 2 + ns] += products[p + 2]
-    return _BandedCholesky(_free_band(acc[:, 2:-2, None, None], free))
-
-
-def _framed_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray,
-                   frame: np.ndarray) -> _FramedModel:
-    """The projected flat model H = sum c (Q D E)^T W (Q D E) in the
-    orthonormal tangent frames E of the samples, Q applying each stencil
-    row's own E_j^T: it keeps the projection r_j = P_{x_j} (D x)_j of every
-    stencil value at its node, which the flat model leaves out.
-
-    Its k x k block (a, b), k = dim, is sum_j S_j(a, b) (E_j^T E_a)^T
-    (E_j^T E_b) with the row products S_j(a, b) = sum c w_j D[j, a] D[j, b]
-    of _row_products.  On the interval the blocks of the free samples form
-    a band of half-bandwidth 3k - 1, factorized by dpbtrf; on the circle
-    they are assembled, with wrapped indices, into one sparse matrix for
-    sparse LU.  solve(b) returns E H^-1 E^T b, and E^T g . H^-1 E^T g > 0
-    for any g with E^T g != 0.  The blocks are built with the samples on
-    the last axis, where numpy's elementwise loops run long.
-    """
-    ns, k = frame.shape[:2]
-    ft = np.ascontiguousarray(frame.transpose(1, 2, 0))   # E_j^T in ft[:, :, j]
-    prods = sum(_row_products(spec, curve))
-    step = _row_dots(ft, np.roll(ft, -1, axis=2))   # E_j^T E_(j+1)
-    nearest = {1: step, -1: np.roll(step, 1, axis=2).swapaxes(0, 1)}
-
-    def overlap(p, rows):
-        """E_j^T E_(j+p) at the rows j of the slice, j + p mod N; None for
-        p = 0.  Offsets +-2 occur only in the interval's end rows."""
-        if p == 0:
-            return None
-        if abs(p) == 1:
-            return nearest[p][:, :, rows]
-        j = np.arange(rows.start, rows.stop) + p
-        return _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
-
-    acc = np.zeros((3, k, k, ns + 4))   # H(a, a + s) in acc[s, :, :, a + 2]
-    for p in range(-2, 3):
-        for s in range(min(3, 3 - p)):
-            c = prods[p + 2, s]
-            nz = np.flatnonzero(c)
-            if nz.size == 0:
-                continue
-            rows = slice(nz[0], nz[-1] + 1)
-            left, right = overlap(p, rows), overlap(p + s, rows)
-            if left is None:
-                block = np.eye(k)[:, :, None] if right is None else right
-            else:   # left^T right
-                left = left.swapaxes(0, 1)
-                block = left if right is None else _row_dots(left, right.swapaxes(0, 1))
-            # row j adds its products to the block (a, a + s), a = j + p
-            acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += c[rows] * block
-    # the circle's wrap: a = -2, -1 are N - 2, N - 1 and a = N, N + 1 are 0, 1
-    # (on the interval these entries are 0)
-    acc[..., 2:4] += acc[..., ns + 2:]
-    acc[..., ns:ns + 2] += acc[..., :2]
-    blocks = np.moveaxis(acc[..., 2:ns + 2], 3, 1)   # H(a, a + s) in blocks[s, a]
+    blocks = _model_blocks(spec, curve, frame)   # H(a, a + s) in blocks[s, a]
     if curve.domain == "interval":
         factor = _BandedCholesky(_free_band(blocks, free))
     else:
+        ns, k = blocks.shape[1], blocks.shape[-1]
         a, r = np.arange(ns)[:, None, None], np.arange(k)[:, None]
         ii, jj, vals = [], [], []
         for s in range(3):
@@ -333,7 +261,69 @@ def _framed_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray,
         h = h[dof][:, dof].tocsc()
         diag_scale = max(float(h.diagonal().max()), 1.0)
         factor = spla.splu(h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale))
-    return _FramedModel(frame[free], factor)
+    return factor if frame is None else _FramedModel(frame[free], factor)
+
+
+def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame) -> np.ndarray:
+    """The model's k x k blocks H(a, a + s) in blocks[s, a], s = 0..2, built
+    with the samples on the last axis, where numpy's elementwise loops run
+    long.
+
+    Block (a, b) is sum_j S_j(a, b) (E_j^T E_a)^T (E_j^T E_b), with the row
+    products S_j(a, b) = sum c w_j D[j, a] D[j, b] of _row_products.  With
+    no frame, k = 1 and every overlap E_j^T E_a is 1, so each block is the
+    sum of its row products.  Those are added term by term, one offset at a
+    time: summing the terms first, as the framed loop does, would round
+    some flat entries differently (at N = 64 and tau = 0.7, for one).
+    """
+    ns = curve.n_samples
+    if frame is None:
+        acc = np.zeros((3, 1, 1, ns + 4))   # H(a, a + s) in acc[s, :, :, a + 2]
+        scalars = acc[:, 0, 0]
+        for prods in _row_products(spec, curve):
+            # row j adds its products to H(a, a + s), a = j + p
+            for p in range(-2, 3):
+                scalars[:, p + 2:p + 2 + ns] += prods[p + 2]
+    else:
+        k = frame.shape[1]
+        ft = np.ascontiguousarray(frame.transpose(1, 2, 0))   # E_j^T in ft[:, :, j]
+        prods = sum(_row_products(spec, curve))
+        step = _row_dots(ft, np.roll(ft, -1, axis=2))   # E_j^T E_(j+1)
+        nearest = {1: step, -1: np.roll(step, 1, axis=2).swapaxes(0, 1)}
+        # allocated before the overlaps, acc made the SO(3) build at N = 1000
+        # measure 7-25% slower (2-vCPU VM)
+        acc = np.zeros((3, k, k, ns + 4))
+
+        def overlap(p, rows):
+            """E_j^T E_(j+p) at the rows j of the slice, j + p mod N; None for
+            p = 0.  Offsets +-2 occur only in the interval's end rows."""
+            if p == 0:
+                return None
+            if abs(p) == 1:
+                return nearest[p][:, :, rows]
+            j = np.arange(rows.start, rows.stop) + p
+            return _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
+
+        for p in range(-2, 3):
+            for s in range(min(3, 3 - p)):
+                c = prods[p + 2, s]
+                nz = np.flatnonzero(c)
+                if nz.size == 0:
+                    continue
+                rows = slice(nz[0], nz[-1] + 1)
+                left, right = overlap(p, rows), overlap(p + s, rows)
+                if left is None:
+                    block = np.eye(k)[:, :, None] if right is None else right
+                else:   # left^T right
+                    left = left.swapaxes(0, 1)
+                    block = left if right is None else _row_dots(left, right.swapaxes(0, 1))
+                # row j adds its products to the block (a, a + s), a = j + p
+                acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += c[rows] * block
+    # the circle's wrap: a = -2, -1 are N - 2, N - 1 and a = N, N + 1 are 0, 1
+    # (on the interval these entries are 0)
+    acc[..., 2:4] += acc[..., ns + 2:]
+    acc[..., ns:ns + 2] += acc[..., :2]
+    return acc[..., 2:ns + 2].transpose(0, 3, 1, 2)
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -408,7 +398,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     backtracking, or the noise phase once objective differences are roundoff.
 
     The first direction, and every direction after the memory is cleared,
-    is the flat one: the flat-model solve on the free rows, projected onto
+    is the flat one: the model solve on the free rows, projected onto
     the tangent spaces.  Fixed samples never move (their coordinates are bit-identical between x0
     and the minimizer); a step accepted by the Armijo test strictly decreases
     the objective, one accepted by the noise test raises it by at most
@@ -442,7 +432,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         return m.project_tangent(x.samples, v)
 
     def flat_direction(v):
-        # the flat-model solve on the free rows, projected at the iterate
+        # the model solve on the free rows, projected at the iterate
         d = np.zeros_like(v)
         d[free] = lu.solve(np.take(v, free, axis=0))
         return project(d)

@@ -75,6 +75,21 @@ def test_solve_off_grid_knot_exit_code(tmp_path, capsys):
     assert "knot time not on grid" in capsys.readouterr().err
 
 
+def test_solve_knots_on_one_sample_exit_code(tmp_path, capsys):
+    cfg = dict(HERMITE_CFG, grid_n=10)
+    cfg["constraints"] = {"kind": "interpolation",
+                          "knots": [{"t": 0.0, "position": [0.0]},
+                                    {"t": 0.5, "position": [1.0]},
+                                    {"t": 0.5 + 1e-10, "position": [5.0]},
+                                    {"t": 1.0, "position": [2.0]}]}
+    with pytest.raises(ConfigError, match="snap to the same grid sample 5"):
+        parse_config(cfg)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "snap to the same grid sample 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_nan_knot_exit_code(tmp_path, capsys):
     cfg = dict(HERMITE_CFG)
     cfg["constraints"] = {"kind": "interpolation",

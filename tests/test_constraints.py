@@ -5,6 +5,7 @@ from varcurves import (ConfigError, ConstraintSet, CutLocusError, FunctionalSpec
                        constraint_from_config, free_mask, geodesic, gradient,
                        hermite_cubic, impose, length, make_manifold, minimize,
                        seed, winding_vector)
+from varcurves.constraints import fixed_indices
 
 
 # -- free_mask -------------------------------------------------------------------
@@ -28,6 +29,20 @@ def test_free_mask_off_grid_knot():
     c = ConstraintSet.interpolation([(0.0, [0.0]), (0.333, [1.0]), (1.0, [2.0])])
     with pytest.raises(ConfigError, match="knot time not on grid"):
         free_mask(c, 10)
+
+
+def test_knots_that_snap_to_one_sample_are_refused():
+    # t = 0.5 and t = 0.5 + 1e-10 both snap to sample 5 of N = 10; keeping
+    # only the last would pin the curve to 5.0 without a word
+    c = ConstraintSet.interpolation([(0.0, [0.0]), (0.5, [1.0]), (0.5 + 1e-10, [5.0]),
+                                     (1.0, [2.0])])
+    msg = r"knots 1 \(t = 0\.5\) and 2 \(t = 0\.5000000001\) snap to the same grid sample 5"
+    with pytest.raises(ConfigError, match=msg):
+        free_mask(c, 10)
+    with pytest.raises(ConfigError, match=msg):
+        seed(c, make_manifold("euclidean:1"), 10)
+    # on a grid fine enough they are neighbours
+    assert list(fixed_indices(c, 10**10)) == [0, 5 * 10**9, 5 * 10**9 + 1, 10**10]
 
 
 def test_free_mask_periodic_requires_circle():

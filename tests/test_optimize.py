@@ -853,10 +853,31 @@ def test_interval_factor_is_backward_stable(n, fixed, spec):
     # banded Cholesky is backward stable: the solve is exact for a matrix
     # within a few rounding units of the shifted flat model
     curve = _euclid_curve("interval", n)
-    free = np.setdiff1d(np.arange(n + 1), _FREE_SETS[fixed](n))
+    _assert_flat_solve_backward_stable(spec, curve, np.setdiff1d(np.arange(n + 1),
+                                                                 _FREE_SETS[fixed](n)))
+
+
+@pytest.mark.parametrize("spec", [
+    FunctionalSpec.tension_cost(0.0), FunctionalSpec.tension_cost(1.5),
+    FunctionalSpec.energy(1), FunctionalSpec.energy(2), FunctionalSpec.conditional(1),
+], ids=["tension0", "tension1.5", "energy1", "energy2", "conditional1"])
+@pytest.mark.parametrize("n", [4, 5, 7, 64, 1000])
+@pytest.mark.parametrize("mid", ["euclidean:1", "torus:1"])
+def test_circle_factor_is_backward_stable(mid, n, spec):
+    # the circle's sparse LU, on every sample (none is fixed); at N = 4 the
+    # offsets +-2 of the wrapped stencils reach the same sample
+    m = make_manifold(mid)
+    curve = DiscreteCurve(m, "circle", m.canonicalize(_euclid_curve("circle", n).samples))
+    _assert_flat_solve_backward_stable(spec, curve, np.arange(n))
+
+
+def _assert_flat_solve_backward_stable(spec, curve, free):
+    """The flat model's solve on the free samples is exact for a matrix within
+    a few rounding units of the shifted flat model built from its definition."""
     h = _dense_flat_model(spec, curve, free)
-    b = np.random.default_rng(n).normal(size=(len(free), 3))
+    b = np.random.default_rng(curve.grid_n).normal(size=(len(free), 3))
     x = opt._flat_model_factor(spec, curve, free).solve(b)
+    assert x.shape == b.shape
     for xc, bc in zip(x.T, b.T):
         backward = (np.max(np.abs(h @ xc - bc))
                     / (np.max(np.sum(np.abs(h), axis=1)) * np.max(np.abs(xc)) + np.max(np.abs(bc))))
