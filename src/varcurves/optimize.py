@@ -50,17 +50,21 @@ Near a minimizer the predicted decrease falls below the objective's roundoff,
 and objective differences no longer tell descent from rounding.  A search
 whose first step predicts less than NOISE_K*eps*|objective| therefore runs a
 noise phase (after Hager & Zhang's approximate Wolfe test, SIAM J. Optim.
-16(1), 2005, section 4): on the same halving schedule, down to
-NOISE_STEP_MIN, it accepts the first step that passes the Armijo test with a
-predicted decrease of at least eps*|objective|, or that cuts the weighted
-gradient norm below NOISE_GRAD_DROP times the current one without raising
-the objective by more than that noise level.  Strict descent thus holds for
-steps accepted by the Armijo test only.  NOISE_STEP_MIN is 2^-5, so a noise
-phase tries at most the six steps 1, 1/2, ..., 1/32: no measured search (the
-benchmark pools, two-knot great-circle arcs on S^2, five far-apart random
-knots on S^2 and SO(3)) accepted a step below 2^-4, under the projected
-model none below 1, and a search that ends a stalled solve fails every
-trial, so the steps below 2^-5 only cost a stall four more futile trials.
+16(1), 2005, section 4): it tries the first NOISE_TRIALS steps of the same
+halving schedule, from the capped first step, and accepts the first that
+passes the Armijo test with a predicted decrease of at least eps*|objective|,
+or that cuts the weighted gradient norm below NOISE_GRAD_DROP times the
+current one without raising the objective by more than that noise level.
+Strict descent thus holds for steps accepted by the Armijo test only.  If
+no trial passes, the solve ends, stalled at the roundoff floor.
+NOISE_TRIALS is 1.  Re-counted with six trials at the default grad_tol (the
+benchmark pools, the two-knot great-circle arcs on S^2, five far-apart
+random knots on S^2 and SO(3), and pool knots at N = 2000 and 4000), every
+noise phase that accepted a step did so at its first trial, and every one
+that failed its first trial failed all six, so each later trial only cost a
+stall one more futile exp, validation, evaluate and gradient.  With
+grad_tol = 0, four of the arc and far-apart solves pass a later trial, all
+below 0.3 times the default grad_tol, and now stop there.
 
 Per-sample displacements are capped at pi/2 on compact manifolds so homotopy
 class (winding) tracking stays valid along the run.
@@ -91,7 +95,7 @@ CLUSTER_TOL = 0.1     # sup-distance threshold for distinctness clustering
 # the line search's noise phase (see the module docstring)
 NOISE_K = 100          # objective changes below NOISE_K*eps*|obj| are roundoff
 NOISE_GRAD_DROP = 0.9  # factor by which a noise-phase step cuts the gradient norm
-NOISE_STEP_MIN = 2.0 ** -5  # smallest noise-phase step: six trials from step 1
+NOISE_TRIALS = 1       # capped-then-halved steps a noise phase tries
 
 # the Armijo line search (see the module docstring)
 ARMIJO_C1 = 1e-4       # sufficient-decrease constant
@@ -475,7 +479,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         rounding = np.finfo(float).eps * abs(obj)
         noise = NOISE_K * rounding
         noise_phase = step * gd < noise
-        floor = NOISE_STEP_MIN if noise_phase else STEP_FLOOR
+        floor = step * BACKTRACK ** (NOISE_TRIALS - 1) if noise_phase else STEP_FLOOR
         phase = None
         while step >= floor:
             trial = m.exp(x.samples, -step * d)

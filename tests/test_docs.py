@@ -52,7 +52,7 @@ _QUOTED = {
     "STEP_FLOOR": (optimize, rf"`STEP_FLOOR = {_NUM}`"),
     "NOISE_K": (optimize, rf"`{_NUM} \* eps \* \|objective\|`"),
     "NOISE_GRAD_DROP": (optimize, rf"below {_NUM} times the current one"),
-    "NOISE_STEP_MIN": (optimize, rf"capped-then-halved steps down to {_NUM}"),
+    "NOISE_TRIALS": (optimize, rf"`NOISE_TRIALS = {_NUM}`"),
     "POLAR_STEP_TOL": (manifolds, rf"`POLAR_STEP_TOL = {_NUM}`"),
     "REBUILD_DIST": (optimize, rf"`REBUILD_DIST = {_NUM}`"),
 }

@@ -1,5 +1,6 @@
 import json
 from collections import deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +10,10 @@ import scipy.sparse.linalg as spla
 
 import varcurves.optimize as opt
 
-from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOptions,
-                       el_residual, evaluate_family, geodesic, hermite_cubic, impose, length,
-                       make_manifold, minimize, multistart, ps_diagnostics, seed,
-                       sup_distance, tension_1d)
+from varcurves import (ConstraintSet, DegenerateCurveError, DiscreteCurve, FunctionalSpec,
+                       SolveOptions, el_residual, evaluate_family, geodesic, hermite_cubic,
+                       impose, length, make_manifold, minimize, multistart, ps_diagnostics,
+                       seed, sup_distance, tension_1d)
 from varcurves.checks import _random_curve
 from varcurves.constraints import fixed_indices, free_mask
 from varcurves.curves import TangentField, node_weights, quadrature_length
@@ -20,7 +21,7 @@ from varcurves.fields import PriorField
 from varcurves.functionals import Term, gradient
 from varcurves import manifolds
 from varcurves.manifolds import SO3, Manifold, row_norm
-from varcurves.optimize import NOISE_STEP_MIN, _curve_stats, _stencil_matrices
+from varcurves.optimize import _curve_stats, _stencil_matrices
 
 
 def hermite_setup(n=200):
@@ -317,8 +318,8 @@ def test_phases_keep_their_invariants(noise_chain_solves, mid, s):
     noise = [n for n, h in zip(searches, rep.history[1:]) if h.phase == "noise"]
     if stalled:
         noise.append(searches[-1])
-    # a noise phase tries at most the steps 1, 1/2, ..., 2^-5 = NOISE_STEP_MIN
-    assert 0 < max(noise) <= 6
+    # a noise phase tries one step, the capped first step (NOISE_TRIALS = 1)
+    assert set(noise) == {1}
 
 
 @pytest.mark.parametrize("mid,s,armijo_stop", [("sphere:2", 3, 88), ("so3", 12, 478)])
@@ -354,21 +355,12 @@ def _arc_problem(hint, tau, n):
 
 
 def _logged_solve(monkeypatch, spec, c, x0):
-    """minimize, with the run's events: "n" for each step the noise phase
-    compares with NOISE_STEP_MIN, "e" for each evaluate, and "r" for each
-    history record.  Returns the report and the events split at the
+    """minimize, with the run's events: "e" for each evaluate and "r" for
+    each history record.  Returns the report and the events split at the
     records, so item i is the search that record i + 1 accepted, and the
     last item is the search that found no step (empty once converged)."""
     events = []
-
-    class NoiseFloor(float):
-        # `step >= floor` calls the reflected __le__ of this float subclass
-        def __le__(self, step):
-            events.append("n")
-            return float.__le__(self, step)
-
     evaluate, stats = opt.evaluate, opt._curve_stats
-    monkeypatch.setattr(opt, "NOISE_STEP_MIN", NoiseFloor(NOISE_STEP_MIN))
     monkeypatch.setattr(opt, "evaluate",
                         lambda spec, curve: events.append("e") or evaluate(spec, curve))
     monkeypatch.setattr(opt, "_curve_stats", lambda curve: events.append("r") or stats(curve))
@@ -376,24 +368,76 @@ def _logged_solve(monkeypatch, spec, c, x0):
     return rep, "".join(events).split("r")[1:]
 
 
+def _torus_stall_problem():
+    """The first cli-sweep winding config: torus:1, tension(1), five knots,
+    N=1000.  Returns (spec, constraint, seed)."""
+    knots = (4.284813678700323, 5.067393969292644, 4.619454248603253,
+             5.431642205208096, 4.544118638236981)
+    c = ConstraintSet.interpolation([(t, [p]) for t, p in
+                                     zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)])
+    return FunctionalSpec.tension_cost(1.0), c, seed(c, make_manifold("torus:1"), 1000)
+
+
+_CASES = Path(__file__).resolve().parent.parent / "perfbench" / "cases.json"
+
+
+def _pool_problem(workload, n):
+    """Case 0 of a benchmark solve pool (five knots at t = k/4) on a grid of
+    n.  Returns (spec, constraint, seed)."""
+    case = json.loads(_CASES.read_text(encoding="utf-8"))[workload][0]
+    m = make_manifold(case["manifold"])
+    c = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), case["knots"])))
+    return FunctionalSpec.from_config(case["functional"], m), c, seed(c, m, n)
+
+
 _NOISE_FAMILIES = ([("arc", h, tau, n) for h in (-1, 1) for tau in (1.0, 3.0, 8.0)
                     for n in (100, 200, 400, 1000)]
                    + [("far", "sphere:2", s) for s in (1, 2, 3)]
                    + [("far", "so3", s) for s in (10, 11, 12)])
+# solves that end stalled at the roundoff floor: the torus, where the flat
+# model is the exact Hessian, and S^2 and SO(3) at N=2000, where the floor
+# exceeds grad_tol
+_STALLS = [("torus",), ("pool", "sphere-solve", 2000), ("pool", "so3-solve", 2000)]
+_MAKE = {"arc": _arc_problem, "far": _far_apart_problem,
+         "torus": _torus_stall_problem, "pool": _pool_problem}
 
 
-@pytest.mark.parametrize("problem", _NOISE_FAMILIES,
+@pytest.fixture(scope="module")
+def noise_guard_solves():
+    """Each guard problem solved with the shipped noise schedule and with
+    six trials, the steps 1, 1/2, ..., 1/32 of the earlier schedule."""
+    out = {}
+    for problem in _NOISE_FAMILIES + _STALLS:
+        args = _MAKE[problem[0]](*problem[1:])
+        shipped = minimize(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(opt, "NOISE_TRIALS", 6)
+            out[problem] = shipped, minimize(*args)
+    return out
+
+
+@pytest.mark.parametrize("problem", _NOISE_FAMILIES + _STALLS,
                          ids=lambda p: "_".join(map(str, p)))
-def test_noise_phase_accepts_no_step_near_its_last(monkeypatch, problem):
-    # the noise schedule ends at NOISE_STEP_MIN = 2^-5 because no noise
-    # phase of these stops accepts a step below 2^-4; a change that makes
-    # the shorter schedule bind (a stop that 2^-5 or smaller steps would
-    # have moved) fails here instead of moving stops silently
-    make = _arc_problem if problem[0] == "arc" else _far_apart_problem
-    rep, searches = _logged_solve(monkeypatch, *make(*problem[1:]))
-    steps = [h.step for h, events in zip(rep.history[1:], searches) if "n" in events]
-    assert steps
-    assert min(steps) >= 2 * NOISE_STEP_MIN
+def test_noise_phase_accepts_no_step_near_its_last(noise_guard_solves, problem):
+    # a noise phase tries one step because no noise phase of these accepts
+    # a step after its first trial fails, and every stall fails all six; a
+    # change that makes the one-trial schedule bind (a stop that later
+    # trials would have moved) fails here instead of moving stops silently
+    shipped, six = noise_guard_solves[problem]
+    assert shipped.to_dict() == six.to_dict()
+    assert shipped.minimizer.samples.tobytes() == six.minimizer.samples.tobytes()
+
+
+def test_noise_guard_problems_reach_the_noise_phase(noise_guard_solves):
+    # the guard above compares noise phases: counted from the history's
+    # phases and the stall message, every problem but five arcs (whose
+    # noise-phase steps the Armijo test accepts, which no record shows) has
+    # a noise-phase search, and every stall ends in one
+    stall = "stalled at the roundoff floor"
+    seen = [sum(h.phase == "noise" for h in rep.history) + (rep.message == stall)
+            for rep, _ in noise_guard_solves.values()]
+    assert sum(n > 0 for n in seen) >= len(seen) - 5
+    assert all(noise_guard_solves[p][0].message == stall for p in _STALLS)
 
 
 @pytest.mark.parametrize("problem", _NOISE_FAMILIES,
@@ -445,20 +489,40 @@ def test_far_apart_solve_rebuilds_the_model(monkeypatch):
         assert np.max(row_norm(b - a)) > opt.REBUILD_DIST
 
 
-def test_torus_stall_ends_after_six_noise_trials(monkeypatch):
-    # a torus:1 winding problem at N=1000 (tension(1), five knots): on the
-    # flat torus the flat model is the exact Hessian, so it accepts 3 steps
-    # and then stalls near 2 grad_tol; the futile search evaluates the six
-    # steps 1, 1/2, ..., 2^-5 = NOISE_STEP_MIN once each
-    knots = (4.284813678700323, 5.067393969292644, 4.619454248603253,
-             5.431642205208096, 4.544118638236981)
-    c = ConstraintSet.interpolation([(t, [p]) for t, p in
-                                     zip((0.0, 0.25, 0.5, 0.75, 1.0), knots)])
-    x0 = seed(c, make_manifold("torus:1"), 1000)
-    rep, searches = _logged_solve(monkeypatch, FunctionalSpec.tension_cost(1.0), c, x0)
+def test_torus_stall_ends_after_one_noise_trial(monkeypatch):
+    # on the flat torus the flat model is the exact Hessian, so the torus
+    # stall accepts 3 steps and then stalls near 2 grad_tol; the futile
+    # search evaluates its one trial, the capped first step
+    rep, searches = _logged_solve(monkeypatch, *_torus_stall_problem())
     assert rep.message == "stalled at the roundoff floor"
     assert rep.iterations == 3
-    assert searches[-1].count("e") == 6
+    assert searches[-1].count("e") == 1
+
+
+def test_degenerate_noise_trial_ends_the_solve(monkeypatch):
+    # the arc hint -1, tau=1, N=1000 takes an Armijo step, and then its
+    # first noise phase accepts step 1 by the gradient test; a first
+    # noise-phase trial that fails validation fails both tests, so that
+    # search of one trial ends the solve at iterate 1, unchanged
+    problem = _arc_problem(-1, 1.0, 1000)
+    ref = minimize(*problem)
+    assert [h.phase for h in ref.history] == [None, "armijo", "noise"]
+    iterates, trials = [], []
+    validate, stats = DiscreteCurve.__post_init__, opt._curve_stats
+
+    def degenerate_after_iterate_1(curve):
+        validate(curve)
+        if len(iterates) == 2:
+            trials.append(curve)
+            raise DegenerateCurveError(0)
+
+    monkeypatch.setattr(DiscreteCurve, "__post_init__", degenerate_after_iterate_1)
+    monkeypatch.setattr(opt, "_curve_stats", lambda curve: iterates.append(curve) or stats(curve))
+    rep = minimize(*problem)
+    assert rep.message == "stalled at the roundoff floor"
+    assert (rep.verdict, rep.iterations, len(trials)) == ("iter_limit", 1, 1)
+    assert rep.history == ref.history[:2]
+    assert rep.minimizer.samples.tobytes() == iterates[-1].samples.tobytes()
 
 
 def test_noise_phase_ignores_decreases_below_rounding(monkeypatch):
