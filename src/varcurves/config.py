@@ -30,8 +30,12 @@ class RunConfig:
     spec: FunctionalSpec
     constraint: ConstraintSet
     hints: Optional[List[np.ndarray]]   # None, or one hint per multistart seed
-    multistart: bool
     options: SolveOptions
+
+    @property
+    def multistart(self) -> bool:
+        """Whether the run solves from more than one seed."""
+        return self.hints is not None and len(self.hints) > 1
 
     def seed_list(self):
         """Labelled seeds: one per hint (a single unlabelled seed when no hints)."""
@@ -73,7 +77,6 @@ def parse_config(data: dict) -> RunConfig:
     validate_geometry(manifold, constraint)
 
     hints = None
-    multistart = False
     if "winding_hints" in data and "winding_hint" in data:
         raise ConfigError("give either winding_hint or winding_hints, not both")
     if "winding_hints" in data:
@@ -81,7 +84,6 @@ def parse_config(data: dict) -> RunConfig:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("winding_hints must be a non-empty list")
         hints = [_hint(h, "winding_hints") for h in raw]
-        multistart = len(hints) > 1
     elif "winding_hint" in data:
         hints = [_hint(data["winding_hint"], "winding_hint")]
 
@@ -96,8 +98,7 @@ def parse_config(data: dict) -> RunConfig:
     except (UsageError, TypeError) as e:
         raise ConfigError(f"invalid solve options: {e}") from e
 
-    return RunConfig(manifold, domain, n_grid, spec, constraint, hints,
-                     multistart, options)
+    return RunConfig(manifold, domain, n_grid, spec, constraint, hints, options)
 
 
 def _hint(value, key: str) -> np.ndarray:

@@ -225,11 +225,18 @@ def _with(cfg, path, value):
     (("functional",), {"kind": "conditional", "k": 2,
                        "field": {"kind": "torus_constant", "params": [1.0],
                                  "modulation": 2.0}}, "modulation"),
+    (("functional",), {"kind": "conditional", "k": 2,
+                       "field": {"kind": "torus_constant", "params": [1.0],
+                                 "modulation": []}}, "field modulation needs at least 2"),
+    (("functional",), {"kind": "conditional", "k": 2,
+                       "field": {"kind": "torus_constant", "params": [1.0],
+                                 "modulation": [0.5]}}, "field modulation needs at least 2"),
 ], ids=["tau-nan", "tau-inf", "tau-1e300", "tau-str", "tau-null", "k-str", "field-str",
         "field-params-str", "knot-t-str", "knot-position-str", "knot-position-scalar",
         "knot-position-nested", "winding_hint-str", "winding_hint-huge",
         "grid_n-float", "winding_hint-half", "winding_hints-half", "field-params-nan",
-        "field-modulation-inf", "field-modulation-nested", "field-modulation-scalar"])
+        "field-modulation-inf", "field-modulation-nested", "field-modulation-scalar",
+        "field-modulation-empty", "field-modulation-one-entry"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, path, value, key):
     cfg = write_cfg(tmp_path, _with(CIRCLE_CFG, path, value))
     out = tmp_path / "o"
@@ -247,7 +254,7 @@ def test_modulation_has_one_entry_per_grid_time(domain):
     cfg = dict(CIRCLE_CFG, grid_n=n, domain=domain)
     if domain == "circle":
         cfg["constraints"] = {"kind": "periodic"}
-    for length in (n - 1, n, n + 1, 2 * n + 1):
+    for length in (0, 1, n - 1, n, n + 1, 2 * n + 1):
         field = {"kind": "torus_constant", "params": [1.0], "modulation": [0.5] * length}
         cfg["functional"] = {"kind": "conditional", "k": 2, "field": field}
         if length == n + 1:
@@ -322,6 +329,20 @@ def test_multistart_solve(tmp_path):
     assert data["n_clusters"] == 3
     assert sorted(p.name for p in out.glob("minimizer_*.curve")) == [
         "minimizer_w=-1.curve", "minimizer_w=0.curve", "minimizer_w=1.curve"]
+
+
+def test_one_winding_hint_in_a_list_runs_one_solve(tmp_path):
+    # multistart needs two or more hints; one hint in winding_hints is a plain solve
+    assert parse_config(dict(CIRCLE_CFG, winding_hints=[[0], [1]])).multistart
+    cfg = dict(CIRCLE_CFG, winding_hints=[[1]])
+    assert not parse_config(cfg).multistart
+    out = tmp_path / "one"
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["minimizer.curve", "report.json"]
+    single = tmp_path / "single"
+    cfg = write_cfg(tmp_path, dict(CIRCLE_CFG, winding_hint=[1]), "single.json")
+    assert main(["solve", "--config", cfg, "--out", str(single)]) == 0
+    assert (out / "report.json").read_bytes() == (single / "report.json").read_bytes()
 
 
 def test_solve_outputs_deterministic(tmp_path):

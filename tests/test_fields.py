@@ -6,7 +6,7 @@ import pytest
 
 from varcurves import ConfigError, PriorField, field_from_config, make_manifold
 from varcurves.fields import KINDS
-from varcurves.manifolds import row_cross
+from varcurves.manifolds import Manifold, row_cross
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -54,22 +54,29 @@ def test_bound_examples():
     assert PriorField(s, "zero").bound() == 0.0
 
 
-@pytest.mark.parametrize("mid,kind,params", [
-    ("sphere:2", "sphere_rotation", [0.3, -0.2, 0.9]),
-    ("sphere:2", "constant_ambient", [1.0, 2.0, -0.5]),
-    ("torus:2", "torus_constant", [0.4, -1.1]),
-    ("so3", "so3_left_invariant", [0.2, 0.5, -0.3]),
-    ("euclidean:3", "constant_ambient", [1.0, 0.0, 2.0]),
-])
+# every KIND_CASES entry, the five this test first ran in front so their ids stay
+_FIRST = (1, 2, 4, 5, 7)
+BOUND_CASES = ([KIND_CASES[i] for i in _FIRST] +
+               [case for i, case in enumerate(KIND_CASES) if i not in _FIRST])
+
+
+@pytest.mark.parametrize("mid,kind,params", BOUND_CASES)
 def test_eval_tangency_and_bound(mid, kind, params):
+    # bound() is analytic; check it, unmodulated and with a modulation whose
+    # largest |m| is a negative entry, on 10^4 random points at grid times
     m = make_manifold(mid)
-    f = PriorField(m, kind, np.asarray(params, float))
-    rng = np.random.default_rng(7)
-    pts = m.random_point(rng, 200)
-    vals = f.eval_many(np.zeros(200), pts)
-    proj = m.project_tangent(pts, vals)
-    assert np.max(np.abs(proj - vals)) < 1e-12 * (1.0 + np.max(np.abs(vals)))
-    assert np.max(np.linalg.norm(vals, axis=-1)) <= f.bound() + 1e-12
+    p = None if params is None else np.asarray(params, float)
+    n, draws = 20, 10_000
+    for mod in (None, np.linspace(-1.3, 0.7, n + 1)):
+        f = PriorField(m, kind, p, mod)
+        rng = np.random.default_rng(20260810)
+        pts = m.random_point(rng, draws)
+        t = np.zeros(draws) if mod is None else rng.integers(0, n + 1, size=draws) / n
+        vals = f.eval_many(t, pts)
+        proj = m.project_tangent(pts, vals)
+        assert np.max(np.abs(proj - vals)) < 1e-12 * (1.0 + np.max(np.abs(vals)))
+        b = f.bound()
+        assert np.max(np.linalg.norm(vals, axis=-1)) <= b * (1.0 + 1e-12) + 1e-15
 
 
 def test_modulated_field_scales_bound():
@@ -99,9 +106,35 @@ def test_kind_manifold_mismatch_rejected():
       "modulation": [1.0, float("nan"), 0.5]}, "modulation"),
 ], ids=["nan-params", "inf-params", "inf-modulation", "nan-modulation"])
 def test_non_finite_field_rejected(cfg, key):
-    # the bound of such a field is NaN or inf, which the spot check cannot catch
+    # the bound of such a field would be NaN or inf
     with pytest.raises(ConfigError, match=f"^field {key} must be finite$"):
         field_from_config(make_manifold("sphere:2"), cfg)
+
+
+@pytest.mark.parametrize("modulation", [[], [0.5]], ids=["empty", "one-entry"])
+def test_short_modulation_rejected(modulation):
+    # one entry per grid time j/n needs n >= 1: bound() of an empty modulation
+    # has no max, and a one-entry one would be read at every t
+    m = make_manifold("sphere:2")
+    with pytest.raises(ConfigError, match="^field modulation needs at least 2 entries$"):
+        PriorField(m, "sphere_rotation", np.array([0.0, 0.0, 1.0]), np.array(modulation))
+
+
+@pytest.mark.parametrize("modulated", [False, True])
+def test_construction_draws_no_random_point(monkeypatch, modulated):
+    # the bound is analytic; building a field samples nothing
+    manifolds = {mid: make_manifold(mid) for mid, _, _ in KIND_CASES}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field construction drew random numbers")
+
+    for cls in (Manifold, *Manifold.__subclasses__()):
+        monkeypatch.setattr(cls, "random_point", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for mid, kind, params in KIND_CASES:
+        f = PriorField(manifolds[mid], kind, None if params is None else np.asarray(params, float),
+                       np.linspace(-0.7, 1.3, 11) if modulated else None)
+        assert f.bound() >= 0.0
 
 
 def test_field_from_config():
