@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import RunConfig, load_config
 from .constraints import seed, zero_hint
-from .curves import length, save_curve
+from .curves import save_curve
 from .errors import ConfigError, DegenerateCurveError, VarcurvesError
 from . import checks
 from .optimize import evaluate_family, minimize, multistart
@@ -97,7 +97,7 @@ def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool) -> dict:
     else:
         report = minimize(spec, cfg.constraint, x0, cfg.options)
     return {"value": value, "objective": report.final_objective,
-            "length": length(report.minimizer), "residual": report.final_residual,
+            "length": report.history[-1].length, "residual": report.final_residual,
             "iterations": report.iterations, "verdict": report.verdict}
 
 

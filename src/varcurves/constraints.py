@@ -135,9 +135,9 @@ def fixed_indices(c: ConstraintSet, n_grid: int, domain: str = "interval") -> np
 
 def free_mask(c: ConstraintSet, n_grid: int, domain: str = "interval") -> np.ndarray:
     """Indices of samples the optimizer may move."""
-    n_samples = n_grid + 1 if domain == "interval" else n_grid
-    fixed = fixed_indices(c, n_grid, domain)
-    return np.setdiff1d(np.arange(n_samples), fixed)
+    keep = np.ones(n_grid + 1 if domain == "interval" else n_grid, bool)
+    keep[fixed_indices(c, n_grid, domain)] = False
+    return np.flatnonzero(keep)
 
 
 def impose(c: ConstraintSet, curve: DiscreteCurve) -> DiscreteCurve:

@@ -120,9 +120,9 @@ class DiscreteCurve:
     The derived arrays below form a memo: the forward steps, the segment
     distances and `derivative(order)`, each order's raw stencil values with
     their tangent projection.  Each is computed on first use, made read-only
-    and kept until `clear_memo`, so validation, functionals and history
-    statistics share one computation; the order's matrices and weights are
-    the grid's, in `stencil(order)`.
+    and kept until `clear_memo`, so validation, functionals and the curve
+    statistics of a solve's start and minimizer share one computation; the
+    order's matrices and weights are the grid's, in `stencil(order)`.
     Validation reads the segment distances only where a step may be near the
     cut locus (`Manifold.may_reach_cut_locus`); on the sphere and on SO(3)
     that is a pair with a negative row-wise dot product, so there they are

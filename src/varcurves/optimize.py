@@ -75,8 +75,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass, field, fields, asdict
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, asdict, replace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,14 +136,24 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class HistoryRecord:
+    """One iterate of a solve, or one curve of an evaluated family.
+
+    A solve's curve statistics (length, quad_length, sup_velocity) are
+    taken of the start (record 0) and the minimizer (the last record)
+    only; the records in between carry None.  phase names the test that
+    accepted the step, search whether the search that made it ran the
+    noise phase; both are None for record 0 and for families.
+    """
+
     iteration: int
     objective: float
     grad_norm: float
-    length: float
-    quad_length: float
-    sup_velocity: float
+    length: Optional[float]
+    quad_length: Optional[float]
+    sup_velocity: Optional[float]
     step: float
-    phase: Optional[str] = None     # armijo | noise; None for record 0 and families
+    phase: Optional[str] = None     # armijo | noise
+    search: Optional[str] = None    # armijo | noise
 
 
 @dataclass(frozen=True)
@@ -407,8 +417,9 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     and the minimizer); a step accepted by the Armijo test strictly decreases
     the objective, one accepted by the noise test raises it by at most
     NOISE_K*eps*|objective|, and each history record names the test
-    ("armijo" or "noise"); the converged verdict certifies
-    el_residual <= grad_tol.
+    ("armijo" or "noise") and the phase of its search; the converged
+    verdict certifies el_residual <= grad_tol.  Curve statistics are taken
+    of the start and the minimizer only (see HistoryRecord).
     """
     x = impose(constraint, x0)
     m = x.manifold
@@ -417,12 +428,6 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     track_winding = isinstance(m, Torus)
     w_ref = winding_vector(x) if track_winding else None
     w_drift = 0.0 if track_winding else None
-
-    history: List[HistoryRecord] = []
-
-    def record(it, obj, resid, step, phase):
-        ln, ql, sv = _curve_stats(x)
-        history.append(HistoryRecord(it, obj, resid, ln, ql, sv, step, phase))
 
     # with no free sample the residual is exactly 0 and nothing is factorized.
     # The factor comes first, so a new grid's stencils are built inside
@@ -446,7 +451,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     verdict = "iter_limit"
     message = ""
     resid = gradient_norm(x, g)
-    record(0, obj, resid, 0.0, None)
+    history = [HistoryRecord(0, obj, resid, *_curve_stats(x), 0.0)]
 
     while True:
         if resid <= opts.grad_tol:
@@ -524,8 +529,12 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         if built_at is not None and np.max(row_norm(x.samples - built_at)) > REBUILD_DIST:
             lu = _flat_model_factor(spec, x, free)
             built_at = x.samples
-        record(it, obj, resid, step, phase)
+        history.append(HistoryRecord(it, obj, resid, None, None, None, step, phase,
+                                     "noise" if noise_phase else "armijo"))
 
+    if it:   # record 0 has the start's statistics; the last gets the minimizer's
+        ln, ql, sv = _curve_stats(x)
+        history[-1] = replace(history[-1], length=ln, quad_length=ql, sup_velocity=sv)
     x.clear_memo()   # the report keeps the minimizer, not its derived arrays
     return SolveReport(x, spec, verdict, it, obj, resid, tuple(history),
                        winding_drift=w_drift, message=message)
@@ -544,6 +553,12 @@ class PSSummary:
     objective >= tau^2/2 * quad_length^2 is an exact Cauchy-Schwarz identity
     of the discretization.  Geodesic segment lengths are reported alongside
     for growth/boundedness statements.
+
+    The check, length_max and length_to_objective read the records that
+    carry curve statistics: every curve of an evaluated family, and the
+    start and the minimizer of a solve.  The bound holds for every discrete
+    curve, so it checks the discretization, not the path, and the two
+    curves a solve reports suffice for it; n_records counts every record.
     """
 
     n_records: int
@@ -560,22 +575,22 @@ class PSSummary:
 def ps_diagnostics(report: SolveReport) -> PSSummary:
     hist = report.history
     objs = np.array([h.objective for h in hist])
-    lens = np.array([h.length for h in hist])
-    qlens = np.array([h.quad_length for h in hist])
     obj_max = float(np.max(objs)) if len(objs) else np.nan
     obj_min = float(np.min(objs)) if len(objs) else np.nan
+    stats = [i for i, h in enumerate(hist) if h.quad_length is not None]
+    lens = np.array([hist[i].length for i in stats])
+    qlens = np.array([hist[i].quad_length for i in stats])
     len_max = float(np.max(lens)) if len(lens) else np.nan
     ratio = len_max / obj_max if obj_max and obj_max > 0 else np.inf
 
     checked = report.spec.kind == "tension" and report.spec.tau > 0
     violations: Tuple[int, ...] = tuple()
     margin_min = np.inf
-    if checked and len(hist):
+    if checked and stats:
         tau = report.spec.tau
-        bound = 0.5 * tau**2 * qlens**2
-        margins = objs - bound
-        tol = 1e-12 * np.maximum(1.0, np.abs(objs))
-        violations = tuple(int(i) for i in np.nonzero(margins < -tol)[0])
+        margins = objs[stats] - 0.5 * tau**2 * qlens**2
+        tol = 1e-12 * np.maximum(1.0, np.abs(objs[stats]))
+        violations = tuple(stats[i] for i in np.nonzero(margins < -tol)[0])
         margin_min = float(np.min(margins))
     return PSSummary(len(hist), obj_max, obj_min, len_max, ratio,
                      checked, len(violations) == 0, violations, margin_min)

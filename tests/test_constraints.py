@@ -25,6 +25,21 @@ def test_free_mask_interpolation():
     assert list(free_mask(c, 10)) == [1, 2, 3, 4, 6, 7, 8, 9]
 
 
+@pytest.mark.parametrize("c,n,domain", [
+    (ConstraintSet.clamped([0.0], [1.0]), 10, "interval"),
+    (ConstraintSet.clamped([0.0], [1.0], [0.0], [0.0]), 3, "interval"),
+    (ConstraintSet.interpolation([(k / 4, [float(k)]) for k in range(5)]), 1000, "interval"),
+    (ConstraintSet.interpolation([(k / 4, [float(k)]) for k in range(5)]), 4, "interval"),
+    (ConstraintSet.periodic(), 64, "circle"),
+])
+def test_free_mask_is_the_set_difference(c, n, domain):
+    # the keep-mask form gives the array np.setdiff1d gave, dtype included
+    n_samples = n + 1 if domain == "interval" else n
+    ref = np.setdiff1d(np.arange(n_samples), fixed_indices(c, n, domain))
+    got = free_mask(c, n, domain)
+    assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
+
+
 def test_free_mask_off_grid_knot():
     c = ConstraintSet.interpolation([(0.0, [0.0]), (0.333, [1.0]), (1.0, [2.0])])
     with pytest.raises(ConfigError, match="knot time not on grid"):

@@ -1,7 +1,8 @@
 """README documents the surface the package exports: the config's solve
-options are the fields of SolveOptions, every name of varcurves.__all__ is
-named in README, and the solver paragraphs state the memory, line-search,
-noise-phase and polar-step constants."""
+options are the fields of SolveOptions, a report's history records have the
+fields of HistoryRecord, every name of varcurves.__all__ is named in README,
+and the solver paragraphs state the memory, line-search, noise-phase and
+polar-step constants."""
 
 import dataclasses
 import re
@@ -25,6 +26,14 @@ def _schema_bullet(key: str) -> str:
 def test_readme_solve_bullet_names_exactly_the_solve_options():
     named = set(re.findall(r"`(\w+)`", _schema_bullet("solve"))) - {"solve"}
     assert named == {f.name for f in dataclasses.fields(SolveOptions)}
+
+
+def test_readme_report_sentence_names_exactly_the_history_fields():
+    text = " ".join(README.split())
+    sentence = re.search(r"Each record of the history in `report\.json` has the "
+                         r"fields ([^.]*)\.", text).group(1)
+    named = re.findall(r"`(\w+)`", sentence)
+    assert named == [f.name for f in dataclasses.fields(optimize.HistoryRecord)]
 
 
 def test_readme_names_every_export():

@@ -203,6 +203,29 @@ def test_history_records_have_diagnostics():
 
 # -- line-search phases ---------------------------------------------------------------------
 
+def _on_record(mp, hook):
+    """Call hook(record) on each history record that minimize creates, as
+    it creates it (the end of each search)."""
+    record = opt.HistoryRecord
+
+    def hooked(*args):
+        out = record(*args)
+        hook(out)
+        return out
+
+    mp.setattr(opt, "HistoryRecord", hooked)
+
+
+def _path(h):
+    """A history record's fields that the solve path sets."""
+    return h.iteration, h.objective, h.grad_norm, h.step, h.phase, h.search
+
+
+def _stats(h):
+    """A history record's curve statistics."""
+    return h.length, h.quad_length, h.sup_velocity
+
+
 def _knot_chain_problem(mid, s, n=1000):
     """Five knots at t = k/4, each a random geodesic step of 0.3 to 1.2 rad
     (rotation angle on SO(3)) from the last, and the seed curve."""
@@ -250,15 +273,11 @@ def _solve_chains(opts):
             events.append("e")
             return exp(self, p, v)
 
-        def counted_stats(curve):
-            events.append("r")
-            return _curve_stats(curve)
-
         spec = FunctionalSpec.tension_cost(0.5 if mid == "sphere:2" else 0.0)
         c, x0 = _knot_chain_problem(mid, s)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Manifold, "exp", counted_exp)
-            mp.setattr(opt, "_curve_stats", counted_stats)
+            _on_record(mp, lambda record: events.append("r"))
             rep = minimize(spec, c, x0, opts)
         searches = [len(t) for t in "".join(events).split("r")[1:]]
         out[mid, s] = rep, searches
@@ -304,6 +323,10 @@ def test_phases_keep_their_invariants(noise_chain_solves, mid, s):
     phases = [h.phase for h in rep.history]
     assert phases[0] is None
     assert set(phases[1:]) <= {"armijo", "noise"}
+    # a step the gradient test accepted came from a noise-phase search
+    assert rep.history[0].search is None
+    for h in rep.history[1:]:
+        assert h.search in ({"noise"} if h.phase == "noise" else {"armijo", "noise"})
     # the noise phase ran: it accepted a step or ended the solve
     stalled = rep.message == "stalled at the roundoff floor"
     assert "noise" in phases or stalled
@@ -315,7 +338,7 @@ def test_phases_keep_their_invariants(noise_chain_solves, mid, s):
     # one search per accepted step, plus the one that found none
     assert len(searches) == rep.iterations + 1
     assert (searches[-1] > 0) == stalled
-    noise = [n for n, h in zip(searches, rep.history[1:]) if h.phase == "noise"]
+    noise = [n for n, h in zip(searches, rep.history[1:]) if h.search == "noise"]
     if stalled:
         noise.append(searches[-1])
     # a noise phase tries one step, the capped first step (NOISE_TRIALS = 1)
@@ -360,10 +383,10 @@ def _logged_solve(monkeypatch, spec, c, x0):
     records, so item i is the search that record i + 1 accepted, and the
     last item is the search that found no step (empty once converged)."""
     events = []
-    evaluate, stats = opt.evaluate, opt._curve_stats
+    evaluate = opt.evaluate
     monkeypatch.setattr(opt, "evaluate",
                         lambda spec, curve: events.append("e") or evaluate(spec, curve))
-    monkeypatch.setattr(opt, "_curve_stats", lambda curve: events.append("r") or stats(curve))
+    _on_record(monkeypatch, lambda record: events.append("r"))
     rep = minimize(spec, c, x0)
     return rep, "".join(events).split("r")[1:]
 
@@ -430,13 +453,12 @@ def test_noise_phase_accepts_no_step_near_its_last(noise_guard_solves, problem):
 
 def test_noise_guard_problems_reach_the_noise_phase(noise_guard_solves):
     # the guard above compares noise phases: counted from the history's
-    # phases and the stall message, every problem but five arcs (whose
-    # noise-phase steps the Armijo test accepts, which no record shows) has
-    # a noise-phase search, and every stall ends in one
+    # searches and the stall message, every problem has a noise-phase
+    # search, and every stall ends in one
     stall = "stalled at the roundoff floor"
-    seen = [sum(h.phase == "noise" for h in rep.history) + (rep.message == stall)
+    seen = [sum(h.search == "noise" for h in rep.history) + (rep.message == stall)
             for rep, _ in noise_guard_solves.values()]
-    assert sum(n > 0 for n in seen) >= len(seen) - 5
+    assert all(n > 0 for n in seen)
     assert all(noise_guard_solves[p][0].message == stall for p in _STALLS)
 
 
@@ -507,22 +529,28 @@ def test_degenerate_noise_trial_ends_the_solve(monkeypatch):
     problem = _arc_problem(-1, 1.0, 1000)
     ref = minimize(*problem)
     assert [h.phase for h in ref.history] == [None, "armijo", "noise"]
-    iterates, trials = [], []
-    validate, stats = DiscreteCurve.__post_init__, opt._curve_stats
+    iterate_1 = minimize(*problem, SolveOptions(max_iters=1)).minimizer
+    records, trials = [], []
+    validate = DiscreteCurve.__post_init__
 
     def degenerate_after_iterate_1(curve):
         validate(curve)
-        if len(iterates) == 2:
+        if len(records) == 2:
             trials.append(curve)
             raise DegenerateCurveError(0)
 
     monkeypatch.setattr(DiscreteCurve, "__post_init__", degenerate_after_iterate_1)
-    monkeypatch.setattr(opt, "_curve_stats", lambda curve: iterates.append(curve) or stats(curve))
+    _on_record(monkeypatch, records.append)
     rep = minimize(*problem)
     assert rep.message == "stalled at the roundoff floor"
     assert (rep.verdict, rep.iterations, len(trials)) == ("iter_limit", 1, 1)
-    assert rep.history == ref.history[:2]
-    assert rep.minimizer.samples.tobytes() == iterates[-1].samples.tobytes()
+    # the path is ref's up to iterate 1, which is the minimizer and so
+    # carries its statistics
+    assert [_path(h) for h in rep.history] == [_path(h) for h in ref.history[:2]]
+    assert rep.history[0] == ref.history[0]
+    monkeypatch.undo()
+    assert _stats(rep.history[-1]) == _curve_stats(rep.minimizer)
+    assert rep.minimizer.samples.tobytes() == iterate_1.samples.tobytes()
 
 
 def test_noise_phase_ignores_decreases_below_rounding(monkeypatch):
@@ -552,32 +580,27 @@ def test_noise_phase_rejects_a_rise_beyond_its_guard(monkeypatch):
     # grad_tol=0 keeps a certificate from ending the solve first
     c, x0 = _knot_chain_problem("sphere:2", 0, n=200)
     real_evaluate, real_gradient = opt.evaluate, opt.gradient
-    seen, iterates, raised, graded = {}, [], [], []
+    records, raised, graded = [], [], []
 
     def evaluate(spec, curve):
         obj = real_evaluate(spec, curve)
-        if iterates and obj >= seen[id(iterates[-1])]:
+        if records and obj >= records[-1].objective:   # the current iterate's
             obj += 1e-12 * abs(obj)
-            raised.append(curve)
-        seen[id(curve)] = obj
+            raised.append((curve, obj))
         return obj
-
-    def curve_stats(curve):   # record() sees each accepted iterate
-        iterates.append(curve)
-        return _curve_stats(curve)
 
     def gradient(spec, curve, free):
         graded.append(curve)
         return real_gradient(spec, curve, free)
 
     monkeypatch.setattr(opt, "evaluate", evaluate)
-    monkeypatch.setattr(opt, "_curve_stats", curve_stats)
+    _on_record(monkeypatch, records.append)   # a record for each accepted iterate
     monkeypatch.setattr(opt, "gradient", gradient)
     rep = minimize(FunctionalSpec.tension_cost(0.5), c, x0, SolveOptions(grad_tol=0.0))
     assert rep.message == "stalled at the roundoff floor"
     assert rep.iterations > 0 and raised
-    raised_ids = {id(r) for r in raised}
-    assert not raised_ids & {id(x) for x in graded + iterates}
+    assert not {id(r) for r, _ in raised} & {id(x) for x in graded}
+    assert not {obj for _, obj in raised} & {h.objective for h in rep.history}
 
 
 def test_history_phase_in_report_and_families():
@@ -588,8 +611,28 @@ def test_history_phase_in_report_and_families():
     assert hist[0]["phase"] is None
     assert [h["phase"] for h in hist[1:]] == [h.phase for h in rep.history[1:]]
     assert {h["phase"] for h in hist[1:]} == {"armijo", "noise"}
+    assert hist[0]["search"] is None
+    assert [h["search"] for h in hist[1:]] == [h.search for h in rep.history[1:]]
+    assert {h["search"] for h in hist[1:]} <= {"armijo", "noise"}
     fam = evaluate_family(FunctionalSpec.tension_cost(0.5), c, [x0, rep.minimizer])
-    assert [h.phase for h in fam.history] == [None, None]
+    assert [(h.phase, h.search) for h in fam.history] == [(None, None), (None, None)]
+
+
+def test_a_solve_takes_curve_statistics_of_its_start_and_minimizer(monkeypatch):
+    # so3-solve pool case 0: two _curve_stats calls, however many iterations
+    spec, c, x0 = _pool_problem("so3-solve", 1000)
+    calls = []
+    stats = opt._curve_stats
+    monkeypatch.setattr(opt, "_curve_stats", lambda curve: calls.append(curve) or stats(curve))
+    rep = minimize(spec, c, x0)
+    monkeypatch.undo()
+    assert rep.iterations >= 2 and len(calls) == 2
+    names = ("length", "quad_length", "sup_velocity")
+    for h, d in zip(rep.history[1:-1], rep.to_dict()["history"][1:-1]):
+        assert _stats(h) == (None, None, None)
+        assert json.dumps([d[k] for k in names]) == "[null, null, null]"
+    for h, curve in ((rep.history[0], impose(c, x0)), (rep.history[-1], rep.minimizer)):
+        assert np.array(_stats(h)).tobytes() == np.array(_curve_stats(curve)).tobytes()
 
 
 def test_armijo_underflow_keeps_its_message(monkeypatch):
@@ -798,6 +841,25 @@ def test_ps_constant_run_zero_lengths():
     rep = minimize(FunctionalSpec.tension_cost(1.0), c, x0)
     ps = ps_diagnostics(rep)
     assert ps.length_max == 0.0
+
+
+def test_ps_diagnostics_flags_a_planted_violation():
+    # tension(2) bounds the objective below by 2 * quad_length^2: record 2
+    # (objective 1, quad_length 1) breaks it, and record 1 carries no
+    # statistics, so the check skips it
+    rec = opt.HistoryRecord
+    hist = (rec(0, 10.0, 1.0, 1.0, 1.0, 1.0, 0.0),
+            rec(1, 0.5, 1.0, None, None, None, 1.0, "armijo", "armijo"),
+            rec(2, 1.0, 0.1, 1.2, 1.0, 1.0, 1.0, "noise", "noise"))
+    curve = DiscreteCurve(make_manifold("euclidean:1"), "interval", np.zeros((5, 1)))
+    rep = opt.SolveReport(curve, FunctionalSpec.tension_cost(2.0), "iter_limit", 2,
+                          1.0, 0.1, hist)
+    ps = ps_diagnostics(rep)
+    assert ps.domination_checked and not ps.domination_ok
+    assert ps.domination_violations == (2,)
+    assert ps.domination_margin_min == -1.0
+    assert (ps.n_records, ps.objective_max, ps.objective_min) == (3, 10.0, 0.5)
+    assert (ps.length_max, ps.length_to_objective) == (1.2, 0.12)
 
 
 def test_tension_solve_against_ode_oracle():
