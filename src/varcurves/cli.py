@@ -2,9 +2,10 @@
 
 Exit codes: 0 converged / all checks pass, 1 configuration or usage error
 (also a FactorizationError of the model preconditioner and a CutLocusError
-seed), 2 iteration limit hit (the budget ran out or the line search stalled
-at the roundoff floor), a sweep row not converged or a check suite failed,
-3 degenerate curve.
+seed of solve or seed), 2 iteration limit hit (the budget ran out or the
+line search stalled at the roundoff floor), a sweep row not converged (a
+seed that fails, CutLocusError included, fails its row) or a check suite
+failed, 3 degenerate curve.
 All outputs are deterministic functions of the config (no timestamps, fixed
 float formatting), so reruns are byte-identical.
 """
@@ -12,6 +13,7 @@ float formatting), so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -83,15 +85,17 @@ def _sweep_values(args):
         raise ConfigError(f"bad --values for {args.param}: {e}") from None
 
 
-def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool) -> dict:
+def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool, tau_seed) -> dict:
+    """One row of the sweep; tau_seed() is the seed every tau row starts
+    from, asked for once the row's functional is accepted."""
     spec = cfg.spec
-    hint = cfg.hints[0] if cfg.hints else None
     if param == "tau":
         spec = replace(spec, tau=float(value))
+        x0 = tau_seed()
     else:
         hint = zero_hint(cfg.manifold)
         hint[0] = int(value)
-    x0 = seed(cfg.constraint, cfg.manifold, cfg.n_grid, cfg.domain, hint)
+        x0 = seed(cfg.constraint, cfg.manifold, cfg.n_grid, cfg.domain, hint)
     if evaluate_only:
         report = evaluate_family(spec, cfg.constraint, [x0])
     else:
@@ -108,9 +112,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError("tau sweeps need a tension functional")
     out = _out_dir(args)
 
+    @functools.cache   # the seed does not depend on tau; a failed one is tried again
+    def tau_seed():
+        return seed(cfg.constraint, cfg.manifold, cfg.n_grid, cfg.domain,
+                    cfg.hints[0] if cfg.hints else None)
+
     def run(value):
         try:
-            return _sweep_one(cfg, args.param, value, args.evaluate_only)
+            return _sweep_one(cfg, args.param, value, args.evaluate_only, tau_seed)
         except VarcurvesError as e:
             return {"value": value, "objective": float("nan"), "length": float("nan"),
                     "residual": float("nan"), "iterations": 0,

@@ -10,11 +10,13 @@ measures its effect: the sup distance to the exact solution falls at order
 Seeds are piecewise-geodesic interpolants through the fixed data; impose and
 seed take the fixed rows from one definition (`_pinned`), which first refuses
 data that does not fit the manifold (`validate_geometry`, the check the
-config applies too).  Each geodesic segment is one Manifold.exp call along
-one tangent vector.  Integer winding hints select the homotopy class on
-multiply-connected manifolds (and, on the sphere and SO(3), the wrapped
-representative): the hinted wraps are inserted in the first segment with a
-free sample.
+config applies too).  Each geodesic segment runs along one tangent vector,
+and one Manifold.exp call samples every segment.  Integer winding hints
+select the homotopy class on multiply-connected manifolds (and, on the
+sphere and SO(3), the wrapped representative): the hinted wraps are
+inserted in the first segment with a free sample.  impose returns a curve
+whose fixed samples already hold the data as it is, so a solve from a seed
+validates no copy of it.
 """
 
 from __future__ import annotations
@@ -141,9 +143,13 @@ def free_mask(c: ConstraintSet, n_grid: int, domain: str = "interval") -> np.nda
 
 
 def impose(c: ConstraintSet, curve: DiscreteCurve) -> DiscreteCurve:
-    """Overwrite the fixed samples with the constraint data; idempotent."""
+    """Overwrite the fixed samples with the constraint data; idempotent.
+
+    The curve itself is returned when its fixed samples already hold the
+    data byte for byte (a seed does), as it is when nothing is fixed.
+    """
     idx, rows = _pinned(c, curve.manifold, curve.grid_n, curve.domain)
-    if not len(idx):
+    if not len(idx) or curve.samples[idx].tobytes() == rows.tobytes():
         return curve
     x = np.array(curve.samples)
     x[idx] = rows
@@ -228,31 +234,34 @@ def _normalize_hint(m: Manifold, hint) -> np.ndarray:
     return h
 
 
-def _geodesic_segment(m: Manifold, p: np.ndarray, q: np.ndarray,
-                      s: np.ndarray, hint: np.ndarray) -> np.ndarray:
-    """Sample the (possibly wrapped) geodesic from p to q at parameters s in [0, 1].
+def _geodesic_vectors(m: Manifold, p: np.ndarray, q: np.ndarray, hint: np.ndarray):
+    """The canonical starts p and the tangent vectors v at them of the
+    (possibly wrapped) geodesics from each row of p to the same row of q,
+    whose samples are m.exp(p, s*v) at parameters s in [0, 1].
 
-    One tangent vector v at p, and the samples are m.exp(p, s*v).  On the
-    torus v is the wrapped displacement plus 2*pi*hint.  Elsewhere v is
-    log(p, q), and a nonzero hint w stretches it by w closed geodesics,
-    each of length 2 * injectivity_radius.
+    On the torus v is the wrapped displacement, plus 2*pi*hint in the first
+    row.  Elsewhere v is log(p, q), and a nonzero hint w stretches the first
+    row's by w closed geodesics, each of length 2 * injectivity_radius.
+    Every operation acts row by row, so a row's bytes do not depend on the
+    other rows.
     """
     p = m.canonicalize(np.asarray(p, float))
     q = m.canonicalize(np.asarray(q, float))
     if isinstance(m, Torus):
-        v = Torus.wrap(q - p) + 2 * np.pi * hint
-    else:
-        try:
-            v = m.log(p, q)
-        except CutLocusError as e:
-            raise CutLocusError(f"{e}; the geodesic between (near-)cut-locus points "
-                                "is ambiguous, so the seed needs a knot between them") from e
-        w = int(hint[0])
-        if w:
-            r = float(np.linalg.norm(v))
-            e = v / r if r >= 1e-12 else _any_direction(m, p)
-            v = (r + w * 2 * m.injectivity_radius) * e
-    return m.exp(np.broadcast_to(p, (len(s), m.ambient_dim)), s[:, None] * v[None, :])
+        wraps = np.zeros(p.shape, hint.dtype)
+        wraps[0] = hint
+        return p, Torus.wrap(q - p) + 2 * np.pi * wraps
+    try:
+        v = m.log(p, q)
+    except CutLocusError as e:
+        raise CutLocusError(f"{e}; the geodesic between (near-)cut-locus points "
+                            "is ambiguous, so the seed needs a knot between them") from e
+    w = int(hint[0])
+    if w:
+        r = float(np.linalg.norm(v[0]))
+        e = v[0] / r if r >= 1e-12 else _any_direction(m, p[0])
+        v[0] = (r + w * 2 * m.injectivity_radius) * e
+    return p, v
 
 
 def _any_direction(m: Manifold, p: np.ndarray) -> np.ndarray:
@@ -285,18 +294,25 @@ def seed(c: ConstraintSet, m: Manifold, n_grid: int, domain: str = "interval",
         base = np.eye(3).reshape(9) if isinstance(m, SO3) else np.zeros(m.ambient_dim)
         if isinstance(m, Sphere):
             base[0] = 1.0
-        x = _geodesic_segment(m, base, base, np.arange(n_grid) / n_grid, h)
-        return DiscreteCurve(m, domain, x)
+        p, v = _geodesic_vectors(m, base[None], base[None], h)
+        s = np.arange(n_grid) / n_grid
+        return DiscreteCurve(m, domain, m.exp(np.broadcast_to(p, (n_grid, m.ambient_dim)),
+                                              s[:, None] * v))
     x = np.empty((n_grid + 1, m.ambient_dim))
     x[:idx[0]] = rows[0]
     x[idx[-1]:] = rows[-1]
     x[idx] = rows
-    for a, b in zip(idx[:-1], idx[1:]):
-        if b - a > 1:
-            s = np.arange(b - a + 1) / (b - a)
-            x[a + 1:b] = _geodesic_segment(m, x[a], x[b], s, h)[1:-1]
-            h = np.zeros_like(h)
-    if np.any(h != 0):
+    seg = np.flatnonzero(np.diff(idx) > 1)   # the stretches that hold a free sample
+    if len(seg):
+        # every segment's free samples in one exp: sample a + j of the
+        # segment from a to b is at s = j / (b - a)
+        p, v = _geodesic_vectors(m, rows[seg], rows[seg + 1], h)
+        a, b = idx[seg], idx[seg + 1]
+        which = np.repeat(np.arange(len(seg)), b - a - 1)   # each free sample's segment
+        at = np.concatenate([np.arange(lo + 1, hi) for lo, hi in zip(a, b)])
+        s = (at - a[which]) / (b - a)[which]
+        x[at] = m.exp(p[which], s[:, None] * v[which])
+    elif np.any(h != 0):
         raise ConfigError("a winding hint needs a free sample between two pinned ones")
     return DiscreteCurve(m, domain, x)
 

@@ -217,6 +217,18 @@ class DiscreteCurve:
         for name in _MEMO:
             self.__dict__.pop(name, None)
 
+    def memo_state(self) -> dict:
+        """The memoized arrays held now, for restore_memo."""
+        state = {name: self.__dict__[name] for name in _MEMO if name in self.__dict__}
+        if "_derivatives" in state:
+            state["_derivatives"] = dict(state["_derivatives"])
+        return state
+
+    def restore_memo(self, state: dict) -> None:
+        """Keep only the memoized arrays of state, from memo_state."""
+        self.clear_memo()
+        self.__dict__.update(state)
+
 
 _MEMO = ("steps", "step_dists", "_derivatives")
 
@@ -320,9 +332,16 @@ def dump_curve(curve: DiscreteCurve) -> str:
         "domain_kind": curve.domain,
         "n_samples": curve.n_samples,
     }, sort_keys=True)
-    table = np.column_stack([curve.times, curve.samples])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+    rows = _row_formats(curve.n_samples, curve.grid_n, curve.manifold.ambient_dim)
+    return header + "\n" + rows % tuple(curve.samples.ravel().tolist())
+
+
+@lru_cache(maxsize=8)
+def _row_formats(n_samples: int, grid_n: int, dim: int) -> str:
+    """The body of a curve file as one format string: every row's time
+    written %.17g, then dim %.17g fields for its sample."""
+    fields = ",%.17g" * dim + "\n"
+    return "".join("%.17g" % t + fields for t in (np.arange(n_samples) / grid_n).tolist())
 
 
 def save_curve(curve: DiscreteCurve, path) -> None:

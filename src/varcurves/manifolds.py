@@ -228,12 +228,15 @@ class Sphere(Manifold):
         p = np.asarray(p, float)
         n, m = p.shape
         i = np.argmax(np.abs(p), axis=1)
-        rows = np.arange(n)
+        # entries are picked by their flat index, which take and put use
+        # directly, where advanced indexing first broadcasts its index arrays
+        start = np.arange(0, n * m, m)
         v = p.copy()
-        v[rows, i] += np.where(p[rows, i] < 0.0, -1.0, 1.0)
-        keep = (i[:, None] + np.arange(1, m)) % m   # the rows l != i
-        return (np.eye(m)[keep] - (2.0 / row_dot(v, v))[:, None, None]
-                * np.take_along_axis(v, keep, axis=1)[:, :, None] * v[:, None, :])
+        pi = v.take(start + i)
+        np.put(v, start + i, pi + np.where(pi < 0.0, -1.0, 1.0))
+        keep = (i[:, None] + np.arange(1, m)) % m   # the rows l != i, where v_l = p_l
+        return ((keep[:, :, None] == np.arange(m)) - (2.0 / row_dot(v, v))[:, None, None]
+                * p.take(start[:, None] + keep)[:, :, None] * v[:, None, :])
 
     def dproj_bilinear(self, p, u, w):
         p = np.asarray(p, float)
@@ -334,6 +337,10 @@ class Torus(Manifold):
 
     def constraint_residual(self, x):
         x = np.asarray(x, float)
+        # canonicalize leaves a coordinate in [0, 2*pi) as it is, so the
+        # residual is 0 there; NaN fails the test and gets the formula's NaN
+        if np.all((x >= 0.0) & (x < 2 * np.pi)):
+            return np.zeros(x.shape[:-1])
         return np.max(np.abs(x - self.canonicalize(x)), axis=-1)
 
     def random_point(self, rng, n=1):

@@ -27,6 +27,12 @@ norm) from them.  On S^d every frame vector e then has x.e <= 1/2 at the
 iterate x, so it keeps at least 3/4 of its squared norm in the tangent
 space.  F^-1 below stands for E H^-1 E^T.
 
+A build reads each stencil D by its diagonals, D[j, j + p] for p = -2..2
+(_stencil_matrices).  They depend on the grid alone, so they are extracted
+from the grid's CSR stencils once, kept read-only, without any coefficient,
+in a small LRU cache keyed on (N, domain) beside curves.stencil_operators,
+and each build multiplies them by c W as it goes.
+
 The memory of the last LBFGS_MEMORY accepted steps s = -step*d and gradient
 changes y = g - g_prev supplies the curvature the model leaves out.  A pair
 is kept, as taken and in ambient coordinates and with its 1/(y.s), if
@@ -76,6 +82,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, fields, asdict, replace
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -181,9 +188,27 @@ class SolveReport:
         }
 
 
-def _stencil_matrices(curve: DiscreteCurve):
-    """The sample-space difference operators D_1, D_2 of the curve's grid."""
-    return tuple(s.matrix for s in stencil_operators(curve.grid_n, curve.domain))
+def _stencil_matrices(curve: DiscreteCurve) -> Tuple[np.ndarray, ...]:
+    """The sample-space difference operators D_1, D_2 of the curve's grid,
+    by diagonals: D[j, j + p] in e[p + 2, j] for p = -2..2, sample indices
+    taken mod n_samples (the circle's wrap), and rows 5 and 6 zero.  A
+    stencil row spans at most 3 consecutive samples, so these are all of
+    its entries.  Read-only and shared by every build on the grid."""
+    return _grid_diagonals(curve.grid_n, curve.domain)
+
+
+@lru_cache(maxsize=8)
+def _grid_diagonals(n: int, domain: str) -> Tuple[np.ndarray, ...]:
+    out = []
+    for s in stencil_operators(n, domain):
+        d = s.matrix
+        ns = d.shape[0]
+        j = np.repeat(np.arange(ns), np.diff(d.indptr))
+        e = np.zeros((7, ns))
+        e[(d.indices - j + 2) % ns, j] = d.data
+        e.setflags(write=False)
+        out.append(e)
+    return tuple(out)
 
 
 class _BandedCholesky:
@@ -223,17 +248,11 @@ class _FramedModel:
 def _row_products(spec: FunctionalSpec, curve: DiscreteCurve):
     """Each term's products c w_j D[j, j+p] D[j, j+p+s] over the rows j of
     its stencil D, in an array indexed [p + 2, s, j] for p = -2..2 and
-    s = 0..2, sample indices taken mod n_samples (the circle's wrap).  A
-    stencil row spans at most 3 consecutive samples, so these are all of
-    its products."""
-    ns = curve.n_samples
-    ds = _stencil_matrices(curve)
+    s = 0..2, from the grid's diagonals (_stencil_matrices)."""
+    diagonals = _stencil_matrices(curve)
     out = []
     for t in spec.terms:
-        d = ds[t.order - 1]
-        j = np.repeat(np.arange(ns), np.diff(d.indptr))
-        e = np.zeros((7, ns))     # D[j, j + p] in e[p + 2, j]; rows 5, 6 stay 0
-        e[(d.indices - j + 2) % ns, j] = d.data
+        e = diagonals[t.order - 1]
         we = t.coef * curve.stencil(t.order).weights * e
         out.append(np.stack([we[:5] * e[s:s + 5] for s in range(3)], axis=1))
     return out
@@ -307,32 +326,48 @@ def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame) -> np.ndarr
         # allocated before the overlaps, acc made the SO(3) build at N = 1000
         # measure 7-25% slower (2-vCPU VM)
         acc = np.zeros((3, k, k, ns + 4))
+        far = {}   # the overlaps at offset +-2, one end row each
 
         def overlap(p, rows):
             """E_j^T E_(j+p) at the rows j of the slice, j + p mod N; None for
-            p = 0.  Offsets +-2 occur only in the interval's end rows."""
+            p = 0.  Offsets +-2 occur only in the interval's end rows: +2 in
+            row 0 and -2 in row N."""
             if p == 0:
                 return None
             if abs(p) == 1:
                 return nearest[p][:, :, rows]
-            j = np.arange(rows.start, rows.stop) + p
-            return _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
+            if p not in far:
+                j = np.arange(rows.start, rows.stop) + p
+                far[p] = _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
+            return far[p]
 
-        for p in range(-2, 3):
-            for s in range(min(3, 3 - p)):
-                c = prods[p + 2, s]
-                nz = np.flatnonzero(c)
-                if nz.size == 0:
-                    continue
-                rows = slice(nz[0], nz[-1] + 1)
-                left, right = overlap(p, rows), overlap(p + s, rows)
-                if left is None:
-                    block = np.eye(k)[:, :, None] if right is None else right
-                else:   # left^T right
-                    left = left.swapaxes(0, 1)
-                    block = left if right is None else _row_dots(left, right.swapaxes(0, 1))
-                # row j adds its products to the block (a, a + s), a = j + p
-                acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += c[rows] * block
+        def add(p, s, rows):
+            """Row j's products into the block (a, a + s), a = j + p, for the
+            rows j of the slice."""
+            c = prods[p + 2, s]
+            left, right = overlap(p, rows), overlap(p + s, rows)
+            if left is None:
+                block = np.eye(k)[:, :, None] if right is None else right
+            else:   # left^T right
+                left = left.swapaxes(0, 1)
+                block = left if right is None else _row_dots(left, right.swapaxes(0, 1))
+            acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += c[rows] * block
+
+        # The six pairs (p, s) that reach offset +-2 serve only the
+        # interval's end rows.  Each block sums its rows' products in the
+        # order of p; row N's pairs (p = -2) come first at their blocks and
+        # row 0's (p + s = 2) last, so the end rows are added before and
+        # after the other pairs, one row at a time, in that order.
+        for s in range(3):
+            if prods[0, s, ns - 1]:
+                add(-2, s, slice(ns - 1, ns))
+        for p, s in ((-1, 0), (-1, 1), (-1, 2), (0, 0), (0, 1), (1, 0)):
+            nz = np.flatnonzero(prods[p + 2, s])
+            if nz.size:
+                add(p, s, slice(nz[0], nz[-1] + 1))
+        for p in range(3):
+            if prods[p + 2, 2 - p, 0]:
+                add(p, 2 - p, slice(0, 1))
     # the circle's wrap: a = -2, -1 are N - 2, N - 1 and a = N, N + 1 are 0, 1
     # (on the interval these entries are 0)
     acc[..., 2:4] += acc[..., ns + 2:]
@@ -352,7 +387,9 @@ def _free_band(blocks: np.ndarray, free: np.ndarray) -> np.ndarray:
 
     H(f_i, f_(i+s)) is blocks[gap, f_i] for a gap f_(i+s) - f_i of at most
     2, and 0 beyond; its entry (r, r2) lies in row s*k + r2 - r of the
-    storage, at column i*k + r.
+    storage, at column i*k + r.  Row r of the block fills consecutive rows
+    of the storage, all in one strided copy; its entries r2 < r - s*k lie
+    above the diagonal and are left out.
     """
     k, nf = blocks.shape[-1], len(free)
     ab = np.zeros((3 * k, nf * k))
@@ -360,8 +397,8 @@ def _free_band(blocks: np.ndarray, free: np.ndarray) -> np.ndarray:
         gap = free[s:] - free[:nf - s]
         blk = np.where((gap <= 2)[:, None, None], blocks[np.minimum(gap, 2), free[:nf - s]], 0.0)
         for r in range(k):
-            for r2 in range(max(r - s * k, 0), k):
-                ab[s * k + r2 - r, r:(nf - s) * k:k] = blk[:, r, r2]
+            lo = max(r - s * k, 0)
+            ab[s * k + lo - r:(s + 1) * k - r, r:(nf - s) * k:k] = blk[:, r, lo:].T
     ab[0] += 1e-12 * max(float(ab[0].max()), 1.0)
     return ab
 
@@ -420,7 +457,11 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     ("armijo" or "noise") and the phase of its search; the converged
     verdict certifies el_residual <= grad_tol.  Curve statistics are taken
     of the start and the minimizer only (see HistoryRecord).
+
+    impose returns x0 itself when its fixed samples hold the data, as a
+    seed's do; the solve then leaves x0 the memo it came with.
     """
+    x0_memo = x0.memo_state()
     x = impose(constraint, x0)
     m = x.manifold
     free = free_mask(constraint, x.grid_n, x.domain)
@@ -536,6 +577,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         ln, ql, sv = _curve_stats(x)
         history[-1] = replace(history[-1], length=ln, quad_length=ql, sup_velocity=sv)
     x.clear_memo()   # the report keeps the minimizer, not its derived arrays
+    x0.restore_memo(x0_memo)
     return SolveReport(x, spec, verdict, it, obj, resid, tuple(history),
                        winding_drift=w_drift, message=message)
 

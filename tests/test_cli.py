@@ -432,6 +432,57 @@ def test_cut_locus_seed_exits_1_with_a_message(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+ANTIPODAL_SPHERE_CFG = dict(KINKED_SPHERE_CFG, constraints={
+    "kind": "clamped", "k": 1,
+    "left": {"position": [1.0, 0.0, 0.0]}, "right": {"position": [-1.0, 0.0, 0.0]}})
+
+
+def _sweep_rows(out):
+    return [ln.split(",", 5) for ln in (out / "sweep.csv").read_text().strip().splitlines()[1:]]
+
+
+def test_tau_sweep_with_a_cut_locus_seed_fails_every_row(tmp_path, capsys):
+    # solve and seed exit 1 on such a seed; a sweep records it in each row
+    path = write_cfg(tmp_path, ANTIPODAL_SPHERE_CFG)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", path, "--param", "tau",
+                 "--values=0.5,1,2", "--out", str(out)]) == 2
+    rows = _sweep_rows(out)
+    assert [r[0] for r in rows] == ["0.5", "1", "2"]
+    assert all(r[5].startswith("failed: sphere log: points are (nearly) antipodal")
+               and r[4] == "0" for r in rows)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_tau_sweep_checks_tau_before_the_seed(tmp_path):
+    # a row's tau is checked first, so a bad tau names itself even where the
+    # seed would fail too
+    path = write_cfg(tmp_path, ANTIPODAL_SPHERE_CFG)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", path, "--param", "tau",
+                 "--values=nan,1", "--out", str(out)]) == 2
+    rows = _sweep_rows(out)
+    assert rows[0][5].startswith("failed: tau must be finite")
+    assert rows[1][5].startswith("failed: sphere log: points are (nearly) antipodal")
+
+
+@pytest.mark.parametrize("evaluate_only", [False, True])
+def test_tau_sweep_seeds_once(tmp_path, monkeypatch, evaluate_only):
+    # the seed does not depend on tau; every row starts from the same one
+    calls = []
+    monkeypatch.setattr(varcurves.cli, "seed",
+                        lambda *a, **k: calls.append(a) or varcurves.seed(*a, **k))
+    path = write_cfg(tmp_path, CIRCLE_CFG)
+    out = tmp_path / "sw"
+    args = ["sweep", "--config", path, "--param", "tau", "--values=0.5,nan,1,2",
+            "--out", str(out)] + ["--evaluate-only"] * evaluate_only
+    assert main(args) == 2
+    assert len(calls) == 1
+    rows = _sweep_rows(out)
+    assert rows[1][5].startswith("failed: tau must be finite")
+    assert {r[5] for r in rows[:1] + rows[2:]} == {"evaluated" if evaluate_only else "converged"}
+
+
 @pytest.mark.parametrize("functional", [{"kind": "energy", "k": 2},
                                         {"kind": "conditional", "k": 2}],
                          ids=["energy", "conditional"])

@@ -5,7 +5,8 @@ from varcurves import (ConfigError, ConstraintSet, CutLocusError, FunctionalSpec
                        constraint_from_config, free_mask, geodesic, gradient,
                        hermite_cubic, impose, length, make_manifold, minimize,
                        seed, winding_vector)
-from varcurves.constraints import fixed_indices
+from varcurves.constraints import _any_direction, _normalize_hint, _pinned, fixed_indices
+from varcurves.manifolds import SO3, Sphere, Torus
 
 
 # -- free_mask -------------------------------------------------------------------
@@ -343,3 +344,113 @@ def test_knot_off_the_manifold_is_refused_not_moved():
                 lambda: minimize(FunctionalSpec.tension_cost(0.0), bad, x0)):
         with pytest.raises(ConfigError, match="knot 0 is not on sphere:2"):
             pin()
+
+
+# -- one exp for every segment: the same bytes as one segment at a time ---------------
+
+def _segment_reference(m, p, q, s, hint):
+    """One geodesic segment sampled on its own, as the seed was built before
+    it sampled every segment in one exp."""
+    p = m.canonicalize(np.asarray(p, float))
+    q = m.canonicalize(np.asarray(q, float))
+    if isinstance(m, Torus):
+        v = Torus.wrap(q - p) + 2 * np.pi * hint
+    else:
+        try:
+            v = m.log(p, q)
+        except CutLocusError as e:
+            raise CutLocusError(f"{e}; the geodesic between (near-)cut-locus points "
+                                "is ambiguous, so the seed needs a knot between them") from e
+        w = int(hint[0])
+        if w:
+            r = float(np.linalg.norm(v))
+            e = v / r if r >= 1e-12 else _any_direction(m, p)
+            v = (r + w * 2 * m.injectivity_radius) * e
+    return m.exp(np.broadcast_to(p, (len(s), m.ambient_dim)), s[:, None] * v[None, :])
+
+
+def _seed_reference(c, m, n_grid, domain="interval", hint=None):
+    h = _normalize_hint(m, hint)
+    idx, rows = _pinned(c, m, n_grid, domain)
+    if c.kind == "periodic":
+        base = np.eye(3).reshape(9) if isinstance(m, SO3) else np.zeros(m.ambient_dim)
+        if isinstance(m, Sphere):
+            base[0] = 1.0
+        return _segment_reference(m, base, base, np.arange(n_grid) / n_grid, h)
+    x = np.empty((n_grid + 1, m.ambient_dim))
+    x[:idx[0]] = rows[0]
+    x[idx[-1]:] = rows[-1]
+    x[idx] = rows
+    for a, b in zip(idx[:-1], idx[1:]):
+        if b - a > 1:
+            s = np.arange(b - a + 1) / (b - a)
+            x[a + 1:b] = _segment_reference(m, x[a], x[b], s, h)[1:-1]
+            h = np.zeros_like(h)
+    if np.any(h != 0):
+        raise ConfigError("a winding hint needs a free sample between two pinned ones")
+    return x
+
+
+_BATCH_HINTS = {"euclidean:2": (None,), "sphere:2": (0, 1, -2), "so3": (0, 1, -1),
+                "torus:2": ([0, 0], [1, -2], [-3, 1])}
+
+
+@pytest.mark.parametrize("mid", list(_BATCH_HINTS))
+def test_seed_of_every_segment_in_one_exp_matches_segment_by_segment(mid):
+    m = make_manifold(mid)
+    rng = np.random.default_rng(21)
+    times = (0.0, 0.1, 0.15, 0.16, 0.5, 0.9, 1.0)   # gaps of 1, 5, 10, 34, 40 samples
+    knots = ConstraintSet.interpolation(list(zip(times, m.random_point(rng, len(times)))))
+    # free samples before the first knot and after the last repeat its row
+    inner = ConstraintSet.interpolation(list(zip((2 / 7, 5 / 7), m.random_point(rng, 2))))
+    cases = [(knots, 100, "interval"), (inner, 7, "interval"), (inner, 700, "interval")]
+    if not mid.startswith("euclidean"):
+        cases.append((ConstraintSet.periodic(), 37, "circle"))
+    for hint in _BATCH_HINTS[mid]:
+        for c, n, domain in cases:
+            got = seed(c, m, n, domain, hint)
+            assert got.samples.tobytes() == _seed_reference(c, m, n, domain, hint).tobytes()
+
+
+@pytest.mark.parametrize("mid,points", [
+    ("sphere:2", ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])),
+    ("so3", (_rz(0.3), _rz(0.3 + np.pi))),
+])
+def test_seed_cut_locus_message_is_unchanged(mid, points):
+    # the antipodal pair is a later segment; its message is the one-segment one
+    m = make_manifold(mid)
+    c = ConstraintSet.interpolation(list(zip(np.linspace(0.0, 1.0, len(points)), points)))
+    with pytest.raises(CutLocusError) as want:
+        _seed_reference(c, m, 40)
+    with pytest.raises(CutLocusError) as got:
+        seed(c, m, 40)
+    assert str(got.value) == str(want.value)
+    assert "the seed needs a knot between them" in str(got.value)
+
+
+@pytest.mark.parametrize("mid", ["euclidean:2", "sphere:2", "so3", "torus:2"])
+def test_impose_returns_a_seed_itself(mid):
+    m = make_manifold(mid)
+    pts = m.random_point(np.random.default_rng(4), 3)
+    c = ConstraintSet.interpolation(list(zip((0.0, 0.5, 1.0), pts)))
+    x0 = seed(c, m, 20)
+    assert impose(c, x0) is x0
+    # a fixed sample that differs in its last bit is written over
+    moved = x0.samples.copy()
+    moved[10] = m.canonicalize(np.nextafter(moved[10], 2.0))
+    if moved[10].tobytes() != x0.samples[10].tobytes():
+        y = impose(c, x0.with_samples(moved))
+        assert y.samples.tobytes() == x0.samples.tobytes()
+    # a clamped seed: its pinned rows are the velocity steps too
+    c2 = ConstraintSet.clamped(pts[0], pts[1], m.project_tangent(pts[0], np.ones(m.ambient_dim)),
+                               m.project_tangent(pts[1], np.ones(m.ambient_dim)))
+    x2 = seed(c2, m, 20)
+    assert impose(c2, x2) is x2
+
+
+def test_impose_of_a_seed_still_refuses_off_manifold_knots():
+    m = make_manifold("sphere:2")
+    good = ConstraintSet.interpolation([(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0])])
+    bad = ConstraintSet.interpolation([(0, [1.0 + 1e-3, 0.0, 0.0]), (1, [0.0, 1.0, 0.0])])
+    with pytest.raises(ConfigError, match="knot 0 is not on sphere:2"):
+        impose(bad, seed(good, m, 10))

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -460,3 +461,26 @@ def test_dump_curve_matches_per_value_format():
                          for t, row in zip(c.times, c.samples)] + [""]
     cells = {v for line in lines[1:] for v in line.split(",")}
     assert {"-0", "4.9406564584124654e-324", "1.0000000000000001e+300"} <= cells
+
+
+def _plain_table(curve):
+    """The curve file body written value by value, each %.17g."""
+    table = np.column_stack([curve.times, curve.samples])
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_dump_curve_equals_the_plain_table_on_every_grid(dim):
+    # the time column is formatted once per grid: interval N = 15 and circle
+    # N = 16 have 16 samples each but different times, and each grid is
+    # written twice, with different samples
+    edge = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0 / 3.0, 5e-324])
+    m = make_manifold(f"euclidean:{dim}")
+    for domain, n in (("interval", 15), ("circle", 16), ("interval", 4), ("circle", 1000),
+                      ("interval", 15), ("circle", 16)):
+        ns = n + 1 if domain == "interval" else n
+        x = np.resize(np.roll(edge, n), (ns, dim))
+        c = DiscreteCurve(m, domain, x)
+        header, body = dump_curve(c).split("\n", 1)
+        assert json.loads(header)["n_samples"] == ns
+        assert body == _plain_table(c)

@@ -549,3 +549,21 @@ def test_cross_matches_numpy_bitwise():
     a, b = _spread(rng, (1001, 3)), _spread(rng, (1001, 3))
     for x, y in ((a, b), (a[7], b), (a, b[7]), (a[7], b[7])):
         assert row_cross(x, y).tobytes() == np.cross(x, y).tobytes()
+
+
+def test_torus_residual_in_range_equals_the_canonicalize_formula():
+    # in [0, 2*pi) the residual is 0 without canonicalizing; elsewhere, NaN
+    # included, it is the formula's
+    m = mk("torus:2")
+    two_pi = 2 * np.pi
+    below = np.nextafter(two_pi, 0.0)
+    rows = np.array([[0.0, 1.0], [-0.0, below], [3.0, 6.0], [-1e-17, 1.0], [-7.0, 2.0],
+                     [two_pi, 0.5], [1.0, 50.0], [np.nan, 1.0], [1.0, np.inf]])
+    for x in (rows[:3], rows, rows[3:], rows[0], rows[4], rows[5], rows[[0, 5]], rows[7],
+              rows.reshape(3, 3, 2)):
+        with np.errstate(invalid="ignore"):   # fmod of an infinity
+            want = np.max(np.abs(x - m.canonicalize(x)), axis=-1)
+            got = m.constraint_residual(x)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.isnan(m.constraint_residual(rows[7]))

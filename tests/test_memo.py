@@ -10,6 +10,7 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        quadrature_length, seed)
 from varcurves.checks import _random_curve
 from varcurves.curves import _MEMO, STENCILS, node_weights, stencil_operators
+from varcurves.optimize import _grid_diagonals
 
 MANIFOLDS = ("euclidean:2", "sphere:2", "torus:2", "so3")
 CASES = [(mid, domain) for mid in MANIFOLDS for domain in ("interval", "circle")]
@@ -182,3 +183,62 @@ def test_clear_memo_drops_every_order(mid, domain):
         again = curve.derivative(k)
         assert again is not before[k]
         assert [a.tobytes() for a in again] == [a.tobytes() for a in before[k]]
+
+
+def _memo_keys(curve):
+    """The memoized arrays a curve holds: by name, and its derivative orders."""
+    return (sorted(name for name in _MEMO if name in vars(curve)),
+            sorted(vars(curve).get("_derivatives", {})))
+
+
+@pytest.mark.parametrize("mid", ["sphere:2", "so3", "torus:1"])
+def test_solve_leaves_the_callers_start_its_memo(mid):
+    # minimize solves from the caller's own seed (impose returns it), and
+    # leaves it the derived arrays it had: none, or those the caller made
+    m = make_manifold(mid)
+    pts = m.random_point(np.random.default_rng(8), 3)
+    c = ConstraintSet.interpolation(list(zip((0.0, 0.5, 1.0), pts)))
+    spec, opts = FunctionalSpec.tension_cost(1.0), SolveOptions(max_iters=5)
+    x0 = seed(c, m, 40)
+    start = _memo_keys(x0)   # the torus validates its steps, the others nothing
+    assert start == ((["steps"], []) if mid.startswith("torus") else ([], []))
+    rep = minimize(spec, c, x0, opts)
+    assert rep.iterations > 0
+    assert _memo_keys(x0) == start
+    steps, v = x0.steps, x0.derivative(1)
+    before = _memo_keys(x0)
+    assert before == (["_derivatives", "steps"], [1])
+    again = minimize(spec, c, x0, opts)
+    assert _memo_keys(x0) == before
+    assert x0.steps is steps and x0.derivative(1) is v
+    assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(rep.to_dict(), sort_keys=True)
+    # a solve that takes no step reports the start itself, with the memo it came with
+    still = minimize(spec, c, x0, SolveOptions(max_iters=0))
+    assert still.minimizer is x0 and _memo_keys(x0) == before
+
+
+@pytest.mark.parametrize("mid,domain,n", [("sphere:2", "interval", 200), ("so3", "interval", 120),
+                                          ("torus:1", "interval", 200), ("torus:1", "circle", 64)])
+def test_cold_and_warm_grid_caches_give_byte_identical_solves(mid, domain, n):
+    # the stencils and their diagonals are cached per grid; a solve that
+    # builds them gives the bytes of one that finds them built
+    m = make_manifold(mid)
+    if domain == "circle":
+        c, hint = ConstraintSet.periodic(), [1]
+    else:
+        pts = m.random_point(np.random.default_rng(6), 5)
+        c, hint = ConstraintSet.interpolation(list(zip((0.0, 0.25, 0.5, 0.75, 1.0), pts))), None
+    spec, opts = FunctionalSpec.tension_cost(0.8), SolveOptions(max_iters=40)
+    x0 = seed(c, m, n, domain, hint)
+    if domain == "circle":
+        x0 = x0.with_samples(m.exp(x0.samples, m.project_tangent(
+            x0.samples, 0.2 * np.sin(np.arange(n) * 4 * np.pi / n)[:, None])))
+    reports = []
+    for cold in (True, False):
+        if cold:
+            stencil_operators.cache_clear()
+            _grid_diagonals.cache_clear()
+        rep = minimize(spec, c, x0, opts)
+        reports.append((json.dumps(rep.to_dict(), sort_keys=True), rep.minimizer.samples.tobytes()))
+        assert rep.iterations > 0
+    assert reports[0] == reports[1]

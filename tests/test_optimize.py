@@ -888,6 +888,11 @@ def _loop_stencil_matrices(curve):
     return sv.tocsr(), sa.tocsr()
 
 
+def _csr_stencils(curve):
+    """The grid's difference matrices D_1, D_2, in CSR."""
+    return tuple(curve.stencil(k).matrix for k in (1, 2))
+
+
 def _euclid_curve(domain, n):
     ns = n + 1 if domain == "interval" else n
     x = np.random.default_rng(n).normal(size=(ns, 1))
@@ -898,7 +903,7 @@ def _euclid_curve(domain, n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 64])
 def test_stencil_matrices_match_forward_stencils(domain, n):
     curve = _euclid_curve(domain, n)
-    sv, sa = _stencil_matrices(curve)
+    sv, sa = _csr_stencils(curve)
     x = curve.samples
     for got, want in ((sv @ x, curve.derivative(1)[0]), (sa @ x, curve.derivative(2)[0])):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
@@ -910,11 +915,34 @@ def test_stencil_matrices_match_forward_stencils(domain, n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 64, 1000])
 def test_stencil_matrices_bit_identical_to_loop_build(domain, n):
     curve = _euclid_curve(domain, n)
-    for got, want in zip(_stencil_matrices(curve), _loop_stencil_matrices(curve)):
+    for got, want in zip(_csr_stencils(curve), _loop_stencil_matrices(curve)):
         assert got.shape == want.shape
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 64, 1000])
+def test_cached_diagonals_are_read_only_and_equal_a_fresh_extraction(domain, n):
+    curve = _euclid_curve(domain, n)
+    diagonals = _stencil_matrices(curve)
+    assert diagonals is _stencil_matrices(_euclid_curve(domain, n))   # one per grid
+    ns = curve.n_samples
+    for order, (e, d) in enumerate(zip(diagonals, _csr_stencils(curve)), start=1):
+        with pytest.raises(ValueError):
+            e[2, 0] = 1.0
+        # the extraction from the CSR entries, as each build did before the cache
+        j = np.repeat(np.arange(ns), np.diff(d.indptr))
+        fresh = np.zeros((7, ns))
+        fresh[(d.indices - j + 2) % ns, j] = d.data
+        assert e.shape == (7, ns) and e.tobytes() == fresh.tobytes()
+        # and entry by entry from the loop build: D[j, j + p] in e[p + 2, j]
+        dense = _loop_stencil_matrices(curve)[order - 1].toarray()
+        rows = np.arange(ns)
+        for p in range(-2, 3):
+            assert np.array_equal(e[p + 2], dense[rows, (rows + p) % ns]), (order, p)
+        assert not e[5:].any()
 
 
 def _two_term_factor(ca, cv, curve, free):
@@ -923,7 +951,7 @@ def _two_term_factor(ca, cv, curve, free):
     if curve.domain == "interval":
         both = SimpleNamespace(terms=(Term(2, ca, None), Term(1, cv, None)))
         return opt._flat_model_factor(both, curve, free)
-    sv, sa = _stencil_matrices(curve)
+    sv, sa = _csr_stencils(curve)
     wv, wa = sp.diags(node_weights(curve)), sp.diags(curve.stencil(2).weights)
     h = ca * (sa.T @ wa @ sa) + cv * (sv.T @ wv @ sv)
     h = h.tocsc()[free][:, free].tocsc()
@@ -952,7 +980,7 @@ def test_flat_model_without_zero_term_solves_bitwise(domain, spec, coef):
 
 def _dense_flat_model(spec, curve, free):
     """The shifted flat model on the free samples, dense, from its definition."""
-    ds = _stencil_matrices(curve)
+    ds = _csr_stencils(curve)
     h = sum(t.coef * (ds[t.order - 1].T @ sp.diags(curve.stencil(t.order).weights)
                       @ ds[t.order - 1]).toarray() for t in spec.terms)
     h = h[np.ix_(free, free)]
@@ -1018,7 +1046,7 @@ def _dense_framed_model(spec, curve, free):
     e = curve.manifold.tangent_frame(curve.samples)   # E_j^T in e[j]
     ns, k = e.shape[:2]
     h = np.zeros((ns * k, ns * k))
-    for t, d in zip(spec.terms, (_stencil_matrices(curve)[t.order - 1] for t in spec.terms)):
+    for t, d in zip(spec.terms, (_csr_stencils(curve)[t.order - 1] for t in spec.terms)):
         d = d.toarray()
         qde = np.zeros((ns * k, ns * k))
         for j, a in zip(*np.nonzero(d)):
@@ -1070,6 +1098,62 @@ def test_framed_factor_is_backward_stable(mid, domain, n, fixed, spec):
     # the result lies in the span of the frames: E E^T got = got
     assert np.max(np.abs(np.einsum("jk,jkm->jm", z.reshape(len(free), -1), e) - got)) \
         <= 16 * np.finfo(float).eps * np.max(np.abs(got))
+
+
+def _framed_blocks_by_pairs(spec, curve, frame):
+    """The framed model's blocks H(a, a + s) in blocks[s, a], from every
+    (p, s) pair over its rows' span, as they were built before the end rows
+    were added apart."""
+    ns, k = curve.n_samples, frame.shape[1]
+    ft = np.ascontiguousarray(frame.transpose(1, 2, 0))
+    prods = sum(opt._row_products(spec, curve))
+    step = opt._row_dots(ft, np.roll(ft, -1, axis=2))
+    nearest = {1: step, -1: np.roll(step, 1, axis=2).swapaxes(0, 1)}
+    acc = np.zeros((3, k, k, ns + 4))
+
+    def overlap(p, rows):
+        if p == 0:
+            return None
+        if abs(p) == 1:
+            return nearest[p][:, :, rows]
+        j = np.arange(rows.start, rows.stop) + p
+        return opt._row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
+
+    for p in range(-2, 3):
+        for s in range(min(3, 3 - p)):
+            c = prods[p + 2, s]
+            nz = np.flatnonzero(c)
+            if nz.size == 0:
+                continue
+            rows = slice(nz[0], nz[-1] + 1)
+            left, right = overlap(p, rows), overlap(p + s, rows)
+            if left is None:
+                block = np.eye(k)[:, :, None] if right is None else right
+            else:
+                left = left.swapaxes(0, 1)
+                block = left if right is None else opt._row_dots(left, right.swapaxes(0, 1))
+            acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += c[rows] * block
+    acc[..., 2:4] += acc[..., ns + 2:]
+    acc[..., ns:ns + 2] += acc[..., :2]
+    return acc[..., 2:ns + 2].transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    FunctionalSpec.tension_cost(0.0), FunctionalSpec.tension_cost(1.5),
+    FunctionalSpec.energy(1), FunctionalSpec.conditional(1),
+], ids=["tension0", "tension1.5", "energy1", "conditional1"])
+@pytest.mark.parametrize("mid,domain,n", [
+    (mid, domain, n) for mid in ("sphere:2", "so3", "sphere:8")
+    for domain in ("interval", "circle") for n in (4, 5, 7, 64)
+])
+def test_framed_blocks_with_end_rows_apart_are_bitwise_the_pair_loop(mid, domain, n, spec):
+    # sphere:8 has 9 ambient coordinates and 8 frame vectors, so its
+    # overlaps and blocks are sums of 8 or more terms, which numpy adds in
+    # another order on one row than on many
+    curve = _curved_curve(mid, domain, n)
+    frame = curve.manifold.tangent_frame(curve.samples)
+    got = opt._model_blocks(spec, curve, frame)
+    assert got.tobytes() == _framed_blocks_by_pairs(spec, curve, frame).tobytes()
 
 
 def _count_factorizations(monkeypatch):
