@@ -39,13 +39,17 @@ STENCILS = {
 
 
 class Stencil(NamedTuple):
-    """One order's stencil on one grid: read-only CSR matrices and the
-    quadrature weights of the order's derivative field."""
+    """One order's stencil on one grid, all read-only: CSR matrices, the
+    quadrature weights of the order's derivative field, and D_k by its
+    diagonals, D_k[j, j + p] in [p + 2, j] for p = -2..2 (j + p mod
+    n_samples): a row spans at most 3 consecutive samples, so these are
+    all its entries, and rows 5 and 6 are zero."""
 
     steps_to_nodes: sp.csr_matrix   # P_k, (n_samples, N): acts on forward steps
     matrix: sp.csr_matrix           # D_k = P_k Delta: acts on samples
     adjoint: sp.csr_matrix          # D_k^T
     weights: np.ndarray             # W_k, one per sample
+    diagonals: np.ndarray           # shape (7, n_samples)
 
 
 def _csr(shape, rows) -> sp.csr_matrix:
@@ -65,7 +69,7 @@ def stencil_operators(n: int, domain: str) -> Tuple[Stencil, ...]:
     """The stencils of every order on the grid of size n, indexed by order - 1.
 
     D_k is P_k after the step matrix Delta, with the zeros that cancel in the
-    product dropped.
+    product dropped; its diagonals are read from its CSR entries.
     """
     ns = n + 1 if domain == "interval" else n
     nodes = np.arange(ns)
@@ -79,7 +83,10 @@ def stencil_operators(n: int, domain: str) -> Tuple[Stencil, ...]:
         d = p @ delta
         d.eliminate_zeros()
         d.sort_indices()
-        s = Stencil(p, d, d.T.tocsr(), _read_only(_weights(order, n, ns, domain)))
+        j = np.repeat(nodes, np.diff(d.indptr))
+        e = np.zeros((7, ns))
+        e[(d.indices - j + 2) % ns, j] = d.data
+        s = Stencil(p, d, d.T.tocsr(), _read_only(_weights(order, n, ns, domain)), _read_only(e))
         for a in (s.steps_to_nodes, s.matrix, s.adjoint):
             for arr in (a.data, a.indices, a.indptr):
                 _read_only(arr)
@@ -302,24 +309,30 @@ def equicontinuity_ratio(curve: DiscreteCurve, pairs: np.ndarray) -> float:
     """Max over index pairs of dist(x_a, x_b) / (sqrt|t_a - t_b| * ||velocity||_L2).
 
     Ratios <= 1 witness the discrete Hoelder/equicontinuity bound tying
-    pointwise distances to the velocity norm.  Pairs with equal indices are
-    skipped.
+    pointwise distances to the velocity norm.  pairs is an (m, 2) array of
+    sample indices; pairs with equal indices are skipped, and no pairs give
+    0.0.
     """
-    pairs = np.asarray(pairs, int)
+    bad = UsageError(f"pairs must be an (m, 2) array of sample indices in [0, {curve.n_samples})")
+    try:
+        pairs = np.asarray(pairs)
+    except ValueError:   # a ragged list
+        raise bad from None
+    if pairs.shape in ((0,), (0, 2)):   # [] too
+        return 0.0
+    if (pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer)
+            or np.any(pairs < 0) or np.any(pairs >= curve.n_samples)):
+        raise bad
+    a, b = pairs[pairs[:, 0] != pairs[:, 1]].T
+    if not len(a):
+        return 0.0
+    d = curve.manifold.dist(curve.samples[a], curve.samples[b])
     v = curve.derivative(1)[1]
     vnorm = np.sqrt(np.sum(node_weights(curve) * row_dot(v, v)))
     if vnorm == 0.0:
-        d = curve.manifold.dist(curve.samples[pairs[:, 0]], curve.samples[pairs[:, 1]])
         return 0.0 if np.all(d == 0) else np.inf
     t = curve.times
-    a, b = pairs[:, 0], pairs[:, 1]
-    keep = a != b
-    if not np.any(keep):
-        return 0.0
-    a, b = a[keep], b[keep]
-    d = curve.manifold.dist(curve.samples[a], curve.samples[b])
-    bound = np.sqrt(np.abs(t[a] - t[b])) * vnorm
-    return float(np.max(d / bound))
+    return float(np.max(d / (np.sqrt(np.abs(t[a] - t[b])) * vnorm)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 The search direction is a limited-memory BFGS direction (the two-loop
 recursion of Nocedal & Wright, Numerical Optimization, ch. 7) whose initial
 inverse Hessian comes from the model Hessian of the same discrete
-functional: a sparse SPD matrix, factorized at the start of a solve (by
-banded Cholesky on the interval and by sparse LU on the circle, where the
-periodic wrap leaves it no band), applied on the free rows and followed by
-the tangent projection.  Preconditioning is essential here: the fourth-order
-objectives have Hessian condition numbers growing like N^4, which makes
+functional: a sparse SPD matrix on every sample, each fixed one
+decoupled, factorized at the start of a solve (by banded Cholesky on the
+interval and by sparse LU on the circle, where the periodic wrap leaves it
+no band), applied to every row and followed by the tangent projection.
+Preconditioning is essential here: the fourth-order objectives have Hessian condition numbers growing like N^4, which makes
 unpreconditioned steepest descent hopeless at the tolerances the
 acceptance suite demands.
 
@@ -28,10 +28,10 @@ iterate x, so it keeps at least 3/4 of its squared norm in the tangent
 space.  F^-1 below stands for E H^-1 E^T.
 
 A build reads each stencil D by its diagonals, D[j, j + p] for p = -2..2
-(_stencil_matrices).  They depend on the grid alone, so they are extracted
-from the grid's CSR stencils once, kept read-only, without any coefficient,
-in a small LRU cache keyed on (N, domain) beside curves.stencil_operators,
-and each build multiplies them by c W as it goes.
+(_stencil_matrices).  They depend on the grid alone, so they are part of
+the grid's curves.Stencil records, in the one cache of
+curves.stencil_operators, read-only and without any coefficient, and each
+build multiplies them by c W as it goes.
 
 The memory of the last LBFGS_MEMORY accepted steps s = -step*d and gradient
 changes y = g - g_prev supplies the curvature the model leaves out.  A pair
@@ -82,7 +82,6 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, fields, asdict, replace
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -190,25 +189,10 @@ class SolveReport:
 
 def _stencil_matrices(curve: DiscreteCurve) -> Tuple[np.ndarray, ...]:
     """The sample-space difference operators D_1, D_2 of the curve's grid,
-    by diagonals: D[j, j + p] in e[p + 2, j] for p = -2..2, sample indices
-    taken mod n_samples (the circle's wrap), and rows 5 and 6 zero.  A
-    stencil row spans at most 3 consecutive samples, so these are all of
-    its entries.  Read-only and shared by every build on the grid."""
-    return _grid_diagonals(curve.grid_n, curve.domain)
-
-
-@lru_cache(maxsize=8)
-def _grid_diagonals(n: int, domain: str) -> Tuple[np.ndarray, ...]:
-    out = []
-    for s in stencil_operators(n, domain):
-        d = s.matrix
-        ns = d.shape[0]
-        j = np.repeat(np.arange(ns), np.diff(d.indptr))
-        e = np.zeros((7, ns))
-        e[(d.indices - j + 2) % ns, j] = d.data
-        e.setflags(write=False)
-        out.append(e)
-    return tuple(out)
+    by diagonals: D[j, j + p] in e[p + 2, j] for p = -2..2
+    (curves.Stencil.diagonals).  Read-only and shared by every build on the
+    grid."""
+    return tuple(s.diagonals for s in stencil_operators(curve.grid_n, curve.domain))
 
 
 class _BandedCholesky:
@@ -232,7 +216,7 @@ def _check_lapack(routine: str, info: int):
 
 
 class _FramedModel:
-    """The projected flat model in the tangent frames E of the free samples:
+    """The projected flat model in the tangent frames E of the samples:
     solve(b) is E H^-1 E^T b for the ambient rows b, given the factor of H."""
 
     def __init__(self, frame: np.ndarray, factor):
@@ -259,26 +243,37 @@ def _row_products(spec: FunctionalSpec, curve: DiscreteCurve):
 
 
 def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray):
-    """Factorized model Hessian of the spec's terms on the free samples,
+    """Factorized model Hessian of the spec's terms on every sample,
     shifted by 1e-12*max(max diag, 1) on the diagonal; solve(b) applies its
-    inverse to the ambient rows b of the free samples: E H^-1 E^T b in the
+    inverse to the ambient rows b of every sample: E H^-1 E^T b in the
     tangent frames E, and H^-1 b, column by column, on a flat manifold,
     which has no frame (the module docstring defines H).
 
+    Each fixed sample is decoupled: its diagonal block is I and every block
+    coupling it to another sample is 0.  So a row that is zero in b comes
+    back zero, and the free rows are those of the model on the free samples
+    alone, bit for bit on the interval, where dpbtrf and dpbtrs run
+    unblocked (3k - 1 < 32): the decoupled rows add only exact zeros, and
+    unit diagonals that leave the shift as it was.
+
     The factor depends on the domain only.  On the interval the k x k
-    blocks of _model_blocks on the free samples form a band of
-    half-bandwidth 3k - 1, factorized by banded Cholesky (LAPACK dpbtrf).
-    On the circle the periodic wrap couples samples 0 and N-1 and no sample
-    is fixed, so H has no band in natural order; the blocks go, with
-    wrapped indices, into one sparse matrix for sparse LU.  E^T g . H^-1
-    E^T g > 0 for any g with E^T g != 0.
+    blocks of _model_blocks form a band of half-bandwidth 3k - 1,
+    factorized by banded Cholesky (LAPACK dpbtrf).  On the circle the
+    periodic wrap couples samples 0 and N-1, so H has no band in natural
+    order; the blocks go, with wrapped indices, into one sparse matrix for
+    sparse LU.  E^T g . H^-1 E^T g > 0 for any g with E^T g != 0.
     """
     frame = curve.manifold.tangent_frame(curve.samples)
     blocks = _model_blocks(spec, curve, frame)   # H(a, a + s) in blocks[s, a]
+    ns, k = blocks.shape[1], blocks.shape[-1]
+    fixed = np.ones(ns, bool)
+    fixed[free] = False
+    for s in range(3):   # H(a, a + s), a + s mod N, couples a fixed sample
+        blocks[s, fixed | np.roll(fixed, -s)] = 0.0
+    blocks[0, fixed] = np.eye(k)
     if curve.domain == "interval":
-        factor = _BandedCholesky(_free_band(blocks, free))
+        factor = _BandedCholesky(_band(blocks))
     else:
-        ns, k = blocks.shape[1], blocks.shape[-1]
         a, r = np.arange(ns)[:, None, None], np.arange(k)[:, None]
         ii, jj, vals = [], [], []
         for s in range(3):
@@ -290,11 +285,9 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
         h = sp.csc_matrix((np.concatenate([v.ravel() for v in vals]),
                            (np.concatenate([v.ravel() for v in ii]),
                             np.concatenate([v.ravel() for v in jj]))), shape=(ns * k, ns * k))
-        dof = (np.asarray(free)[:, None] * k + np.arange(k)).ravel()
-        h = h[dof][:, dof].tocsc()
         diag_scale = max(float(h.diagonal().max()), 1.0)
         factor = spla.splu(h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale))
-    return factor if frame is None else _FramedModel(frame[free], factor)
+    return factor if frame is None else _FramedModel(frame, factor)
 
 
 def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame) -> np.ndarray:
@@ -326,7 +319,7 @@ def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame) -> np.ndarr
         # allocated before the overlaps, acc made the SO(3) build at N = 1000
         # measure 7-25% slower (2-vCPU VM)
         acc = np.zeros((3, k, k, ns + 4))
-        far = {}   # the overlaps at offset +-2, one end row each
+        far = {}   # the overlaps at offset +-2, by offset and row span
 
         def overlap(p, rows):
             """E_j^T E_(j+p) at the rows j of the slice, j + p mod N; None for
@@ -336,10 +329,11 @@ def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame) -> np.ndarr
                 return None
             if abs(p) == 1:
                 return nearest[p][:, :, rows]
-            if p not in far:
+            key = p, rows.start, rows.stop
+            if key not in far:
                 j = np.arange(rows.start, rows.stop) + p
-                far[p] = _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
-            return far[p]
+                far[key] = _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
+            return far[key]
 
         def add(p, s, rows):
             """Row j's products into the block (a, a + s), a = j + p, for the
@@ -353,21 +347,13 @@ def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame) -> np.ndarr
                 block = left if right is None else _row_dots(left, right.swapaxes(0, 1))
             acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += c[rows] * block
 
-        # The six pairs (p, s) that reach offset +-2 serve only the
-        # interval's end rows.  Each block sums its rows' products in the
-        # order of p; row N's pairs (p = -2) come first at their blocks and
-        # row 0's (p + s = 2) last, so the end rows are added before and
-        # after the other pairs, one row at a time, in that order.
-        for s in range(3):
-            if prods[0, s, ns - 1]:
-                add(-2, s, slice(ns - 1, ns))
-        for p, s in ((-1, 0), (-1, 1), (-1, 2), (0, 0), (0, 1), (1, 0)):
-            nz = np.flatnonzero(prods[p + 2, s])
-            if nz.size:
-                add(p, s, slice(nz[0], nz[-1] + 1))
-        for p in range(3):
-            if prods[p + 2, 2 - p, 0]:
-                add(p, 2 - p, slice(0, 1))
+        # every pair (p, s) with p + s <= 2, over the span of its nonzero
+        # rows, so each block sums its rows' products in the order of p
+        for p in range(-2, 3):
+            for s in range(min(3, 3 - p)):
+                nz = np.flatnonzero(prods[p + 2, s])
+                if nz.size:
+                    add(p, s, slice(nz[0], nz[-1] + 1))
     # the circle's wrap: a = -2, -1 are N - 2, N - 1 and a = N, N + 1 are 0, 1
     # (on the interval these entries are 0)
     acc[..., 2:4] += acc[..., ns + 2:]
@@ -381,24 +367,21 @@ def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None] * v[None]).sum(axis=2)
 
 
-def _free_band(blocks: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """LAPACK lower band storage, shifted, of the model on the sorted free
+def _band(blocks: np.ndarray) -> np.ndarray:
+    """LAPACK lower band storage, shifted, of the model on the interval's
     samples, from its k x k blocks H(a, a + s) = blocks[s, a], s = 0..2.
 
-    H(f_i, f_(i+s)) is blocks[gap, f_i] for a gap f_(i+s) - f_i of at most
-    2, and 0 beyond; its entry (r, r2) lies in row s*k + r2 - r of the
-    storage, at column i*k + r.  Row r of the block fills consecutive rows
+    The entry (r, r2) of H(a, a + s) lies in row s*k + r2 - r of the
+    storage, at column a*k + r.  Row r of the block fills consecutive rows
     of the storage, all in one strided copy; its entries r2 < r - s*k lie
     above the diagonal and are left out.
     """
-    k, nf = blocks.shape[-1], len(free)
-    ab = np.zeros((3 * k, nf * k))
-    for s in range(min(3, nf)):
-        gap = free[s:] - free[:nf - s]
-        blk = np.where((gap <= 2)[:, None, None], blocks[np.minimum(gap, 2), free[:nf - s]], 0.0)
+    ns, k = blocks.shape[1], blocks.shape[-1]
+    ab = np.zeros((3 * k, ns * k))
+    for s in range(3):
         for r in range(k):
             lo = max(r - s * k, 0)
-            ab[s * k + lo - r:(s + 1) * k - r, r:(nf - s) * k:k] = blk[:, r, lo:].T
+            ab[s * k + lo - r:(s + 1) * k - r, r:(ns - s) * k:k] = blocks[s, :ns - s, r, lo:].T
     ab[0] += 1e-12 * max(float(ab[0].max()), 1.0)
     return ab
 
@@ -449,10 +432,11 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
     backtracking, or the noise phase once objective differences are roundoff.
 
     The first direction, and every direction after the memory is cleared,
-    is the flat one: the model solve on the free rows, projected onto
-    the tangent spaces.  Fixed samples never move (their coordinates are bit-identical between x0
-    and the minimizer); a step accepted by the Armijo test strictly decreases
-    the objective, one accepted by the noise test raises it by at most
+    is the flat one: the model solve on the rows of every sample, zero on
+    the fixed rows, projected onto the tangent spaces.  Fixed samples never
+    move (their coordinates are bit-identical between x0 and the
+    minimizer); a step accepted by the Armijo test strictly decreases the
+    objective, one accepted by the noise test raises it by at most
     NOISE_K*eps*|objective|, and each history record names the test
     ("armijo" or "noise") and the phase of its search; the converged
     verdict certifies el_residual <= grad_tol.  Curve statistics are taken
@@ -482,10 +466,8 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         return m.project_tangent(x.samples, v)
 
     def flat_direction(v):
-        # the model solve on the free rows, projected at the iterate
-        d = np.zeros_like(v)
-        d[free] = lu.solve(np.take(v, free, axis=0))
-        return project(d)
+        # the model solve, zero on the fixed rows, projected at the iterate
+        return project(lu.solve(v))
 
     pairs = deque(maxlen=LBFGS_MEMORY)   # (s, y, 1/y.s), oldest first
     it = 0

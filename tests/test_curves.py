@@ -143,6 +143,24 @@ def test_equicontinuity_on_smooth_curves():
         assert equicontinuity_ratio(c, pairs) <= 1.0 + 1e-9
 
 
+def test_equicontinuity_of_no_pairs_is_zero():
+    c = _random_curve(make_manifold("sphere:2"), np.random.default_rng(3))
+    for pairs in ([], np.zeros((0, 2), int), np.zeros((0, 2))):
+        assert equicontinuity_ratio(c, pairs) == 0.0
+
+
+@pytest.mark.parametrize("pairs", [
+    [0, 3], [[0, 1, 2]], [[[0, 1]]], [[0, 1.5]], [[0, "a"]],
+    [[0, 17]], [[-1, 3]], [[0, 1], [2, 99]], [[0, 1], [2]],
+], ids=["flat", "three_columns", "three_axes", "float", "string",
+        "past_end", "negative", "one_out_of_range", "ragged"])
+def test_equicontinuity_refuses_what_is_not_in_range_index_pairs(pairs):
+    c = _random_curve(make_manifold("sphere:2"), np.random.default_rng(3))
+    assert c.n_samples == 17
+    with pytest.raises(UsageError, match=r"\(m, 2\) array of sample indices in \[0, 17\)"):
+        equicontinuity_ratio(c, pairs)
+
+
 # -- winding -----------------------------------------------------------------------------
 
 def test_winding_of_wrapped_lines():

@@ -86,9 +86,11 @@ def test_reduction_identity_bitwise():
             free = all_but_ends(x)
             assert np.float64(evaluate(a, x)).tobytes() == np.float64(evaluate(b, x)).tobytes()
             assert gradient(a, x, free).tobytes() == gradient(b, x, free).tobytes()
-            rhs = rng.normal(size=(len(free), m.ambient_dim))
-            assert (_flat_model_factor(a, x, free).solve(rhs).tobytes()
-                    == _flat_model_factor(b, x, free).solve(rhs).tobytes())
+            rhs = np.zeros(x.samples.shape)   # the solve takes every row, zero on fixed ones
+            rhs[free] = rng.normal(size=(len(free), m.ambient_dim))
+            got = _flat_model_factor(a, x, free).solve(rhs)
+            assert got.tobytes() == _flat_model_factor(b, x, free).solve(rhs).tobytes()
+            assert not np.delete(got, free, axis=0).any()
 
 
 def test_tension_monotone_in_tau():

@@ -10,7 +10,6 @@ from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOption
                        quadrature_length, seed)
 from varcurves.checks import _random_curve
 from varcurves.curves import _MEMO, STENCILS, node_weights, stencil_operators
-from varcurves.optimize import _grid_diagonals
 
 MANIFOLDS = ("euclidean:2", "sphere:2", "torus:2", "so3")
 CASES = [(mid, domain) for mid in MANIFOLDS for domain in ("interval", "circle")]
@@ -125,6 +124,8 @@ def test_stencil_operators_are_shared_and_read_only(domain):
             for arr in (mat.data, mat.indices, mat.indptr):
                 with pytest.raises(ValueError):
                     arr[0] = 0
+        with pytest.raises(ValueError):
+            stencil.diagonals[2, 0] = 0
     # so are the quadrature weights, one array per order and grid
     a, b = make_curve("sphere:2", domain), make_curve("so3", domain)
     for k in ORDERS:
@@ -236,8 +237,7 @@ def test_cold_and_warm_grid_caches_give_byte_identical_solves(mid, domain, n):
     reports = []
     for cold in (True, False):
         if cold:
-            stencil_operators.cache_clear()
-            _grid_diagonals.cache_clear()
+            stencil_operators.cache_clear()   # the stencils and their diagonals
         rep = minimize(spec, c, x0, opts)
         reports.append((json.dumps(rep.to_dict(), sort_keys=True), rep.minimizer.samples.tobytes()))
         assert rep.iterations > 0

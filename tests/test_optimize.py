@@ -138,8 +138,8 @@ def test_whole_array_trial_matches_free_row_scatter(mid):
     spec = FunctionalSpec.tension_cost(0.5)
     free, fixed = free_mask(c, x.grid_n), fixed_indices(c, x.grid_n)
     g = gradient(spec, x, free)
-    d = np.zeros_like(g)
-    d[free] = opt._flat_model_factor(spec, x, free).solve(g[free])
+    d = opt._flat_model_factor(spec, x, free).solve(g)
+    assert not d[fixed].any()
     d = m.project_tangent(x.samples, d)
     assert np.all(row_norm(d[fixed]) == 0.0)
     cap = min(1.0, opt.STEP_CAP / np.max(row_norm(d))) if m.compact else 1.0
@@ -650,8 +650,8 @@ def test_armijo_underflow_keeps_its_message(monkeypatch):
 def _flat_direction(spec, c, x, g):
     """The flat-model direction, built here from its definition."""
     free = free_mask(c, x.grid_n, x.domain)
-    d = np.zeros_like(g)
-    d[free] = opt._flat_model_factor(spec, x, free).solve(g[free])
+    d = opt._flat_model_factor(spec, x, free).solve(g)
+    assert not np.delete(d, free, axis=0).any()   # g, and so d, is zero on the fixed rows
     return x.manifold.project_tangent(x.samples, d)
 
 
@@ -927,12 +927,13 @@ def test_stencil_matrices_bit_identical_to_loop_build(domain, n):
 def test_cached_diagonals_are_read_only_and_equal_a_fresh_extraction(domain, n):
     curve = _euclid_curve(domain, n)
     diagonals = _stencil_matrices(curve)
-    assert diagonals is _stencil_matrices(_euclid_curve(domain, n))   # one per grid
+    again = _stencil_matrices(_euclid_curve(domain, n))   # one per grid
+    assert all(a is b for a, b in zip(diagonals, again))
     ns = curve.n_samples
     for order, (e, d) in enumerate(zip(diagonals, _csr_stencils(curve)), start=1):
         with pytest.raises(ValueError):
             e[2, 0] = 1.0
-        # the extraction from the CSR entries, as each build did before the cache
+        # a fresh extraction from the CSR entries
         j = np.repeat(np.arange(ns), np.diff(d.indptr))
         fresh = np.zeros((7, ns))
         fresh[(d.indices - j + 2) % ns, j] = d.data
@@ -945,19 +946,23 @@ def test_cached_diagonals_are_read_only_and_equal_a_fresh_extraction(domain, n):
         assert not e[5:].any()
 
 
-def _two_term_factor(ca, cv, curve, free):
-    """The flat model built from both terms, zero coefficients included: on the
-    interval by the banded factor, on the circle as the sparse sum."""
+def _two_term_solve(ca, cv, curve, free, b):
+    """The solve of the flat model built from both terms, zero coefficients
+    included, for the rows b of every sample: on the interval by the banded
+    factor, on the circle by sparse LU of the sparse sum on the free samples,
+    with zero fixed rows."""
     if curve.domain == "interval":
         both = SimpleNamespace(terms=(Term(2, ca, None), Term(1, cv, None)))
-        return opt._flat_model_factor(both, curve, free)
+        return opt._flat_model_factor(both, curve, free).solve(b)
     sv, sa = _csr_stencils(curve)
     wv, wa = sp.diags(node_weights(curve)), sp.diags(curve.stencil(2).weights)
     h = ca * (sa.T @ wa @ sa) + cv * (sv.T @ wv @ sv)
     h = h.tocsc()[free][:, free].tocsc()
     diag_scale = max(float(h.diagonal().max()), 1.0)
     h = h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale)
-    return spla.splu(h)
+    x = np.zeros_like(b)
+    x[free] = spla.splu(h).solve(b[free])
+    return x
 
 
 @pytest.mark.parametrize("domain", ["interval", "circle"])
@@ -973,9 +978,11 @@ def test_flat_model_without_zero_term_solves_bitwise(domain, spec, coef):
     # interval its zero bands add nothing to the others
     curve = _euclid_curve(domain, 200)
     free = np.setdiff1d(np.arange(curve.n_samples), [0, 50, 100, 150, 200])
-    b = np.random.default_rng(8).normal(size=(len(free), 3))
+    b = np.zeros((curve.n_samples, 3))
+    b[free] = np.random.default_rng(8).normal(size=(len(free), 3))
     got = opt._flat_model_factor(spec, curve, free).solve(b)
-    assert got.tobytes() == _two_term_factor(*coef, curve, free).solve(b).tobytes()
+    assert not np.delete(got, free, axis=0).any()
+    assert got.tobytes() == _two_term_solve(*coef, curve, free, b).tobytes()
 
 
 def _dense_flat_model(spec, curve, free):
@@ -992,6 +999,7 @@ _FREE_SETS = {
     "clamped1": lambda n: [0, n],
     "clamped2": lambda n: [0, 1, n - 1, n],
     "one_fixed": lambda n: [n // 2],
+    "adjacent_pair": lambda n: [0, n // 2, n // 2 + 1, n],
 }
 
 
@@ -1026,13 +1034,17 @@ def test_circle_factor_is_backward_stable(mid, n, spec):
 
 
 def _assert_flat_solve_backward_stable(spec, curve, free):
-    """The flat model's solve on the free samples is exact for a matrix within
-    a few rounding units of the shifted flat model built from its definition."""
+    """The flat model's solve, for rows b of every sample that are zero on
+    the fixed ones, is zero on the fixed rows, and on the free rows exact for
+    a matrix within a few rounding units of the shifted flat model on the
+    free samples built from its definition."""
     h = _dense_flat_model(spec, curve, free)
-    b = np.random.default_rng(curve.grid_n).normal(size=(len(free), 3))
+    b = np.zeros((curve.n_samples, 3))
+    b[free] = np.random.default_rng(curve.grid_n).normal(size=(len(free), 3))
     x = opt._flat_model_factor(spec, curve, free).solve(b)
     assert x.shape == b.shape
-    for xc, bc in zip(x.T, b.T):
+    assert not np.delete(x, free, axis=0).any()
+    for xc, bc in zip(x[free].T, b[free].T):
         backward = (np.max(np.abs(h @ xc - bc))
                     / (np.max(np.sum(np.abs(h), axis=1)) * np.max(np.abs(xc)) + np.max(np.abs(bc))))
         assert backward <= 16 * np.finfo(float).eps
@@ -1074,9 +1086,10 @@ def _curved_curve(mid, domain, n):
     FunctionalSpec.energy(1), FunctionalSpec.conditional(1),
 ], ids=["tension0", "tension1.5", "energy1", "conditional1"])
 @pytest.mark.parametrize("mid,domain,n,fixed", [
-    (mid, domain, n, fixed) for mid in ("sphere:2", "so3") for n in (4, 5, 7, 64)
+    (mid, domain, n, fixed) for mid in ("sphere:2", "so3") for n in (4, 5, 7, 64, 200)
     for domain, fixed in (("interval", "five_knots"), ("interval", "clamped2"),
-                          ("interval", "one_fixed"), ("circle", None))
+                          ("interval", "one_fixed"), ("interval", "adjacent_pair"),
+                          ("circle", None))
     if (n, fixed) != (4, "five_knots")
 ])
 def test_framed_factor_is_backward_stable(mid, domain, n, fixed, spec):
@@ -1087,9 +1100,12 @@ def test_framed_factor_is_backward_stable(mid, domain, n, fixed, spec):
     free = np.arange(curve.n_samples) if fixed is None else \
         np.setdiff1d(np.arange(n + 1), _FREE_SETS[fixed](n))
     h, e = _dense_framed_model(spec, curve, free)
-    b = np.random.default_rng(n).normal(size=(len(free), curve.manifold.ambient_dim))
+    b = np.zeros(curve.samples.shape)   # rows of every sample, zero on the fixed ones
+    b[free] = np.random.default_rng(n).normal(size=(len(free), curve.manifold.ambient_dim))
     got = opt._flat_model_factor(spec, curve, free).solve(b)
     assert got.shape == b.shape
+    assert not np.delete(got, free, axis=0).any()
+    b, got = b[free], got[free]
     xi = np.einsum("jkm,jm->jk", e, b).ravel()
     z = np.einsum("jkm,jm->jk", e, got).ravel()
     backward = (np.max(np.abs(h @ z - xi))
@@ -1102,8 +1118,8 @@ def test_framed_factor_is_backward_stable(mid, domain, n, fixed, spec):
 
 def _framed_blocks_by_pairs(spec, curve, frame):
     """The framed model's blocks H(a, a + s) in blocks[s, a], from every
-    (p, s) pair over its rows' span, as they were built before the end rows
-    were added apart."""
+    (p, s) pair over its rows' span, each offset +-2 overlap formed afresh
+    for each pair that reads it."""
     ns, k = curve.n_samples, frame.shape[1]
     ft = np.ascontiguousarray(frame.transpose(1, 2, 0))
     prods = sum(opt._row_products(spec, curve))
@@ -1146,10 +1162,12 @@ def _framed_blocks_by_pairs(spec, curve, frame):
     (mid, domain, n) for mid in ("sphere:2", "so3", "sphere:8")
     for domain in ("interval", "circle") for n in (4, 5, 7, 64)
 ])
-def test_framed_blocks_with_end_rows_apart_are_bitwise_the_pair_loop(mid, domain, n, spec):
-    # sphere:8 has 9 ambient coordinates and 8 frame vectors, so its
-    # overlaps and blocks are sums of 8 or more terms, which numpy adds in
-    # another order on one row than on many
+def test_framed_blocks_are_bitwise_the_reference_pair_loop(mid, domain, n, spec):
+    # the build keeps each offset +-2 overlap by its row span, so it must
+    # give the bytes of forming it afresh; sphere:8 has 9 ambient
+    # coordinates and 8 frame vectors, so its overlaps and blocks are sums
+    # of 8 or more terms, which numpy adds in another order on one row than
+    # on many
     curve = _curved_curve(mid, domain, n)
     frame = curve.manifold.tangent_frame(curve.samples)
     got = opt._model_blocks(spec, curve, frame)
