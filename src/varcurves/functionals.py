@@ -179,7 +179,10 @@ def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> np.ndarray:
         if term.field is not None:
             r = r - term.field.eval_many(t, x)
         g += stencil.adjoint @ (w * r)
-        g += 0.5 * w * m.dproj_quad(x, raw)
+        # a flat manifold's term is +0.0, which changes no entry of g: a sum
+        # that starts at +0.0 is never -0.0
+        if m.curved:
+            g += 0.5 * w * m.dproj_quad(x, raw)
         if term.field is not None:
             g += 0.5 * w * (-2.0 * term.field.grad_inner(raw, t, x)
                             + term.field.grad_sq(t, x))

@@ -72,10 +72,10 @@ class Manifold:
     """Base class: the array-level flat geometry of the ambient space.
 
     Euclidean uses it whole; Torus adds its point handling, wrapped
-    relative_step and cut-locus check in log.  A curved manifold overrides
-    canonicalize, constraint_residual, project_tangent, tangent_frame,
-    dproj_bilinear, exp_ambient, log, dist, transport and, where it can,
-    may_reach_cut_locus.
+    relative_step and cut-locus check in log.  A curved manifold sets
+    curved and overrides canonicalize, constraint_residual, project_tangent,
+    tangent_frame, dproj_bilinear, exp_ambient, log, dist, transport and,
+    where it can, may_reach_cut_locus.
     Instances are immutable and safe to share across concurrent solves.
     """
 
@@ -83,6 +83,9 @@ class Manifold:
     ambient_dim: int
     compact: bool
     injectivity_radius: float  # in geodesic distance
+    # True where dproj_bilinear is not identically zero; gradient skips the
+    # curvature term where it is False
+    curved = False
 
     # -- point handling ----------------------------------------------------
 
@@ -197,6 +200,7 @@ class Sphere(Manifold):
     """Unit sphere S^d embedded in R^{d+1}."""
 
     compact = True
+    curved = True
     injectivity_radius = np.pi
 
     def __init__(self, dim: int):
@@ -320,18 +324,26 @@ class Torus(Manifold):
         self.name = f"torus:{dim}"
 
     @staticmethod
-    def wrap(delta: np.ndarray) -> np.ndarray:
-        """Map each coordinate of a displacement to the minimal representative in (-pi, pi]."""
-        d = np.mod(np.asarray(delta, float) + np.pi, 2 * np.pi) - np.pi
-        return np.where(d == -np.pi, np.pi, d)
-
-    def canonicalize(self, x):
-        # np.mod's result bit for bit, in fewer passes: a negative fmod
+    def _mod_two_pi(x):
+        # np.mod(x, 2 * pi) bit for bit, in fewer passes: a negative fmod
         # remainder moves up by 2*pi, and adding 0.0 elsewhere turns -0.0
         # into np.mod's +0.0.  A remainder in (-4.4e-16, 0) rounds up to
-        # exactly 2*pi, which maps to 0.0.
-        x = np.fmod(np.asarray(x, float), 2 * np.pi)
+        # exactly 2*pi, as in np.mod.
+        x = np.asarray(np.fmod(np.asarray(x, float), 2 * np.pi))   # 0-d stays an array
         x += np.where(x < 0, 2 * np.pi, 0.0)
+        return x
+
+    @staticmethod
+    def wrap(delta: np.ndarray) -> np.ndarray:
+        """Map each coordinate of a displacement to the minimal representative in (-pi, pi]."""
+        d = Torus._mod_two_pi(np.asarray(delta, float) + np.pi)
+        d -= np.pi
+        np.copyto(d, np.pi, where=d == -np.pi)
+        return d
+
+    def canonicalize(self, x):
+        # the remainder 2*pi maps to 0.0
+        x = self._mod_two_pi(x)
         np.copyto(x, 0.0, where=x == 2 * np.pi)
         return x
 
@@ -364,6 +376,7 @@ class SO3(Manifold):
     """
 
     compact = True
+    curved = True
     injectivity_radius = np.sqrt(2.0) * np.pi
 
     def __init__(self):
@@ -395,9 +408,18 @@ class SO3(Manifold):
         x = np.asarray(x, float)
         m = x.reshape(-1, 3, 3)
         with np.errstate(invalid="ignore"):   # an infinite sample fails the screen
-            mtm = np.swapaxes(m, -1, -2) @ m
+            # not m^T @ m: numpy sends a product of a buffer with its own
+            # transpose to BLAS syrk one matrix at a time, about 2.5 times
+            # the cost of gemm on a copy, with the same bytes
+            mtm = np.swapaxes(m, -1, -2) @ m.copy()
             out = m @ (1.5 * np.eye(3) - 0.5 * mtm)
-            near = np.max(np.abs(mtm - np.eye(3)), axis=(-2, -1)) <= POLAR_STEP_TOL
+            # max |m^T m - I| of each sample, down the columns of the (9, n)
+            # transpose: numpy's max over the last two axes of (n, 3, 3) runs
+            # one short reduction per sample.  The max is exact, and NaN
+            # propagates into it
+            dev = mtm.reshape(-1, 9).T.copy()
+            dev[::4] -= 1.0
+            near = np.max(np.abs(dev, out=dev), axis=0) <= POLAR_STEP_TOL
             near &= row_dot(m[:, 0], row_cross(m[:, 1], m[:, 2])) > 0.0
         if not np.all(near):
             far = ~near
@@ -442,29 +464,42 @@ class SO3(Manifold):
                       ((z, c2, -c1), (-c2, z, c0), (c1, -c0, z))], axis=1)
         return self._vec(e) / np.sqrt(2.0)
 
+    @classmethod
+    def _mat_t(cls, p):
+        # p^T as a copy: numpy multiplies by a transposed view as the right
+        # operand through a slower BLAS path, with the same bytes
+        return np.swapaxes(cls._mat(p), -1, -2).copy()
+
     def dproj_bilinear(self, p, u, w):
-        pm, um, wm = self._mat(p), self._mat(u), self._mat(w)
+        pt, um, wm = self._mat_t(p), self._mat(u), self._mat(w)
         # <u, P(p) w>_F = (<u, w> - tr(u^T p w^T p)) / 2
-        g = um @ np.swapaxes(pm, -1, -2) @ wm + wm @ np.swapaxes(pm, -1, -2) @ um
+        g = um @ pt @ wm + wm @ pt @ um
         return self._vec(-0.5 * g)
 
     def dproj_quad(self, p, c):
-        # dproj_bilinear(p, c, c) with its two equal terms computed once
-        pm, cm = self._mat(p), self._mat(c)
-        half = cm @ np.swapaxes(pm, -1, -2) @ cm
-        return self._vec(-0.5 * (half + half))
+        # dproj_bilinear(p, c, c) with its two equal terms computed once:
+        # -0.5 * (h + h) is -h, and -1.0 * h keeps the NaN of h as it was
+        cm = self._mat(c)
+        h = cm @ self._mat_t(p) @ cm
+        h *= -1.0
+        return self._vec(h)
 
     @staticmethod
     def _expm_skew(omega):
-        """Rodrigues formula for batched 3x3 skew matrices."""
-        theta = np.linalg.norm(omega, axis=(-2, -1)) / np.sqrt(2.0)
-        t = theta[..., None, None]
-        eye = np.broadcast_to(np.eye(3), omega.shape)
+        """Rodrigues formula I + a omega + b omega^2 for batched 3x3 skew matrices."""
+        t = np.linalg.norm(omega, axis=(-2, -1)) / np.sqrt(2.0)
+        tt = t * t
+        big = t > 1e-8
+        # the quotients are kept only where t > 1e-8, so they need no guard
+        # against t = 0
         with np.errstate(invalid="ignore", divide="ignore"):
-            a = np.where(t > 1e-8, np.sin(t) / np.where(t > 0, t, 1.0), 1.0 - t * t / 6.0)
-            b = np.where(t > 1e-8, (1.0 - np.cos(t)) / np.where(t > 0, t * t, 1.0),
-                         0.5 - t * t / 24.0)
-        return eye + a * omega + b * (omega @ omega)
+            a = np.where(big, np.sin(t) / t, 1.0 - tt / 6.0)[..., None, None]
+            b = np.where(big, (1.0 - np.cos(t)) / tt, 0.5 - tt / 24.0)[..., None, None]
+        # a omega + I is I + a omega bit for bit: addition commutes
+        out = a * omega
+        out += np.eye(3)
+        out += b * (omega @ omega)
+        return out
 
     def exp_ambient(self, p, v):
         pm = self._mat(p)
@@ -505,8 +540,9 @@ class SO3(Manifold):
     def may_reach_cut_locus(self, p, q):
         # the row-wise dot product of the 9-vectors is tr(p^T q) =
         # 1 + 2 cos(angle), negative only beyond an angle of 2 pi / 3; the
-        # cut locus is at pi
-        return bool(np.any(row_dot(p, q) < 0.0))
+        # cut locus is at pi.  einsum rounds the dot product differently
+        # from row_dot, which can flip its sign only near 2 pi / 3
+        return bool(np.any(np.einsum("...i,...i->...", p, q) < 0.0))
 
     def transport(self, p, q, u):
         om, _ = self._rel_rotation_log(p, q)

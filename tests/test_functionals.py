@@ -159,6 +159,24 @@ def test_gradient_is_a_tangent_array(mid):
         assert TangentField(x, g).vectors.tobytes() == g.tobytes()
 
 
+@pytest.mark.parametrize("mid", ["euclidean:2", "torus:1", "torus:2"])
+def test_flat_gradient_skips_its_zero_curvature_term_bitwise(mid):
+    # gradient adds 0.5 w dproj_quad only where the manifold is curved; on a
+    # flat manifold that term is +0.0, and adding it changes no byte
+    m = make_manifold(mid)
+    assert not m.curved
+    forced = type("Curved" + type(m).__name__, (type(m),), {"curved": True})(m.dim)
+    rng = np.random.default_rng(8)
+    curves = [_random_curve(m, rng), _random_curve(m, rng, 200), constant_curve(mid)]
+    if mid != "euclidean:2":
+        curves.append(closed_curve(m, rng, 40))
+    for x in curves:
+        y = DiscreteCurve(forced, x.domain, x.samples)
+        free = all_but_ends(x)
+        for spec in _specs_for(m):
+            assert gradient(spec, x, free).tobytes() == gradient(spec, y, free).tobytes()
+
+
 @pytest.mark.parametrize("mid", ALL_IDS)
 def test_gradient_matches_directional_derivative(mid):
     m = make_manifold(mid)

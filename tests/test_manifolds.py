@@ -217,6 +217,31 @@ def test_dproj_quad_is_dproj_bilinear_bitwise(mid):
     assert m.dproj_quad(p, c).tobytes() == m.dproj_bilinear(p, c, c.copy()).tobytes()
 
 
+def _so3_dproj_quad_formula(p, c):
+    """SO3.dproj_quad written out: -0.5 (h + h), h = c p^T c."""
+    pm = p.reshape(p.shape[:-1] + (3, 3))
+    cm = c.reshape(pm.shape)
+    h = cm @ np.swapaxes(pm, -1, -2) @ cm
+    return (-0.5 * (h + h)).reshape(c.shape)
+
+
+def test_so3_dproj_quad_matches_written_out_form_bitwise():
+    m = mk("so3")
+    rng = np.random.default_rng(29)
+    p = m.random_point(rng, 300)
+    c = rng.normal(size=p.shape) * 10.0 ** rng.uniform(-8, 8, size=p.shape)
+    p[5, 4] = np.nan
+    c[9, 2] = np.nan
+    c[11] = -0.0
+    p = np.concatenate([p, -p])   # the second half are reflections
+    c = np.concatenate([c, c[::-1]])
+    want = _so3_dproj_quad_formula(p, c)
+    assert np.isnan(want[5]).all() and np.isnan(want[9]).any()
+    assert m.dproj_quad(p, c).tobytes() == want.tobytes()
+    for i in (0, 5, 9, 11, 300, 305, 599):
+        assert m.dproj_quad(p[i], c[i]).tobytes() == want[i].tobytes()
+
+
 # -- dist ----------------------------------------------------------------------
 
 def test_dist_examples():
@@ -425,6 +450,29 @@ def test_torus_canonicalize_matches_mod_form_bitwise():
             assert m.canonicalize(x).tobytes() == _torus_canonicalize_by_mod(x).tobytes()
 
 
+def _torus_wrap_by_mod(delta):
+    """Torus.wrap in its np.mod form."""
+    d = np.mod(np.asarray(delta, float) + np.pi, 2 * np.pi) - np.pi
+    return np.where(d == -np.pi, np.pi, d)
+
+
+def test_torus_wrap_matches_mod_form_bitwise():
+    from varcurves import Torus
+    # the multiples of pi and their neighbours, tiny, huge and non-finite steps
+    k = np.arange(-100.0, 101.0) * np.pi
+    edge = np.concatenate([
+        [0.0, -0.0, -4e-16, 4e-16, -1e-17, 1e-17, 1e300, -1e300, 5e-324, -5e-324,
+         np.inf, -np.inf, np.nan, -np.nan],
+        k, np.nextafter(k, np.inf), np.nextafter(k, -np.inf)])
+    rng = np.random.default_rng(30)
+    spread = rng.normal(size=300_000) * 10.0 ** rng.uniform(-20, 20, size=300_000)
+    with np.errstate(invalid="ignore"):   # fmod and mod of +-inf are NaN
+        for x in (edge, spread.reshape(-1, 2), spread[:1001, None], spread[7:8]):
+            assert Torus.wrap(x).tobytes() == _torus_wrap_by_mod(x).tobytes()
+    assert Torus.wrap(-np.pi) == np.pi and Torus.wrap(3 * np.pi) == np.pi
+    assert Torus.wrap(-0.0) == 0.0 and not np.signbit(Torus.wrap(-0.0))
+
+
 def _ambient_rows(m, rng, n):
     """Rows as an exponential's ambient formula leaves them: near the manifold
     but not on it, plus a few far off it (on the torus, below 0 and past 2*pi)."""
@@ -515,6 +563,61 @@ def test_exp_matches_written_out_formula_bitwise(mid):
     zero = np.zeros_like(p)
     assert m.exp(p, zero).tobytes() == _exp_formula(mid, p, zero).tobytes()
     assert m.exp(p, -zero).tobytes() == _exp_formula(mid, p, -zero).tobytes()
+
+
+def test_so3_expm_skew_matches_rodrigues_bitwise():
+    from varcurves import SO3
+    rng = np.random.default_rng(32)
+    w = rng.normal(size=(600, 3))
+    # angles 0 and either side of the series switch at 1e-8, up to 3.1
+    w *= (np.repeat([0.0, 1e-12, 1e-8, np.nextafter(1e-8, 1.0), 1e-4, 0.3, 2.0, 3.1], 75)
+          / row_norm(w))[:, None]
+    z = np.zeros(len(w))
+    om = np.stack([z, -w[:, 2], w[:, 1], w[:, 2], z, -w[:, 0], -w[:, 1], w[:, 0], z],
+                  axis=-1).reshape(-1, 3, 3)
+    om[0] = -0.0
+    om[80, 0, 1] = np.nan
+    want = _rodrigues(om)
+    assert SO3._expm_skew(om).tobytes() == want.tobytes()
+    for i in (0, 1, 80, 150, 599):
+        assert SO3._expm_skew(om[i]).tobytes() == want[i].tobytes()
+
+
+def _so3_pairs_at_angles(m, rng, angles):
+    """Pairs (p, p expm(omega)) of rotations at the given angles apart."""
+    p = m.random_point(rng, len(angles))
+    w = rng.normal(size=(len(angles), 3))
+    w *= (angles / row_norm(w))[:, None]
+    z = np.zeros(len(w))
+    om = np.stack([z, -w[:, 2], w[:, 1], w[:, 2], z, -w[:, 0], -w[:, 1], w[:, 0], z],
+                  axis=-1).reshape(-1, 3, 3)
+    return p, (p.reshape(-1, 3, 3) @ _rodrigues(om)).reshape(p.shape)
+
+
+def test_so3_cut_locus_screen_matches_row_dot_screen():
+    # the screen rounds tr(p^T q) = 1 + 2 cos(angle) otherwise than row_dot,
+    # which can flip its sign only where it is within rounding of 0: at an
+    # angle within rounding of 2 pi / 3, far from the cut locus at pi
+    m = mk("so3")
+    rng = np.random.default_rng(31)
+    p, q = m.random_point(rng, 400), m.random_point(rng, 400)   # angles over [0, pi]
+    q[::7] *= -1.0   # reflections
+    p[3, 5] = np.nan
+    for a, b in ((p, q), (p[3], q[3]), (p, q[9]), (p[9], q)):
+        assert m.may_reach_cut_locus(a, b) == bool(np.any(row_dot(a, b) < 0.0))
+    for i in range(0, 400, 4):
+        a, b = p[i:i + 4], q[i:i + 4]
+        assert m.may_reach_cut_locus(a, b) == bool(np.any(row_dot(a, b) < 0.0))
+        assert m.may_reach_cut_locus(a[0], b[0]) == bool(row_dot(a[0], b[0]) < 0.0)
+    delta = np.concatenate([[0.0], 10.0 ** -np.arange(4.0, 17.0)])
+    angles = 2 * np.pi / 3 + np.concatenate([delta, -delta]).repeat(20)
+    p, q = _so3_pairs_at_angles(m, rng, angles)
+    dot = row_dot(p, q)
+    assert np.any(dot < 0.0) and np.any(dot > 0.0)
+    for i in range(len(p)):
+        screen = m.may_reach_cut_locus(p[i], q[i])
+        assert screen == bool(dot[i] < 0.0) or abs(dot[i]) <= 16 * np.finfo(float).eps
+    assert np.all(m.dist(p, q) < m.injectivity_radius - 1.0)
 
 
 def test_make_manifold_rejects_unknown():
