@@ -24,7 +24,7 @@ from .constraints import seed, zero_hint
 from .curves import save_curve
 from .errors import ConfigError, DegenerateCurveError, VarcurvesError
 from . import checks
-from .optimize import evaluate_family, minimize, multistart
+from .optimize import SolveReport, evaluate_family, minimize, multistart
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -85,24 +85,22 @@ def _sweep_values(args):
         raise ConfigError(f"bad --values for {args.param}: {e}") from None
 
 
-def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool, tau_seed) -> dict:
-    """One row of the sweep; tau_seed() is the seed every tau row starts
-    from, asked for once the row's functional is accepted."""
+def _sweep_one(cfg: RunConfig, param: str, value, evaluate_only: bool, start,
+               tau_seed) -> SolveReport:
+    """The report of one row of the sweep.  A tau row starts from `start`,
+    or from tau_seed() when `start` is None, either taken only once the
+    row's tau is accepted; a winding row starts from its own seed."""
     spec = cfg.spec
     if param == "tau":
         spec = replace(spec, tau=float(value))
-        x0 = tau_seed()
+        x0 = tau_seed() if start is None else start
     else:
         hint = zero_hint(cfg.manifold)
         hint[0] = int(value)
         x0 = seed(cfg.constraint, cfg.manifold, cfg.n_grid, cfg.domain, hint)
     if evaluate_only:
-        report = evaluate_family(spec, cfg.constraint, [x0])
-    else:
-        report = minimize(spec, cfg.constraint, x0, cfg.options)
-    return {"value": value, "objective": report.final_objective,
-            "length": report.history[-1].length, "residual": report.final_residual,
-            "iterations": report.iterations, "verdict": report.verdict}
+        return evaluate_family(spec, cfg.constraint, [x0])
+    return minimize(spec, cfg.constraint, x0, cfg.options)
 
 
 def cmd_sweep(args) -> int:
@@ -112,28 +110,33 @@ def cmd_sweep(args) -> int:
         raise ConfigError("tau sweeps need a tension functional")
     out = _out_dir(args)
 
-    @functools.cache   # the seed does not depend on tau; a failed one is tried again
+    # the seed does not depend on tau: the first row and each restart of the
+    # chain take the same one, and a failed one is tried again
+    @functools.cache
     def tau_seed():
         return seed(cfg.constraint, cfg.manifold, cfg.n_grid, cfg.domain,
                     cfg.hints[0] if cfg.hints else None)
 
-    def run(value):
-        try:
-            return _sweep_one(cfg, args.param, value, args.evaluate_only, tau_seed)
-        except VarcurvesError as e:
-            return {"value": value, "objective": float("nan"), "length": float("nan"),
-                    "residual": float("nan"), "iterations": 0,
-                    "verdict": f"failed: {e}"}
-
-    rows = [run(v) for v in values]
-
+    # parameter continuation along tau: a row starts from the minimizer of the
+    # row before it when that row certified; after a failed or uncertified row
+    # (and at the first) it starts from the seed
     lines = ["value,objective,length,residual,iterations,verdict"]
-    for row in rows:
-        lines.append(f"{row['value']:.17g},{row['objective']:.17g},"
-                     f"{row['length']:.17g},{row['residual']:.17g},"
-                     f"{row['iterations']},{row['verdict']}")
+    start, bad = None, False
+    for value in values:
+        try:
+            report = _sweep_one(cfg, args.param, value, args.evaluate_only, start, tau_seed)
+        except VarcurvesError as e:
+            objective = length = residual = float("nan")
+            iterations, verdict, start = 0, f"failed: {e}", None
+        else:
+            objective, length, residual = (report.final_objective, report.history[-1].length,
+                                           report.final_residual)
+            iterations, verdict = report.iterations, report.verdict
+            start = report.minimizer if verdict == "converged" else None
+        lines.append(f"{value:.17g},{objective:.17g},{length:.17g},{residual:.17g},"
+                     f"{iterations},{verdict}")
+        bad = bad or verdict not in ("converged", "evaluated")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    bad = [r for r in rows if r["verdict"] not in ("converged", "evaluated")]
     return EXIT_ITER_LIMIT if bad else EXIT_OK
 
 
@@ -159,6 +162,7 @@ def cmd_seed(args) -> int:
     return EXIT_OK
 
 
+@functools.cache   # the parser is the same for every main call; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varcurves",

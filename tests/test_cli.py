@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 
 import varcurves
 from varcurves import (ConfigError, FunctionalSpec, el_residual, evaluate, free_mask,
-                       length, load_curve, seed)
+                       length, load_curve, minimize, seed)
 from varcurves.cli import main
 from varcurves.config import parse_config
+from varcurves.constraints import zero_hint
 
 HERMITE_CFG = {
     "manifold": "euclidean:1",
@@ -468,7 +470,8 @@ def test_tau_sweep_checks_tau_before_the_seed(tmp_path):
 
 @pytest.mark.parametrize("evaluate_only", [False, True])
 def test_tau_sweep_seeds_once(tmp_path, monkeypatch, evaluate_only):
-    # the seed does not depend on tau; every row starts from the same one
+    # the seed does not depend on tau; it is built once, at the first row
+    # with an accepted tau, and rows that restart the chain reuse it
     calls = []
     monkeypatch.setattr(varcurves.cli, "seed",
                         lambda *a, **k: calls.append(a) or varcurves.seed(*a, **k))
@@ -481,6 +484,90 @@ def test_tau_sweep_seeds_once(tmp_path, monkeypatch, evaluate_only):
     rows = _sweep_rows(out)
     assert rows[1][5].startswith("failed: tau must be finite")
     assert {r[5] for r in rows[:1] + rows[2:]} == {"evaluated" if evaluate_only else "converged"}
+
+
+def _seeded_row(raw_cfg, param, value):
+    """The sweep.csv cells of a standalone minimize from the seed of one row."""
+    cfg = parse_config(raw_cfg)
+    spec, hint = cfg.spec, None
+    if param == "tau":
+        spec = replace(spec, tau=float(value))
+    else:
+        hint = zero_hint(cfg.manifold)
+        hint[0] = int(value)
+    x0 = seed(cfg.constraint, cfg.manifold, cfg.n_grid, cfg.domain, hint)
+    r = minimize(spec, cfg.constraint, x0, cfg.options)
+    return [f"{v:.17g}" for v in (value, r.final_objective, r.history[-1].length,
+                                  r.final_residual)] + [str(r.iterations), r.verdict]
+
+
+def _sweep(tmp_path, raw_cfg, param, values, name):
+    """The exit code of a sweep and its output directory."""
+    out = tmp_path / name
+    code = main(["sweep", "--config", write_cfg(tmp_path, raw_cfg, name + ".json"),
+                 "--param", param, f"--values={values}", "--out", str(out)])
+    return code, out
+
+
+def test_tau_sweep_restarts_the_chain_after_a_failed_row(tmp_path):
+    # the row after a failed row starts from the seed, as a standalone solve does
+    code, out = _sweep(tmp_path, KINKED_SPHERE_CFG, "tau", "0.5,nan,1,2", "sw")
+    assert code == 2
+    rows = _sweep_rows(out)
+    assert rows[0][5] == rows[3][5] == "converged"
+    assert rows[1][5].startswith("failed: tau must be finite")
+    assert [rows[0], rows[2]] == [_seeded_row(KINKED_SPHERE_CFG, "tau", tau) for tau in (0.5, 1.0)]
+
+
+def test_tau_sweep_restarts_the_chain_after_an_uncertified_row(tmp_path):
+    raw = dict(KINKED_SPHERE_CFG, solve={"max_iters": 2})
+    code, out = _sweep(tmp_path, raw, "tau", "0.5,1,2", "sw")
+    assert code == 2
+    rows = _sweep_rows(out)
+    assert {r[5] for r in rows} == {"iter_limit"}
+    assert rows == [_seeded_row(raw, "tau", tau) for tau in (0.5, 1.0, 2.0)]
+
+
+def _unit(v):
+    return (np.asarray(v, float) / np.linalg.norm(v)).tolist()
+
+
+# five knots on S^2 at the grid size of the benchmark pools
+SPHERE_N1000_CFG = {
+    "manifold": "sphere:2",
+    "grid_n": 1000,
+    "functional": {"kind": "tension", "tau": 0.0},
+    "constraints": {"kind": "interpolation", "knots": [
+        {"t": t, "position": _unit(p)} for t, p in zip(
+            (0.0, 0.25, 0.5, 0.75, 1.0),
+            ([1, 0, 0.3], [0.5, 0.8, -0.2], [-0.3, 0.9, 0.4], [-0.8, 0.2, 0.6],
+             [-0.6, -0.5, 0.1]))]},
+}
+
+
+def test_tau_sweep_follows_the_branch_on_s2(tmp_path):
+    # each row starts from the certified minimizer of the row before it: it
+    # lands on the minimizer the seed leads to, in fewer iterations in all
+    taus = (0.5, 1.0, 2.0, 3.0)
+    values = ",".join(map(str, taus))
+    code, out = _sweep(tmp_path, SPHERE_N1000_CFG, "tau", values, "a")
+    assert code == 0
+    rows = _sweep_rows(out)
+    seeded = [_seeded_row(SPHERE_N1000_CFG, "tau", tau) for tau in taus]
+    assert {r[5] for r in rows + seeded} == {"converged"}
+    for row, ref in zip(rows, seeded):
+        assert abs(float(row[1]) - float(ref[1])) <= 1e-12 * float(ref[1])
+    assert sum(int(r[4]) for r in rows) < sum(int(r[4]) for r in seeded)
+    _, again = _sweep(tmp_path, SPHERE_N1000_CFG, "tau", values, "b")
+    assert (out / "sweep.csv").read_bytes() == (again / "sweep.csv").read_bytes()
+
+
+def test_winding_sweep_rows_are_seeded_solves(tmp_path):
+    code, out = _sweep(tmp_path, CIRCLE_CFG, "winding", "0,1,2", "sw")
+    assert code == 0
+    rows = _sweep_rows(out)
+    assert {r[5] for r in rows} == {"converged"}
+    assert rows == [_seeded_row(CIRCLE_CFG, "winding", w) for w in (0, 1, 2)]
 
 
 @pytest.mark.parametrize("functional", [{"kind": "energy", "k": 2},
