@@ -158,6 +158,29 @@ class PriorField:
             g = -2.0 * self._cross_a(self._cross_a(points))
         return g if m is None else m**2 * g
 
+    def offset(self, t: np.ndarray) -> Optional[np.ndarray]:
+        """m(t) b, one row per time, for a kind whose A(t, x) is P_x of it
+        (each kind but the cross kinds, the zero kind with b = 0); None for
+        a cross kind.  Such a term's objective is a function of the raw
+        stencil value minus this offset, so that difference carries its
+        second derivatives (optimize._add_curvature)."""
+        if self._a is not None:
+            return None
+        m = self._modulation_at(t)
+        b = np.broadcast_to(self._b, (len(t), len(self._b)))
+        return b if m is None else m * b
+
+    def jacobian(self, t: np.ndarray):
+        """(S, m(t)) for a cross kind, whose A(t, x) = m(t) S x is linear
+        in x: S the ambient_dim-square matrix of x -> x ⊠ a, and m(t) one
+        modulation entry per time, or None when unmodulated.  None for the
+        other kinds (see offset)."""
+        if self._a is None:
+            return None
+        k = self._cross_a(np.eye(self.manifold.ambient_dim)).T   # column i is e_i ⊠ a
+        m = self._modulation_at(t)
+        return k, None if m is None else m[:, 0]
+
     # -- boundedness ----------------------------------------------------------
 
     def bound(self) -> float:

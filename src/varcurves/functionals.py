@@ -167,6 +167,22 @@ def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> np.ndarray:
     result is the ambient (n_samples, ambient_dim) array, projected onto the
     tangent space at each sample and zero on all other samples.
     """
+    x = curve.samples
+    g = curve.manifold.project_tangent(x, ambient_gradient(spec, curve))
+    mask = np.zeros(curve.n_samples, bool)
+    mask[np.asarray(free)] = True
+    g[~mask] = 0.0
+    return g
+
+
+def ambient_gradient(spec: FunctionalSpec, curve: DiscreteCurve) -> np.ndarray:
+    """The ambient gradient g-bar, on every sample, that gradient projects.
+
+    It is the gradient of the objective's extension off the manifold in
+    which every projection P(x) has the formula of Manifold.dproj_bilinear
+    and a field the parts of PriorField.grad_inner and grad_sq.  Its normal
+    part enters the solver's exact model (optimize._add_curvature).
+    """
     _check_field(spec, curve)
     m = curve.manifold
     x = curve.samples
@@ -186,11 +202,6 @@ def gradient(spec: FunctionalSpec, curve: DiscreteCurve, free) -> np.ndarray:
         if term.field is not None:
             g += 0.5 * w * (-2.0 * term.field.grad_inner(raw, t, x)
                             + term.field.grad_sq(t, x))
-
-    g = m.project_tangent(x, g)
-    mask = np.zeros(curve.n_samples, bool)
-    mask[np.asarray(free)] = True
-    g[~mask] = 0.0
     return g
 
 

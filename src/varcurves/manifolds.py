@@ -74,8 +74,8 @@ class Manifold:
     Euclidean uses it whole; Torus adds its point handling, wrapped
     relative_step and cut-locus check in log.  A curved manifold sets
     curved and overrides canonicalize, constraint_residual, project_tangent,
-    tangent_frame, dproj_bilinear, exp_ambient, log, dist, transport and,
-    where it can, may_reach_cut_locus.
+    tangent_frame, dproj_bilinear, proj_derivatives, weingarten,
+    exp_ambient, log, dist, transport and, where it can, may_reach_cut_locus.
     Instances are immutable and safe to share across concurrent solves.
     """
 
@@ -256,6 +256,22 @@ class Sphere(Manifold):
         c = np.asarray(c, float)
         half = row_dot(p, c)[..., None] * c
         return -(half + half)
+
+    def proj_derivatives(self, p, frame, c):
+        """DP(p)[e] c = -(e (p.c) + p (e.c)) for each frame vector e, and
+        1/2 <c, D^2P(p)[e_r, e_s] c> = -(e_r.c)(e_s.c) for each pair, with
+        P(p) = I - p p^T as in dproj_bilinear.  The samples are on the last
+        axis: p and c of shape (ambient_dim, n), frame and the first result
+        of shape (dim, ambient_dim, n), frame[r, :, j] the r-th vector at
+        p_j, and the second result of shape (dim, dim, n)."""
+        ec = np.einsum("rmj,mj->rj", frame, c)
+        dp = -(np.einsum("mj,mj->j", p, c) * frame + ec[:, None] * p)
+        return dp, -(ec[:, None] * ec[None])
+
+    def weingarten(self, p, g):
+        """<e_r, DP(p)[e_s] g> = -(p.g) delta_rs in any orthonormal tangent
+        frame, shape (dim, dim, n); laid out as in proj_derivatives."""
+        return -np.einsum("mj,mj->j", p, g) * np.eye(self.dim)[:, :, None]
 
     def exp_ambient(self, p, v):
         p = np.asarray(p, float)
@@ -483,6 +499,31 @@ class SO3(Manifold):
         h = cm @ self._mat_t(p) @ cm
         h *= -1.0
         return self._vec(h)
+
+    def proj_derivatives(self, p, frame, c):
+        """DP(p)[e] c = -(e c^T p + p c^T e) / 2 for each frame vector e,
+        and 1/2 <c, D^2P(p)[e_r, e_s] c> = -tr(c^T e_r c^T e_s) / 2 for each
+        pair, with P(p) w = (w - p w^T p) / 2 as in dproj_bilinear.  The
+        samples are on the last axis: p and c of shape (9, n), frame and the
+        first result of shape (3, 9, n), frame[r, :, j] the r-th vector at
+        p_j, and the second result of shape (3, 3, n)."""
+        pm, cm, em = p.reshape(3, 3, -1), c.reshape(3, 3, -1), frame.reshape(3, 3, 3, -1)
+        cte = np.einsum("baj,rbcj->racj", cm, em)
+        dp = np.einsum("rabj,bcj->racj", em, np.einsum("baj,bcj->acj", cm, pm))
+        dp += np.einsum("abj,rbcj->racj", pm, cte)
+        dp *= -0.5
+        return dp.reshape(frame.shape), -0.5 * np.einsum("rabj,sbaj->rsj", cte, cte)
+
+    def weingarten(self, p, g):
+        """<E_r, DP(p)[E_s] g> in the body frame E_r = p [e_r]_x / sqrt(2)
+        of tangent_frame: -(tr(S) delta_rs - S_rs) / 2 with S the symmetric
+        part of p^T g, the normal part of g in body coordinates; shape
+        (3, 3, n), laid out as in proj_derivatives."""
+        b = np.einsum("baj,bcj->acj", p.reshape(3, 3, -1), g.reshape(3, 3, -1))
+        b += b.swapaxes(0, 1)
+        b *= 0.25
+        b -= (b[0, 0] + b[1, 1] + b[2, 2]) * np.eye(3)[:, :, None]
+        return b
 
     @staticmethod
     def _expm_skew(omega):

@@ -11,21 +11,37 @@ Preconditioning is essential here: the fourth-order objectives have Hessian cond
 unpreconditioned steepest descent hopeless at the tolerances the
 acceptance suite demands.
 
-The model is the projected flat model in orthonormal tangent frames E
-(Manifold.tangent_frame; the embedded-submanifold Hessian of Absil, Mahony
-& Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 5.5
-and 8): H = sum c (Q D E)^T W (Q D E), with Q applying each stencil row's
-own frame E_j^T.  It keeps the projection r_j = P_{x_j} (D x)_j of every
-stencil value at its node; F = sum c D^T W D leaves that projection out,
-and with F the L-BFGS solves on S^2 and SO(3) take about twice the
-iterations and stall far above the roundoff floor on most two-knot arcs.
-A flat manifold (R^d, T^d) has no frame and is the case of 1 x 1 identity
-frames, where H = F is the exact Hessian.  The frames and H belong to the
-samples the model was built at; on S^d and SO(3) it is rebuilt after an
-accepted step that leaves some sample more than REBUILD_DIST (ambient
-norm) from them.  On S^d every frame vector e then has x.e <= 1/2 at the
-iterate x, so it keeps at least 3/4 of its squared norm in the tangent
-space.  F^-1 below stands for E H^-1 E^T.
+The model starts as the projected flat model in orthonormal tangent
+frames E (Manifold.tangent_frame; the embedded-submanifold Hessian of
+Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+2008, ch. 5.5 and 8): H = sum c (Q D E)^T W (Q D E), with Q applying each
+stencil row's own frame E_j^T.  It is the Gauss-Newton part of the
+Hessian.  It keeps the projection r_j = P_{x_j} (D x)_j of every stencil
+value at its node; F = sum c D^T W D leaves that projection out, and with F
+the L-BFGS solves on S^2 and SO(3) take about twice the iterations and
+stall far above the roundoff floor on most two-knot arcs.  A flat manifold
+(R^d, T^d) has no frame and is the case of 1 x 1 identity frames, where
+H = F is the exact Hessian, and there the model is never rebuilt.
+
+On S^d and SO(3) the model is rebuilt as the exact Riemannian Hessian
+(_add_curvature): the Gauss-Newton blocks plus, from the same term list,
+each term's second-order parts and the manifold's Weingarten term, in the
+same band.  It is built at the first accepted iterate, where it replaces
+the start's Gauss-Newton model, and again after every accepted step that
+leaves some sample more than REBUILD_DIST (ambient norm) from where the
+model was built.  Where it is not positive definite (dpbtrf fails on the
+interval, a non-positive pivot of the symmetric sparse LU on the circle),
+the solve keeps its Gauss-Newton model, or rebuilds that one at a
+REBUILD_DIST rebuild; saddles do this (the two-knot arcs at tau = 8), and
+so do closed loops, whose exact model has the null modes of rigid rotation.
+On the benchmark pools at N = 1000 the exact model halves the iterations
+(sphere-solve 208 -> 116, so3-solve 56 -> 28).  Tried and measured worse:
+the exact model from the start (167 and 44 iterations), at every iterate
+(86 and 24, at 3.6 and 3.0 exact builds per solve), and a Gauss-Newton
+rebuild at the first iterate (199 and 56).  On S^d every frame vector e has
+x.e <= 1/2 at any iterate x within REBUILD_DIST of the build, so it keeps
+at least 3/4 of its squared norm in the tangent space.  F^-1 below stands
+for E H^-1 E^T, with H the model in use.
 
 A build reads each stencil D by its diagonals, D[j, j + p] for p = -2..2
 (_stencil_matrices).  They depend on the grid alone, so they are part of
@@ -33,19 +49,23 @@ the grid's curves.Stencil records, in the one cache of
 curves.stencil_operators, read-only and without any coefficient, and each
 build multiplies them by c W as it goes.
 
-The memory of the last LBFGS_MEMORY accepted steps s = -step*d and gradient
-changes y = g - g_prev supplies the curvature the model leaves out.  A pair
-is kept, as taken and in ambient coordinates and with its 1/(y.s), if
+On a curved manifold the memory of the last LBFGS_MEMORY accepted steps
+s = -step*d and gradient changes y = g - g_prev supplies the curvature the
+model leaves out; it is cleared at every exact build.  A flat manifold's
+model is exact, so it keeps no pairs: on the five knots of the first
+benchmark winding sweep (torus:1, tension(1), N = 1000) the second step
+took the residual from 886 to 84 grad_tol with them, and to 2.2 without.  A
+pair is kept, as taken and in ambient coordinates and with its 1/(y.s), if
 y.s > CURVATURE_TOL*|y||s|, and is never re-projected or re-tested.  The
 initial inverse Hessian is P F^-1 P (P the tangent projection at the
 iterate), which is symmetric and positive semidefinite, and the result is
 projected once; for a tangent g, g.P r = g.r, so the flat direction has
-g.d = (E^T g)^T H^-1 (E^T g) > 0 (E = I on a flat manifold) up to
-rounding; should rounding make a direction non-positive, the memory is
-cleared and the flat direction used.  With an empty memory, on every
-solve's first step, the direction is the flat one.  Armijo backtracking
-thus gives strict descent, and convergence is still certified by the
-plain discrete L2 gradient norm.
+g.d = (E^T g)^T H^-1 (E^T g) > 0 (E = I on a flat manifold) up to rounding;
+should rounding make a direction non-positive, the memory is cleared and
+the flat direction used.  With an empty memory, on every solve's first
+step, the direction is the flat one.  Armijo backtracking thus gives strict
+descent, and convergence is still certified by the plain discrete L2
+gradient norm.
 
 The line search's constants are fixed (Nocedal & Wright, ch. 3): from a
 first trial step of INITIAL_STEP it multiplies the step by BACKTRACK until
@@ -92,7 +112,8 @@ from scipy.linalg import lapack
 from .constraints import ConstraintSet, fixed_indices, free_mask, impose
 from .curves import DiscreteCurve, length, node_weights, stencil_operators, winding_vector
 from .errors import DegenerateCurveError, CutLocusError, FactorizationError, UsageError
-from .functionals import FunctionalSpec, el_residual, evaluate, gradient, gradient_norm
+from .functionals import (FunctionalSpec, ambient_gradient, el_residual, evaluate, gradient,
+                          gradient_norm)
 from .manifolds import Torus, row_dot, row_norm
 
 STEP_CAP = np.pi / 2  # max per-sample displacement on compact manifolds
@@ -113,8 +134,8 @@ STEP_FLOOR = 1e-14     # the search fails once the step falls below this
 LBFGS_MEMORY = 3       # (s, y) pairs kept
 CURVATURE_TOL = 1e-12  # a pair is kept while y.s > CURVATURE_TOL*|y||s|
 
-# the projected flat model is rebuilt once a sample is this far (ambient
-# norm) from where it was built (see the module docstring)
+# on a curved manifold the model is rebuilt once a sample is this far
+# (ambient norm) from where it was built (see the module docstring)
 REBUILD_DIST = 0.5
 
 
@@ -242,7 +263,8 @@ def _row_products(spec: FunctionalSpec, curve: DiscreteCurve):
     return out
 
 
-def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray):
+def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray,
+                       exact: bool = False):
     """Factorized model Hessian of the spec's terms on every sample,
     shifted by 1e-12*max(max diag, 1) on the diagonal; solve(b) applies its
     inverse to the ambient rows b of every sample: E H^-1 E^T b in the
@@ -262,9 +284,15 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
     periodic wrap couples samples 0 and N-1, so H has no band in natural
     order; the blocks go, with wrapped indices, into one sparse matrix for
     sparse LU.  E^T g . H^-1 E^T g > 0 for any g with E^T g != 0.
+
+    With exact, on a curved manifold, H is the exact Hessian
+    (_add_curvature), and a build where it is not positive definite raises
+    FactorizationError: dpbtrf's own failure on the interval, and on the
+    circle a non-positive pivot of a sparse LU with symmetric diagonal
+    pivoting (_definite_lu).  A flat manifold's H is exact either way.
     """
     frame = curve.manifold.tangent_frame(curve.samples)
-    blocks = _model_blocks(spec, curve, frame)   # H(a, a + s) in blocks[s, a]
+    blocks = _model_blocks(spec, curve, frame, exact)   # H(a, a + s) in blocks[s, a]
     ns, k = blocks.shape[1], blocks.shape[-1]
     fixed = np.ones(ns, bool)
     fixed[free] = False
@@ -286,11 +314,28 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
                            (np.concatenate([v.ravel() for v in ii]),
                             np.concatenate([v.ravel() for v in jj]))), shape=(ns * k, ns * k))
         diag_scale = max(float(h.diagonal().max()), 1.0)
-        factor = spla.splu(h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale))
+        h = h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale)
+        if exact and frame is not None:
+            factor = _definite_lu(h)
+        else:
+            factor = spla.splu(h)
     return factor if frame is None else _FramedModel(frame, factor)
 
 
-def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame) -> np.ndarray:
+def _definite_lu(h: sp.csc_matrix):
+    """Sparse LU of the symmetric h with diagonal pivots in a symmetric
+    order, P h P^T = L U, so that U = D L^T and h is positive definite
+    exactly when every pivot is positive (Sylvester's law of inertia);
+    raises FactorizationError otherwise."""
+    lu = spla.splu(h, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+        raise FactorizationError("sparse LU: the exact model is not positive definite")
+    return lu
+
+
+def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame,
+                  exact: bool = False) -> np.ndarray:
     """The model's k x k blocks H(a, a + s) in blocks[s, a], s = 0..2, built
     with the samples on the last axis, where numpy's elementwise loops run
     long.
@@ -354,11 +399,74 @@ def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame) -> np.ndarr
                 nz = np.flatnonzero(prods[p + 2, s])
                 if nz.size:
                     add(p, s, slice(nz[0], nz[-1] + 1))
+        if exact:
+            _add_curvature(acc, spec, curve, ft)
     # the circle's wrap: a = -2, -1 are N - 2, N - 1 and a = N, N + 1 are 0, 1
     # (on the interval these entries are 0)
     acc[..., 2:4] += acc[..., ns + 2:]
     acc[..., ns:ns + 2] += acc[..., :2]
     return acc[..., 2:ns + 2].transpose(0, 3, 1, 2)
+
+
+def _add_curvature(acc: np.ndarray, spec: FunctionalSpec, curve: DiscreteCurve,
+                   ft: np.ndarray) -> None:
+    """Add the second-order parts of the exact Hessian to the Gauss-Newton
+    blocks in acc (H(a, a + s) in acc[s, :, :, a + 2]), with the frames of
+    tangent_frame, E_j in ft[:, :, j].
+
+    Each term is 1/2 c sum_j w_j q(x_j, u_j) in the raw stencil values
+    u = D x: q = <u~, P(x) u~> on u~ = u minus the field's offset, plus
+    -2 <u, m S x> + m^2 |S x|^2 for a cross field A = m S x (the extension
+    that functionals.ambient_gradient differentiates).  Beyond the
+    Gauss-Newton part this gives, in the frames:
+    - for each row j and sample a = j + p, the mixed block
+      c w_j D[j, a] E_a Y_j^T at (a, j), and its transpose at (j, a), with
+      Y_j = DP(x_j)[E_j] u~_j - m_j S E_j;
+    - at each node, c w_j (1/2 <u~, D^2P[E_j, E_j] u~> + m_j^2 (S E_j)(S E_j)^T)
+      (the derivatives of P from Manifold.proj_derivatives);
+    - at each sample, the Weingarten term E_a DP(x_a)[E_a] g-bar_a, with
+      g-bar the ambient gradient (Absil, Mahony & Trumpf, "An extrinsic look
+      at the Riemannian Hessian", GSI 2013; Manifold.weingarten).
+    The mixed blocks of every term at one offset p are summed as
+    Z_j = sum c w_j D[j, j + p] Y_j before the one contraction with E_(j+p).
+    """
+    m, t = curve.manifold, curve.times
+    ns = curve.n_samples
+    xt = np.ascontiguousarray(curve.samples.T)
+    diagonals = _stencil_matrices(curve)
+    diag = acc[0, :, :, 2:ns + 2]   # the blocks (a, a)
+    diag += m.weingarten(xt, np.ascontiguousarray(ambient_gradient(spec, curve).T))
+    z = [None] * 5   # Z_j at the offset p in z[p + 2]
+    for term in spec.terms:
+        cw = term.coef * curve.stencil(term.order).weights
+        f = term.field
+        off = None if f is None else f.offset(t)
+        u = curve.derivative(term.order)[0]
+        u = np.ascontiguousarray((u if off is None else u - off).T)
+        y, node = m.proj_derivatives(xt, ft, u)
+        jac = None if f is None else f.jacobian(t)
+        if jac is not None:
+            sj = jac[0] @ ft   # S E_j
+            if jac[1] is not None:
+                sj *= jac[1]
+            y -= sj
+            node += np.einsum("rmj,smj->rsj", sj, sj)
+        diag += cw * node
+        for p, dp in zip(range(-2, 3), diagonals[term.order - 1][:5]):
+            alpha = cw * dp
+            if alpha.any():
+                z[p + 2] = alpha * y if z[p + 2] is None else z[p + 2] + alpha * y
+    for p in range(-2, 3):
+        if z[p + 2] is None:
+            continue
+        # E_(j+p) Z_j^T, the block (j + p, j) and the transpose of (j, j + p)
+        blk = np.einsum("rmj,smj->rsj", np.roll(ft, -p, axis=2), z[p + 2])
+        if p < 0:
+            acc[-p, :, :, p + 2:p + 2 + ns] += blk
+        elif p > 0:
+            acc[p, :, :, 2:ns + 2] += blk.swapaxes(0, 1)
+        else:
+            diag += blk + blk.swapaxes(0, 1)
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -427,9 +535,10 @@ def _two_loop(pairs, g: np.ndarray, flat, project) -> np.ndarray:
 def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
              opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Quasi-Newton descent from a feasible start: L-BFGS directions on the
-    model preconditioner of _flat_model_factor (rebuilt on a curved manifold
-    once a sample moves REBUILD_DIST from where it was built), with Armijo
-    backtracking, or the noise phase once objective differences are roundoff.
+    model preconditioner of _flat_model_factor (on a curved manifold rebuilt
+    as the exact Hessian at the first accepted iterate and once a sample
+    moves REBUILD_DIST from where it was built), with Armijo backtracking,
+    or the noise phase once objective differences are roundoff.
 
     The first direction, and every direction after the memory is cleared,
     is the flat one: the model solve on the rows of every sample, zero on
@@ -469,7 +578,8 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         # the model solve, zero on the fixed rows, projected at the iterate
         return project(lu.solve(v))
 
-    pairs = deque(maxlen=LBFGS_MEMORY)   # (s, y, 1/y.s), oldest first
+    # (s, y, 1/y.s), oldest first; a flat manifold's model is exact and keeps none
+    pairs = deque(maxlen=LBFGS_MEMORY if m.curved else 0)
     it = 0
     verdict = "iter_limit"
     message = ""
@@ -549,9 +659,17 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         pair = _memory_pair(-step * d, g - g_prev)
         if pair is not None:
             pairs.append(pair)
-        if built_at is not None and np.max(row_norm(x.samples - built_at)) > REBUILD_DIST:
-            lu = _flat_model_factor(spec, x, free)
-            built_at = x.samples
+        if built_at is not None:
+            far = np.max(row_norm(x.samples - built_at)) > REBUILD_DIST
+            if far or it == 1:
+                try:
+                    lu = _flat_model_factor(spec, x, free, exact=True)
+                    pairs.clear()
+                    built_at = x.samples
+                except FactorizationError:   # the exact model is not positive definite
+                    if far:
+                        lu = _flat_model_factor(spec, x, free)
+                        built_at = x.samples
         history.append(HistoryRecord(it, obj, resid, None, None, None, step, phase,
                                      "noise" if noise_phase else "armijo"))
 

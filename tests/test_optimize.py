@@ -17,6 +17,7 @@ from varcurves import (ConstraintSet, DegenerateCurveError, DiscreteCurve, Funct
 from varcurves.checks import _random_curve
 from varcurves.constraints import fixed_indices, free_mask
 from varcurves.curves import TangentField, node_weights, quadrature_length
+from varcurves.errors import FactorizationError
 from varcurves.fields import PriorField
 from varcurves.functionals import Term, gradient
 from varcurves import manifolds
@@ -417,10 +418,22 @@ _NOISE_FAMILIES = ([("arc", h, tau, n) for h in (-1, 1) for tau in (1.0, 3.0, 8.
                     for n in (100, 200, 400, 1000)]
                    + [("far", "sphere:2", s) for s in (1, 2, 3)]
                    + [("far", "so3", s) for s in (10, 11, 12)])
+# the problems that reach the noise phase.  The exact model certifies the
+# tau = 1, 3 arcs at N <= 400 and far-apart seed 3 in Armijo steps alone,
+# far below grad_tol; the arcs at N >= 1000 stop near the roundoff floor,
+# and at tau = 8 the exact model is indefinite, so those arcs keep the
+# Gauss-Newton model at every N
+_NOISE_REACHED = ([("arc", h, tau, n) for h in (-1, 1) for tau in (1.0, 3.0, 8.0)
+                   for n in (1000, 1500, 2000)]
+                  + [("arc", h, 8.0, n) for h in (-1, 1) for n in (100, 200, 400)]
+                  + [("far", "sphere:2", s) for s in (1, 2, 4)]
+                  + [("far", "so3", s) for s in (10, 11, 12)])
 # solves that end stalled at the roundoff floor: the torus, where the flat
 # model is the exact Hessian, and S^2 and SO(3) at N=2000, where the floor
 # exceeds grad_tol
 _STALLS = [("torus",), ("pool", "sphere-solve", 2000), ("pool", "so3-solve", 2000)]
+_NOISE_GUARD = (_NOISE_FAMILIES + [p for p in _NOISE_REACHED if p not in _NOISE_FAMILIES]
+                + _STALLS)
 _MAKE = {"arc": _arc_problem, "far": _far_apart_problem,
          "torus": _torus_stall_problem, "pool": _pool_problem}
 
@@ -430,7 +443,7 @@ def noise_guard_solves():
     """Each guard problem solved with the shipped noise schedule and with
     six trials, the steps 1, 1/2, ..., 1/32 of the earlier schedule."""
     out = {}
-    for problem in _NOISE_FAMILIES + _STALLS:
+    for problem in _NOISE_GUARD:
         args = _MAKE[problem[0]](*problem[1:])
         shipped = minimize(*args)
         with pytest.MonkeyPatch.context() as mp:
@@ -439,8 +452,7 @@ def noise_guard_solves():
     return out
 
 
-@pytest.mark.parametrize("problem", _NOISE_FAMILIES + _STALLS,
-                         ids=lambda p: "_".join(map(str, p)))
+@pytest.mark.parametrize("problem", _NOISE_GUARD, ids=lambda p: "_".join(map(str, p)))
 def test_noise_phase_accepts_no_step_near_its_last(noise_guard_solves, problem):
     # a noise phase tries one step because no noise phase of these accepts
     # a step after its first trial fails, and every stall fails all six; a
@@ -453,11 +465,11 @@ def test_noise_phase_accepts_no_step_near_its_last(noise_guard_solves, problem):
 
 def test_noise_guard_problems_reach_the_noise_phase(noise_guard_solves):
     # the guard above compares noise phases: counted from the history's
-    # searches and the stall message, every problem has a noise-phase
-    # search, and every stall ends in one
+    # searches and the stall message, every problem that reaches the noise
+    # phase has a noise-phase search, and every stall ends in one
     stall = "stalled at the roundoff floor"
     seen = [sum(h.search == "noise" for h in rep.history) + (rep.message == stall)
-            for rep, _ in noise_guard_solves.values()]
+            for rep, _ in (noise_guard_solves[p] for p in _NOISE_REACHED + _STALLS)]
     assert all(n > 0 for n in seen)
     assert all(noise_guard_solves[p][0].message == stall for p in _STALLS)
 
@@ -495,19 +507,26 @@ def test_closed_curved_loops_converge(mid, tau):
 def test_far_apart_solve_rebuilds_the_model(monkeypatch):
     # far-apart S^2 knots, rng 1, move some sample more than REBUILD_DIST
     # from where the model was built; without a rebuild this solve runs
-    # out its iteration budget
+    # out its iteration budget.  The Gauss-Newton model of the start gives
+    # way to the exact one at the first accepted iterate, and every later
+    # build is a rebuild at that distance
     built = []
     factor = opt._flat_model_factor
 
-    def counted(spec, curve, free):
-        built.append(curve.samples)
-        return factor(spec, curve, free)
+    def counted(spec, curve, free, exact=False):
+        built.append((curve.samples, exact))
+        return factor(spec, curve, free, exact=exact)
 
+    problem = _far_apart_problem("sphere:2", 1)
+    iterate_1 = minimize(*problem, SolveOptions(max_iters=1)).minimizer
     monkeypatch.setattr(opt, "_flat_model_factor", counted)
-    rep = minimize(*_far_apart_problem("sphere:2", 1))
+    rep = minimize(*problem)
     assert rep.verdict == "converged"
-    assert len(built) >= 2
-    for a, b in zip(built, built[1:]):
+    assert [exact for _, exact in built[:2]] == [False, True]
+    assert built[1][0].tobytes() == iterate_1.samples.tobytes()
+    assert len(built) >= 3
+    for (a, _), (b, exact) in zip(built[1:], built[2:]):
+        assert exact
         assert np.max(row_norm(b - a)) > opt.REBUILD_DIST
 
 
@@ -522,11 +541,11 @@ def test_torus_stall_ends_after_one_noise_trial(monkeypatch):
 
 
 def test_degenerate_noise_trial_ends_the_solve(monkeypatch):
-    # the arc hint -1, tau=1, N=1000 takes an Armijo step, and then its
+    # the arc hint -1, tau=0.5, N=1000 takes an Armijo step, and then its
     # first noise phase accepts step 1 by the gradient test; a first
     # noise-phase trial that fails validation fails both tests, so that
     # search of one trial ends the solve at iterate 1, unchanged
-    problem = _arc_problem(-1, 1.0, 1000)
+    problem = _arc_problem(-1, 0.5, 1000)
     ref = minimize(*problem)
     assert [h.phase for h in ref.history] == [None, "armijo", "noise"]
     iterate_1 = minimize(*problem, SolveOptions(max_iters=1)).minimizer
@@ -690,9 +709,10 @@ def test_first_direction_is_the_flat_one(mid, monkeypatch):
 
 def test_two_loop_matches_dense_inverse_bfgs(monkeypatch):
     # H0 = P F^-1 P as a dense matrix; each pair, oldest first, updates H to
-    # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, and the direction is P H g
-    spec = FunctionalSpec.tension_cost(0.5)
-    c, x0 = _five_knot_problem("sphere:2", n=16)
+    # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, and the direction is P H g.
+    # The two-knot arc at tau = 8 keeps the Gauss-Newton model (its exact
+    # model is indefinite), so its memory fills
+    spec, c, x0 = _arc_problem(-1, 8.0, 16)
     full = []
 
     def dense(pairs, g, flat, project):
@@ -719,9 +739,9 @@ def test_two_loop_matches_dense_inverse_bfgs(monkeypatch):
 def test_non_descent_direction_clears_the_memory(monkeypatch):
     # the pair s = H0 g, y = -g, planted past the curvature test, turns the
     # two-loop direction into -H0 g; minimize must drop the memory and take
-    # the flat direction instead
-    spec = FunctionalSpec.tension_cost(0.5)
-    c, x0 = _knot_chain_problem("sphere:2", 0, n=200)
+    # the flat direction instead.  The two-knot arc at tau = 8 keeps the
+    # Gauss-Newton model, so no exact rebuild clears the memory
+    spec, c, x0 = _arc_problem(-1, 8.0, 200)
 
     def plant(pairs, g, flat, project):
         if len(calls) == 1:
@@ -749,9 +769,10 @@ def test_non_descent_direction_clears_the_memory(monkeypatch):
 
 def test_kept_pairs_never_change(monkeypatch):
     # a pair is stored as taken: the arrays the two-loop sees are never
-    # re-projected, rescaled or rewritten while the solve runs
-    spec = FunctionalSpec.tension_cost(0.5)
-    c, x0 = _knot_chain_problem("sphere:2", 1, n=200)
+    # re-projected, rescaled or rewritten while the solve runs.  The
+    # two-knot arc at tau = 8 keeps the Gauss-Newton model, so its memory
+    # rotates
+    spec, c, x0 = _arc_problem(1, 8.0, 200)
     seen = {}
 
     def remember(pairs, g, flat, project):
@@ -766,6 +787,61 @@ def test_kept_pairs_never_change(monkeypatch):
     assert len(seen) >= 2 * (opt.LBFGS_MEMORY + 2)   # the memory has rotated
     for a, taken in seen.values():
         assert a.tobytes() == taken
+
+@pytest.mark.parametrize("hint", [-1, 1])
+@pytest.mark.parametrize("n", [200, 1000])
+def test_saddle_arcs_keep_the_gauss_newton_model(monkeypatch, hint, n):
+    # at tau = 8 the long arcs are saddles: the exact model at the first
+    # iterate is not positive definite, so the solve keeps the Gauss-Newton
+    # model and its memory, and runs as a solve whose every exact build is
+    # refused does, byte for byte
+    problem = _arc_problem(hint, 8.0, n)
+    built = []
+    factor = opt._flat_model_factor
+
+    def logged(spec, curve, free, exact=False):
+        try:
+            out = factor(spec, curve, free, exact=exact)
+        except FactorizationError:
+            built.append((exact, "refused"))
+            raise
+        built.append((exact, "built"))
+        return out
+
+    monkeypatch.setattr(opt, "_flat_model_factor", logged)
+    rep = minimize(*problem)
+    assert built[:2] == [(False, "built"), (True, "refused")]
+
+    def gauss_newton_only(spec, curve, free, exact=False):
+        if exact:
+            raise FactorizationError("refused")
+        return factor(spec, curve, free)
+
+    monkeypatch.setattr(opt, "_flat_model_factor", gauss_newton_only)
+    ref = minimize(*problem)
+    assert rep.verdict == "converged"
+    assert rep.to_dict() == ref.to_dict()
+    assert rep.minimizer.samples.tobytes() == ref.minimizer.samples.tobytes()
+
+
+@pytest.mark.parametrize("mid", ["euclidean:1", "torus:1"])
+def test_flat_solves_keep_no_pairs(monkeypatch, mid):
+    # on a flat manifold the model is the exact Hessian, so every direction
+    # is the model's own; the torus stall problem's knots take several
+    # steps, up to the roundoff floor
+    sizes = []
+    two_loop = opt._two_loop
+
+    def spy(pairs, g, flat, project):
+        sizes.append(len(pairs))
+        return two_loop(pairs, g, flat, project)
+
+    monkeypatch.setattr(opt, "_two_loop", spy)
+    spec, c, _ = _torus_stall_problem()
+    rep = minimize(spec, c, seed(c, make_manifold(mid), 1000),
+                   SolveOptions(grad_tol=0.0, max_iters=4))
+    assert rep.iterations > 1
+    assert set(sizes) == {0}
 
 
 @pytest.mark.parametrize("mid", ["sphere:2", "so3"])
