@@ -126,10 +126,12 @@ class DiscreteCurve:
 
     The derived arrays below form a memo: the forward steps, the segment
     distances and `derivative(order)`, each order's raw stencil values with
-    their tangent projection.  Each is computed on first use, made read-only
-    and kept until `clear_memo`, so validation, functionals and the curve
-    statistics of a solve's start and minimizer share one computation; the
-    order's matrices and weights are the grid's, in `stencil(order)`.
+    their tangent projection, and one array made for one functional spec
+    (`spec_memo`, which holds the ambient gradient).  Each is computed on
+    first use, made read-only and kept until `clear_memo`, so validation,
+    functionals, the model build and the curve statistics of a solve's start
+    and minimizer share one computation; the order's matrices and weights
+    are the grid's, in `stencil(order)`.
     Validation reads the segment distances only where a step may be near the
     cut locus (`Manifold.may_reach_cut_locus`); on the sphere and on SO(3)
     that is a pair with a negative row-wise dot product, so there they are
@@ -219,6 +221,16 @@ class DiscreteCurve:
             self._derivatives[order] = d
         return d
 
+    def spec_memo(self, spec, make) -> np.ndarray:
+        """make(), memoized for spec alone: the memo holds one array and the
+        spec it was made for, and a call with any other spec object makes
+        its own array and takes the slot."""
+        held = self.__dict__.get("_spec_memo")
+        if held is None or held[0] is not spec:
+            held = spec, _read_only(make())
+            self.__dict__["_spec_memo"] = held
+        return held[1]
+
     def clear_memo(self) -> None:
         """Drop the memoized arrays; they are recomputed on next use."""
         for name in _MEMO:
@@ -237,7 +249,7 @@ class DiscreteCurve:
         self.__dict__.update(state)
 
 
-_MEMO = ("steps", "step_dists", "_derivatives")
+_MEMO = ("steps", "step_dists", "_derivatives", "_spec_memo")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

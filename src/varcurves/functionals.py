@@ -181,8 +181,15 @@ def ambient_gradient(spec: FunctionalSpec, curve: DiscreteCurve) -> np.ndarray:
     It is the gradient of the objective's extension off the manifold in
     which every projection P(x) has the formula of Manifold.dproj_bilinear
     and a field the parts of PriorField.grad_inner and grad_sq.  Its normal
-    part enters the solver's exact model (optimize._add_curvature).
+    part enters the solver's exact model (optimize._add_curvature).  It is
+    memoized at the curve for this spec object (DiscreteCurve.spec_memo), so
+    the model built at an iterate reads the sums its gradient made, and is
+    read-only.
     """
+    return curve.spec_memo(spec, lambda: _ambient_gradient(spec, curve))
+
+
+def _ambient_gradient(spec: FunctionalSpec, curve: DiscreteCurve) -> np.ndarray:
     _check_field(spec, curve)
     m = curve.manifold
     x = curve.samples

@@ -49,6 +49,22 @@ the grid's curves.Stencil records, in the one cache of
 curves.stencil_operators, read-only and without any coefficient, and each
 build multiplies them by c W as it goes.
 
+A build keeps its large working arrays in its thread's workspace
+(_Workspace, a threading.local): the frames with the samples last, the
+overlaps E_j^T E_(j+1), the block accumulator, the curvature's sums Z_j
+and the band storage, made on the first build of a shape (sample count,
+frame size k, ambient dimension) and reused by the next, for the
+WORKSPACE_SHAPES shapes used last, least recently used first out, as in
+curves.stencil_operators.  No factor keeps a view into it.  Made afresh,
+these arrays went back to the allocator after each build, which trimmed
+the heap, and the next build page-faulted them in again: on the
+benchmark pools at N = 1000, warm solves took about 230 minor faults
+each on S^2 and 770 on SO(3), and now take none.  The exact build reads
+the ambient gradient that gradient summed at the iterate, memoized on
+the curve for that spec object (functionals.ambient_gradient), and a
+rebuild whose exact model is refused factorizes the Gauss-Newton blocks
+of the same build.
+
 On a curved manifold the memory of the last LBFGS_MEMORY accepted steps
 s = -step*d and gradient changes y = g - g_prev supplies the curvature the
 model leaves out; it is cleared at every exact build.  A flat manifold's
@@ -100,7 +116,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Optional, Sequence, Tuple
 
@@ -137,6 +154,9 @@ CURVATURE_TOL = 1e-12  # a pair is kept while y.s > CURVATURE_TOL*|y||s|
 # on a curved manifold the model is rebuilt once a sample is this far
 # (ambient norm) from where it was built (see the module docstring)
 REBUILD_DIST = 0.5
+
+# the build shapes whose working arrays each thread keeps (see _Workspace)
+WORKSPACE_SHAPES = 8
 
 
 @dataclass(frozen=True)
@@ -238,16 +258,49 @@ def _check_lapack(routine: str, info: int):
 
 class _FramedModel:
     """The projected flat model in the tangent frames E of the samples:
-    solve(b) is E H^-1 E^T b for the ambient rows b, given the factor of H."""
+    solve(b) is E H^-1 E^T b for the ambient rows b, given the factor of H;
+    exact tells whether H is the exact Hessian (_add_curvature)."""
 
-    def __init__(self, frame: np.ndarray, factor):
+    def __init__(self, frame: np.ndarray, factor, exact: bool):
         self._frame = frame
         self._factor = factor
+        self.exact = exact
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         xi = np.einsum("jkm,jm->jk", self._frame, b)
         z = self._factor.solve(xi.ravel()).reshape(xi.shape)
         return np.einsum("jk,jkm->jm", z, self._frame)
+
+
+class _Workspace(threading.local):
+    """Each thread's scratch arrays for model builds: per build shape
+    (samples, frame size k, ambient dimension; k = 1 and dimension 1 with
+    no frame), a dict of arrays by name, for the WORKSPACE_SHAPES shapes
+    used last (least recently used first out, as in
+    curves.stencil_operators)."""
+
+    def __init__(self):
+        self.shapes = OrderedDict()
+
+    def arrays(self, ns: int, frame) -> dict:
+        key = (ns, 1, 1) if frame is None else (ns,) + frame.shape[1:]
+        ws = self.shapes.pop(key, {})
+        self.shapes[key] = ws
+        if len(self.shapes) > WORKSPACE_SHAPES:
+            self.shapes.popitem(last=False)
+        return ws
+
+
+_WORKSPACE = _Workspace()
+
+
+def _scratch(ws: dict, name: str, shape) -> np.ndarray:
+    """The workspace's array of that name, made uninitialized on first use;
+    a name has one shape per build shape."""
+    a = ws.get(name)
+    if a is None:
+        a = ws[name] = np.empty(shape)
+    return a
 
 
 def _row_products(spec: FunctionalSpec, curve: DiscreteCurve):
@@ -264,7 +317,7 @@ def _row_products(spec: FunctionalSpec, curve: DiscreteCurve):
 
 
 def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray,
-                       exact: bool = False):
+                       exact: bool = False, fallback: bool = False):
     """Factorized model Hessian of the spec's terms on every sample,
     shifted by 1e-12*max(max diag, 1) on the diagonal; solve(b) applies its
     inverse to the ambient rows b of every sample: E H^-1 E^T b in the
@@ -289,37 +342,57 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
     (_add_curvature), and a build where it is not positive definite raises
     FactorizationError: dpbtrf's own failure on the interval, and on the
     circle a non-positive pivot of a sparse LU with symmetric diagonal
-    pivoting (_definite_lu).  A flat manifold's H is exact either way.
+    pivoting (_definite_lu).  With fallback too, such a build factorizes
+    the Gauss-Newton model of the same frame and blocks instead, and the
+    factor's exact is False.  A flat manifold's H is exact either way.
+
+    The build's working arrays are this thread's workspace (_Workspace);
+    the factor keeps its frame and the arrays LAPACK or SuperLU return,
+    none of them a view into the workspace.
     """
     frame = curve.manifold.tangent_frame(curve.samples)
-    blocks = _model_blocks(spec, curve, frame, exact)   # H(a, a + s) in blocks[s, a]
+    exact = exact and frame is not None
+    blocks = _model_blocks(spec, curve, frame, exact, fallback)
+    ws = _WORKSPACE.arrays(curve.n_samples, frame)
+    try:
+        factor = _factor(blocks, free, curve.domain, exact, ws)
+    except FactorizationError:
+        if not (exact and fallback):
+            raise
+        exact = False
+        factor = _factor(_fold(ws["gauss_newton"]), free, curve.domain, False, ws)
+    return factor if frame is None else _FramedModel(frame, factor, exact)
+
+
+def _factor(blocks: np.ndarray, free: np.ndarray, domain: str, exact: bool, ws: dict):
+    """The factor of the model with the blocks H(a, a + s) in blocks[s, a]
+    (_flat_model_factor), each fixed sample decoupled in place; exact asks
+    for the refusal of a model that is not positive definite on the
+    circle (on the interval dpbtrf refuses it in any case)."""
     ns, k = blocks.shape[1], blocks.shape[-1]
     fixed = np.ones(ns, bool)
     fixed[free] = False
+    fixed = np.flatnonzero(fixed)
     for s in range(3):   # H(a, a + s), a + s mod N, couples a fixed sample
-        blocks[s, fixed | np.roll(fixed, -s)] = 0.0
+        blocks[s, fixed] = 0.0
+        blocks[s, fixed - s] = 0.0
     blocks[0, fixed] = np.eye(k)
-    if curve.domain == "interval":
-        factor = _BandedCholesky(_band(blocks))
-    else:
-        a, r = np.arange(ns)[:, None, None], np.arange(k)[:, None]
-        ii, jj, vals = [], [], []
-        for s in range(3):
-            lo, hi = np.broadcast_arrays(a * k + r, (a + s) % ns * k + r.T)
-            for i, j in ((lo, hi), (hi, lo))[:1 + (s > 0)]:   # H(a + s, a) = H(a, a + s)^T
-                ii.append(i)
-                jj.append(j)
-                vals.append(blocks[s])
-        h = sp.csc_matrix((np.concatenate([v.ravel() for v in vals]),
-                           (np.concatenate([v.ravel() for v in ii]),
-                            np.concatenate([v.ravel() for v in jj]))), shape=(ns * k, ns * k))
-        diag_scale = max(float(h.diagonal().max()), 1.0)
-        h = h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale)
-        if exact and frame is not None:
-            factor = _definite_lu(h)
-        else:
-            factor = spla.splu(h)
-    return factor if frame is None else _FramedModel(frame, factor)
+    if domain == "interval":
+        return _BandedCholesky(_band(blocks, _scratch(ws, "band", (3 * k, ns * k))))
+    a, r = np.arange(ns)[:, None, None], np.arange(k)[:, None]
+    ii, jj, vals = [], [], []
+    for s in range(3):
+        lo, hi = np.broadcast_arrays(a * k + r, (a + s) % ns * k + r.T)
+        for i, j in ((lo, hi), (hi, lo))[:1 + (s > 0)]:   # H(a + s, a) = H(a, a + s)^T
+            ii.append(i)
+            jj.append(j)
+            vals.append(blocks[s])
+    h = sp.csc_matrix((np.concatenate([v.ravel() for v in vals]),
+                       (np.concatenate([v.ravel() for v in ii]),
+                        np.concatenate([v.ravel() for v in jj]))), shape=(ns * k, ns * k))
+    diag_scale = max(float(h.diagonal().max()), 1.0)
+    h = h + sp.identity(h.shape[0], format="csc") * (1e-12 * diag_scale)
+    return _definite_lu(h) if exact else spla.splu(h)
 
 
 def _definite_lu(h: sp.csc_matrix):
@@ -335,10 +408,11 @@ def _definite_lu(h: sp.csc_matrix):
 
 
 def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame,
-                  exact: bool = False) -> np.ndarray:
+                  exact: bool = False, fallback: bool = False) -> np.ndarray:
     """The model's k x k blocks H(a, a + s) in blocks[s, a], s = 0..2, built
     with the samples on the last axis, where numpy's elementwise loops run
-    long.
+    long: a view into this thread's workspace, valid until the next build
+    of the same shape on the thread.
 
     Block (a, b) is sum_j S_j(a, b) (E_j^T E_a)^T (E_j^T E_b), with the row
     products S_j(a, b) = sum c w_j D[j, a] D[j, b] of _row_products.  With
@@ -346,73 +420,116 @@ def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame,
     sum of its row products.  Those are added term by term, one offset at a
     time: summing the terms first, as the framed loop does, would round
     some flat entries differently (at N = 64 and tau = 0.7, for one).
+
+    With exact, on a curved manifold, the curvature goes in too
+    (_add_curvature); with fallback as well, the Gauss-Newton accumulator
+    is copied to the workspace's "gauss_newton" before it does.
     """
     ns = curve.n_samples
+    ws = _WORKSPACE.arrays(ns, frame)
     if frame is None:
-        acc = np.zeros((3, 1, 1, ns + 4))   # H(a, a + s) in acc[s, :, :, a + 2]
+        acc = _scratch(ws, "acc", (3, 1, 1, ns + 4))   # H(a, a + s) in acc[s, :, :, a + 2]
+        acc.fill(0.0)
         scalars = acc[:, 0, 0]
         for prods in _row_products(spec, curve):
             # row j adds its products to H(a, a + s), a = j + p
             for p in range(-2, 3):
                 scalars[:, p + 2:p + 2 + ns] += prods[p + 2]
-    else:
-        k = frame.shape[1]
-        ft = np.ascontiguousarray(frame.transpose(1, 2, 0))   # E_j^T in ft[:, :, j]
-        prods = sum(_row_products(spec, curve))
-        step = _row_dots(ft, np.roll(ft, -1, axis=2))   # E_j^T E_(j+1)
-        nearest = {1: step, -1: np.roll(step, 1, axis=2).swapaxes(0, 1)}
-        # allocated before the overlaps, acc made the SO(3) build at N = 1000
-        # measure 7-25% slower (2-vCPU VM)
-        acc = np.zeros((3, k, k, ns + 4))
-        far = {}   # the overlaps at offset +-2, by offset and row span
+        return _fold(acc)
+    k, dim = frame.shape[1:]
+    ft = _scratch(ws, "frame", (k, dim, ns))
+    np.copyto(ft, frame.transpose(1, 2, 0))   # E_j^T in ft[:, :, j]
+    prods = sum(_row_products(spec, curve))
+    step = _scratch(ws, "step", (k, k, ns))   # E_j^T E_(j+1)
+    for j, jp in _wrapped(slice(0, ns), 1, ns):
+        _row_dots(ft[:, :, j], ft[:, :, jp], step[:, :, j])
+    back = _scratch(ws, "back", (k, k, ns))   # E_(j-1)^T E_j
+    back[:, :, 1:] = step[:, :, :-1]
+    back[:, :, 0] = step[:, :, -1]
+    nearest = {1: step, -1: back.swapaxes(0, 1)}
+    dots, block = _scratch(ws, "dots", (k, k, ns)), _scratch(ws, "block", (k, k, ns))
+    acc = _scratch(ws, "acc", (3, k, k, ns + 4))
+    acc.fill(0.0)
+    far = {}   # the overlaps at offset +-2, by offset and row span
 
-        def overlap(p, rows):
-            """E_j^T E_(j+p) at the rows j of the slice, j + p mod N; None for
-            p = 0.  Offsets +-2 occur only in the interval's end rows: +2 in
-            row 0 and -2 in row N."""
-            if p == 0:
-                return None
-            if abs(p) == 1:
-                return nearest[p][:, :, rows]
-            key = p, rows.start, rows.stop
-            if key not in far:
-                j = np.arange(rows.start, rows.stop) + p
-                far[key] = _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
-            return far[key]
+    def overlap(p, rows):
+        """E_j^T E_(j+p) at the rows j of the slice, j + p mod N; None for
+        p = 0.  Offsets +-2 occur only in the interval's end rows: +2 in
+        row 0 and -2 in row N."""
+        if p == 0:
+            return None
+        if abs(p) == 1:
+            return nearest[p][:, :, rows]
+        key = p, rows.start, rows.stop
+        if key not in far:
+            j = np.arange(rows.start, rows.stop) + p
+            far[key] = _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
+        return far[key]
 
-        def add(p, s, rows):
-            """Row j's products into the block (a, a + s), a = j + p, for the
-            rows j of the slice."""
-            c = prods[p + 2, s]
-            left, right = overlap(p, rows), overlap(p + s, rows)
-            if left is None:
-                block = np.eye(k)[:, :, None] if right is None else right
-            else:   # left^T right
-                left = left.swapaxes(0, 1)
-                block = left if right is None else _row_dots(left, right.swapaxes(0, 1))
-            acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += c[rows] * block
+    def add(p, s, rows):
+        """Row j's products into the block (a, a + s), a = j + p, for the
+        rows j of the slice."""
+        left, right = overlap(p, rows), overlap(p + s, rows)
+        out = block[:, :, :rows.stop - rows.start]
+        if left is None:
+            term = np.eye(k)[:, :, None] if right is None else right
+        else:   # left^T right
+            left = left.swapaxes(0, 1)
+            term = left if right is None else _row_dots(left, right.swapaxes(0, 1),
+                                                        dots[:, :, :out.shape[2]])
+        acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += np.multiply(
+            prods[p + 2, s, rows], term, out=out)
 
-        # every pair (p, s) with p + s <= 2, over the span of its nonzero
-        # rows, so each block sums its rows' products in the order of p
-        for p in range(-2, 3):
-            for s in range(min(3, 3 - p)):
-                nz = np.flatnonzero(prods[p + 2, s])
-                if nz.size:
-                    add(p, s, slice(nz[0], nz[-1] + 1))
-        if exact:
-            _add_curvature(acc, spec, curve, ft)
-    # the circle's wrap: a = -2, -1 are N - 2, N - 1 and a = N, N + 1 are 0, 1
-    # (on the interval these entries are 0)
+    # every pair (p, s) with p + s <= 2, over the span of its nonzero
+    # rows, so each block sums its rows' products in the order of p
+    for p in range(-2, 3):
+        for s in range(min(3, 3 - p)):
+            rows = _span(prods[p + 2, s])
+            if rows is not None:
+                add(p, s, rows)
+    if exact:
+        if fallback:
+            np.copyto(_scratch(ws, "gauss_newton", acc.shape), acc)
+        _add_curvature(acc, spec, curve, ws)
+    return _fold(acc)
+
+
+def _fold(acc: np.ndarray) -> np.ndarray:
+    """The blocks H(a, a + s) in blocks[s, a], as a view, of the
+    accumulator with H(a, a + s) in acc[s, :, :, a + 2], after the circle's
+    wrap is folded in: a = -2, -1 are N - 2, N - 1 and a = N, N + 1 are 0, 1
+    (on the interval these entries are 0)."""
+    ns = acc.shape[-1] - 4
     acc[..., 2:4] += acc[..., ns + 2:]
     acc[..., ns:ns + 2] += acc[..., :2]
     return acc[..., 2:ns + 2].transpose(0, 3, 1, 2)
 
 
+def _span(a: np.ndarray):
+    """The slice from the first to the last nonzero entry of a; None if
+    there is none."""
+    nz = np.flatnonzero(a)
+    return slice(nz[0], nz[-1] + 1) if nz.size else None
+
+
+def _wrapped(rows: slice, p: int, n: int):
+    """The (j, j + p mod n) slice pairs that cover the rows j of the slice,
+    one more pair at each wrap."""
+    out = []
+    j = rows.start
+    while j < rows.stop:
+        src = (j + p) % n
+        end = min(rows.stop, j + n - src)
+        out.append((slice(j, end), slice(src, src + end - j)))
+        j = end
+    return out
+
+
 def _add_curvature(acc: np.ndarray, spec: FunctionalSpec, curve: DiscreteCurve,
-                   ft: np.ndarray) -> None:
+                   ws: dict) -> None:
     """Add the second-order parts of the exact Hessian to the Gauss-Newton
     blocks in acc (H(a, a + s) in acc[s, :, :, a + 2]), with the frames of
-    tangent_frame, E_j in ft[:, :, j].
+    tangent_frame in the workspace ws, E_j in ws["frame"][:, :, j].
 
     Each term is 1/2 c sum_j w_j q(x_j, u_j) in the raw stencil values
     u = D x: q = <u~, P(x) u~> on u~ = u minus the field's offset, plus
@@ -426,17 +543,21 @@ def _add_curvature(acc: np.ndarray, spec: FunctionalSpec, curve: DiscreteCurve,
       (the derivatives of P from Manifold.proj_derivatives);
     - at each sample, the Weingarten term E_a DP(x_a)[E_a] g-bar_a, with
       g-bar the ambient gradient (Absil, Mahony & Trumpf, "An extrinsic look
-      at the Riemannian Hessian", GSI 2013; Manifold.weingarten).
+      at the Riemannian Hessian", GSI 2013; Manifold.weingarten), the one
+      functionals.gradient memoized at this curve for this spec.
     The mixed blocks of every term at one offset p are summed as
-    Z_j = sum c w_j D[j, j + p] Y_j before the one contraction with E_(j+p).
+    Z_j = sum c w_j D[j, j + p] Y_j before the one contraction with E_(j+p),
+    over the rows j where some term's D[j, j + p] is nonzero: all of them
+    for p = 0, +-1 and the interval's end row for p = +-2.
     """
     m, t = curve.manifold, curve.times
     ns = curve.n_samples
+    ft = ws["frame"]
     xt = np.ascontiguousarray(curve.samples.T)
     diagonals = _stencil_matrices(curve)
     diag = acc[0, :, :, 2:ns + 2]   # the blocks (a, a)
     diag += m.weingarten(xt, np.ascontiguousarray(ambient_gradient(spec, curve).T))
-    z = [None] * 5   # Z_j at the offset p in z[p + 2]
+    terms = []   # (c w_j D[j, j + p] in [p + 2, j], Y_j) per term
     for term in spec.terms:
         cw = term.coef * curve.stencil(term.order).weights
         f = term.field
@@ -452,32 +573,44 @@ def _add_curvature(acc: np.ndarray, spec: FunctionalSpec, curve: DiscreteCurve,
             y -= sj
             node += np.einsum("rmj,smj->rsj", sj, sj)
         diag += cw * node
-        for p, dp in zip(range(-2, 3), diagonals[term.order - 1][:5]):
-            alpha = cw * dp
-            if alpha.any():
-                z[p + 2] = alpha * y if z[p + 2] is None else z[p + 2] + alpha * y
+        terms.append((cw * diagonals[term.order - 1][:5], y))
+    z, zt = _scratch(ws, "z", ft.shape), _scratch(ws, "z_term", ft.shape)
+    dots, block = ws["dots"], ws["block"]   # made by _model_blocks
     for p in range(-2, 3):
-        if z[p + 2] is None:
+        live = [(alpha[p + 2], y) for alpha, y in terms if alpha[p + 2].any()]
+        if not live:
             continue
+        spans = [_span(alpha) for alpha, _ in live]
+        rows = slice(min(s.start for s in spans), max(s.stop for s in spans))
+        zp = z[:, :, rows]
+        for i, (alpha, y) in enumerate(live):
+            if i == 0:
+                np.multiply(alpha[rows], y[:, :, rows], out=zp)
+            else:
+                zp += np.multiply(alpha[rows], y[:, :, rows], out=zt[:, :, rows])
         # E_(j+p) Z_j^T, the block (j + p, j) and the transpose of (j, j + p)
-        blk = np.einsum("rmj,smj->rsj", np.roll(ft, -p, axis=2), z[p + 2])
+        for j, jp in _wrapped(rows, p, ns):
+            _row_dots(ft[:, :, jp], z[:, :, j], dots[:, :, j])
+        blk = dots[:, :, rows]
         if p < 0:
-            acc[-p, :, :, p + 2:p + 2 + ns] += blk
+            acc[-p, :, :, rows.start + p + 2:rows.stop + p + 2] += blk
         elif p > 0:
-            acc[p, :, :, 2:ns + 2] += blk.swapaxes(0, 1)
+            acc[p, :, :, rows.start + 2:rows.stop + 2] += blk.swapaxes(0, 1)
         else:
-            diag += blk + blk.swapaxes(0, 1)
+            diag[:, :, rows] += np.add(blk, blk.swapaxes(0, 1), out=block[:, :, rows])
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _row_dots(u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     """out[r, r2, j] = sum_i u[r, i, j] v[r2, i, j]: the dot products of the
-    rows of u and v, for stacks of matrices with the samples last."""
-    return (u[:, None] * v[None]).sum(axis=2)
+    rows of u and v, for stacks of matrices with the samples last, summed in
+    the order of i."""
+    return np.einsum("rij,sij->rsj", u, v, out=out)
 
 
-def _band(blocks: np.ndarray) -> np.ndarray:
+def _band(blocks: np.ndarray, ab: np.ndarray) -> np.ndarray:
     """LAPACK lower band storage, shifted, of the model on the interval's
-    samples, from its k x k blocks H(a, a + s) = blocks[s, a], s = 0..2.
+    samples, from its k x k blocks H(a, a + s) = blocks[s, a], s = 0..2,
+    written into ab, of shape (3k, N k).
 
     The entry (r, r2) of H(a, a + s) lies in row s*k + r2 - r of the
     storage, at column a*k + r.  Row r of the block fills consecutive rows
@@ -485,7 +618,7 @@ def _band(blocks: np.ndarray) -> np.ndarray:
     above the diagonal and are left out.
     """
     ns, k = blocks.shape[1], blocks.shape[-1]
-    ab = np.zeros((3 * k, ns * k))
+    ab.fill(0.0)
     for s in range(3):
         for r in range(k):
             lo = max(r - s * k, 0)
@@ -662,14 +795,17 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         if built_at is not None:
             far = np.max(row_norm(x.samples - built_at)) > REBUILD_DIST
             if far or it == 1:
+                # where the exact model is not positive definite, the model in
+                # use stays at iterate 1, and a rebuild takes the Gauss-Newton
+                # model of the same build
                 try:
-                    lu = _flat_model_factor(spec, x, free, exact=True)
-                    pairs.clear()
+                    lu = _flat_model_factor(spec, x, free, exact=True, fallback=far)
                     built_at = x.samples
-                except FactorizationError:   # the exact model is not positive definite
+                    if lu.exact:
+                        pairs.clear()
+                except FactorizationError:
                     if far:
-                        lu = _flat_model_factor(spec, x, free)
-                        built_at = x.samples
+                        raise
         history.append(HistoryRecord(it, obj, resid, None, None, None, step, phase,
                                      "noise" if noise_phase else "armijo"))
 

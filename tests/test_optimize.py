@@ -513,9 +513,9 @@ def test_far_apart_solve_rebuilds_the_model(monkeypatch):
     built = []
     factor = opt._flat_model_factor
 
-    def counted(spec, curve, free, exact=False):
+    def counted(spec, curve, free, exact=False, fallback=False):
         built.append((curve.samples, exact))
-        return factor(spec, curve, free, exact=exact)
+        return factor(spec, curve, free, exact=exact, fallback=fallback)
 
     problem = _far_apart_problem("sphere:2", 1)
     iterate_1 = minimize(*problem, SolveOptions(max_iters=1)).minimizer
@@ -799,9 +799,9 @@ def test_saddle_arcs_keep_the_gauss_newton_model(monkeypatch, hint, n):
     built = []
     factor = opt._flat_model_factor
 
-    def logged(spec, curve, free, exact=False):
+    def logged(spec, curve, free, exact=False, fallback=False):
         try:
-            out = factor(spec, curve, free, exact=exact)
+            out = factor(spec, curve, free, exact=exact, fallback=fallback)
         except FactorizationError:
             built.append((exact, "refused"))
             raise
@@ -812,10 +812,10 @@ def test_saddle_arcs_keep_the_gauss_newton_model(monkeypatch, hint, n):
     rep = minimize(*problem)
     assert built[:2] == [(False, "built"), (True, "refused")]
 
-    def gauss_newton_only(spec, curve, free, exact=False):
-        if exact:
+    def gauss_newton_only(spec, curve, free, exact=False, fallback=False):
+        if exact and not fallback:
             raise FactorizationError("refused")
-        return factor(spec, curve, free)
+        return factor(spec, curve, free)   # a rebuild falls back to Gauss-Newton
 
     monkeypatch.setattr(opt, "_flat_model_factor", gauss_newton_only)
     ref = minimize(*problem)
