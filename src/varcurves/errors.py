@@ -10,7 +10,7 @@ class UsageError(VarcurvesError):
 
 
 class CutLocusError(VarcurvesError):
-    """Raised when a logarithm/transport is requested at or within tolerance of the cut locus."""
+    """Raised when a logarithm is requested at or within tolerance of the cut locus."""
 
 
 class DegenerateCurveError(VarcurvesError):

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, CutLocusError
 
-# Refuse log/transport this close (in angle) to the cut locus instead of
-# silently picking a branch.
+# Refuse log this close (in angle) to the cut locus instead of silently
+# picking a branch.
 CUT_LOCUS_TOL = 1e-8
 
 # Largest entry of |m^T m - I| at which SO3.canonicalize projects a sample m
@@ -75,7 +75,7 @@ class Manifold:
     relative_step and cut-locus check in log.  A curved manifold sets
     curved and overrides canonicalize, constraint_residual, project_tangent,
     tangent_frame, dproj_bilinear, proj_derivatives, weingarten,
-    exp_ambient, log, dist, transport and, where it can, may_reach_cut_locus.
+    exp_ambient, log, dist and, where it can, may_reach_cut_locus.
     Instances are immutable and safe to share across concurrent solves.
     """
 
@@ -152,11 +152,6 @@ class Manifold:
         """Geodesic distance (the norm of relative_step here).  Total (defined
         at the cut locus, where it is unambiguous)."""
         return row_norm(self.relative_step(p, q))
-
-    def transport(self, p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Parallel transport of u along the minimal geodesic from p to q (a
-        copy of u here)."""
-        return np.array(u, float, copy=True)
 
     def may_reach_cut_locus(self, p: np.ndarray, q: np.ndarray) -> bool:
         """False only if no pair (p, q) is within CUT_LOCUS_TOL of the cut locus.
@@ -306,24 +301,6 @@ class Sphere(Manifold):
         # the angle exceeds pi/2 only where p . q < 0, and the cut locus
         # is at pi
         return bool(np.any(row_dot(p, q) < 0.0))
-
-    def transport(self, p, q, u):
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        u = np.asarray(u, float)
-        theta = self._angle(p, q)
-        if np.any(theta >= np.pi - CUT_LOCUS_TOL):
-            raise CutLocusError("sphere transport: points are (nearly) antipodal")
-        small = theta < 1e-14
-        if np.all(small):
-            return np.array(u, float, copy=True)
-        e = self.project_tangent(p, q - p)
-        ne = row_norm(e)[..., None]
-        e = e / np.where(ne > 0, ne, 1.0)
-        ue = row_dot(u, e)[..., None]
-        th = theta[..., None]
-        out = u + ue * ((np.cos(th) - 1.0) * e - np.sin(th) * p)
-        return np.where(small[..., None], u, out)
 
 
 class Torus(Manifold):
@@ -584,14 +561,6 @@ class SO3(Manifold):
         # cut locus is at pi.  einsum rounds the dot product differently
         # from row_dot, which can flip its sign only near 2 pi / 3
         return bool(np.any(np.einsum("...i,...i->...", p, q) < 0.0))
-
-    def transport(self, p, q, u):
-        om, _ = self._rel_rotation_log(p, q)
-        h = self._expm_skew(0.5 * om)
-        pm = self._mat(p)
-        body = np.swapaxes(pm, -1, -2) @ self._mat(u)
-        body = 0.5 * (body - np.swapaxes(body, -1, -2))
-        return self._vec(pm @ h @ body @ h)
 
 
 def make_manifold(spec: str) -> Manifold:

@@ -128,7 +128,7 @@ from scipy.linalg import lapack
 
 from .constraints import ConstraintSet, fixed_indices, free_mask, impose
 from .curves import DiscreteCurve, length, node_weights, stencil_operators, winding_vector
-from .errors import DegenerateCurveError, CutLocusError, FactorizationError, UsageError
+from .errors import DegenerateCurveError, FactorizationError, UsageError
 from .functionals import (FunctionalSpec, ambient_gradient, el_residual, evaluate, gradient,
                           gradient_norm)
 from .manifolds import Torus, row_dot, row_norm
@@ -921,25 +921,20 @@ def sup_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
 
 
 def _h2_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
-    """Auxiliary discrete H^2 distance (transport-compared derivative fields).
-
-    NaN when a transport between corresponding samples hits the cut locus.
-    """
+    """Auxiliary discrete H^2 distance, finite everywhere: b's derivative
+    fields are projected onto a's tangent spaces (a copy on the flat
+    manifolds) and compared with a's there."""
     m = a.manifold
     w = node_weights(a)
-    try:
-        d0 = m.dist(a.samples, b.samples)
-        va, vb = a.derivative(1)[1], b.derivative(1)[1]
-        aa, ab = a.derivative(2)[1], b.derivative(2)[1]
-        vb_t = m.transport(b.samples, a.samples, vb)
-        ab_t = m.transport(b.samples, a.samples, ab)
-        dv, da = va - vb_t, aa - ab_t
-        total = np.sum(w * d0**2)
-        total += np.sum(w * row_dot(dv, dv))
-        total += np.sum(w * row_dot(da, da))
-        return float(np.sqrt(total))
-    except CutLocusError:
-        return float("nan")
+    d0 = m.dist(a.samples, b.samples)
+    va, vb = a.derivative(1)[1], b.derivative(1)[1]
+    aa, ab = a.derivative(2)[1], b.derivative(2)[1]
+    dv = va - m.project_tangent(a.samples, vb)
+    da = aa - m.project_tangent(a.samples, ab)
+    total = np.sum(w * d0**2)
+    total += np.sum(w * row_dot(dv, dv))
+    total += np.sum(w * row_dot(da, da))
+    return float(np.sqrt(total))
 
 
 def multistart(spec: FunctionalSpec, constraint: ConstraintSet,

@@ -233,16 +233,71 @@ def _with(cfg, path, value):
     (("functional",), {"kind": "conditional", "k": 2,
                        "field": {"kind": "torus_constant", "params": [1.0],
                                  "modulation": [0.5]}}, "field modulation needs at least 2"),
+    (("domain",), "sphere", "domain"),
+    (("domain",), "circle", "domain"),            # interpolation needs an interval
+    (("grid_n",), 3, "grid_n"),
+    (("winding_hints",), [], "winding_hints"),
+    (("winding_hints",), 1, "winding_hints"),
+    (("winding_hint",), [[0], [0, 1]], "winding_hint"),   # ragged
+    (("winding_hint",), [0, 1], "winding hint"),  # torus:1 takes one integer
+    (("solve",), [1], "solve"),
+    (("constraints",), [], "constraints"),
+    (("constraints",), {"knots": []}, "'kind'"),
+    (("constraints", "kind"), "bogus", "constraint kind"),
+    (("constraints",), {"kind": "clamped", "k": 3, "left": {"position": [0.0]},
+                        "right": {"position": [1.0]}}, "k in {1, 2}"),
+    (("constraints",), {"kind": "clamped", "k": "two", "left": {"position": [0.0]},
+                        "right": {"position": [1.0]}}, "constraints k"),
+    (("constraints",), {"kind": "clamped", "left": [0.0],
+                        "right": {"position": [1.0]}}, "'left' and 'right'"),
+    (("constraints",), {"kind": "clamped", "left": {},
+                        "right": {"position": [1.0]}}, "left and right positions"),
+    (("constraints", "knots"), "x", "'knots'"),
+    (("constraints", "knots"), [{"t": 0.0, "position": [0.0]}], "knots"),
+    (("constraints", "knots", 1), {"t": 1.0}, "'position'"),
+    (("constraints", "knots", 1, "t"), 0.0, "knot times must be distinct"),
+    (("constraints", "knots"), [{"t": 1.0, "position": [0.0]},
+                                {"t": 0.0, "position": [1.0]}], "knot times must be increasing"),
+    (("constraints", "knots", 1, "t"), 1.5, "knot times must lie in [0, 1]"),
 ], ids=["tau-nan", "tau-inf", "tau-1e300", "tau-str", "tau-null", "k-str", "field-str",
         "field-params-str", "knot-t-str", "knot-position-str", "knot-position-scalar",
         "knot-position-nested", "winding_hint-str", "winding_hint-huge",
         "grid_n-float", "winding_hint-half", "winding_hints-half", "field-params-nan",
         "field-modulation-inf", "field-modulation-nested", "field-modulation-scalar",
-        "field-modulation-empty", "field-modulation-one-entry"])
+        "field-modulation-empty", "field-modulation-one-entry", "domain-unknown",
+        "domain-circle-knots", "grid_n-small", "winding_hints-empty", "winding_hints-int",
+        "winding_hint-ragged", "winding_hint-torus-width", "solve-list",
+        "constraints-list", "constraints-no-kind", "constraints-kind-unknown",
+        "clamped-k-3", "clamped-k-str", "clamped-left-list", "clamped-no-position",
+        "knots-str", "knots-one", "knot-no-position", "knot-times-equal",
+        "knot-times-decreasing", "knot-time-beyond-1"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, path, value, key):
     cfg = write_cfg(tmp_path, _with(CIRCLE_CFG, path, value))
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,key", [
+    ("[1, 2]", "JSON object"),
+    ("{", "not valid JSON"),
+    (json.dumps({k: v for k, v in CIRCLE_CFG.items() if k != "grid_n"}), "'grid_n'"),
+    (json.dumps(dict(CIRCLE_CFG, winding_hint=0, winding_hints=[0, 1])),
+     "either winding_hint or winding_hints"),
+    (json.dumps(dict(CIRCLE_CFG, manifold="euclidean:1", winding_hint=[0, 1])),
+     "winding hint must be a single integer"),
+    (None, "cannot read config"),
+], ids=["list", "truncated", "no-grid_n", "both-hint-keys", "euclidean-hint-width",
+        "missing-file"])
+def test_bad_config_file_is_config_error(tmp_path, capsys, text, key):
+    # whole files that no single-entry edit of a valid config makes
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not out.exists()
@@ -331,6 +386,28 @@ def test_multistart_solve(tmp_path):
     assert data["n_clusters"] == 3
     assert sorted(p.name for p in out.glob("minimizer_*.curve")) == [
         "minimizer_w=-1.curve", "minimizer_w=0.curve", "minimizer_w=1.curve"]
+
+
+def test_s2_arc_multistart_writes_strict_json(tmp_path):
+    # the wrapped arcs of hints -1 and 1 pass the antipodes of the samples of
+    # hint 0, where no parallel transport is defined; the projected
+    # derivative fields keep every h2_distance finite
+    cfg = {"manifold": "sphere:2", "grid_n": 200,
+           "functional": {"kind": "tension", "tau": 8.0},
+           "constraints": {"kind": "interpolation", "knots": [
+               {"t": 0.0, "position": [1.0, 0.0, 0.0]},
+               {"t": 1.0, "position": [np.cos(1.0), np.sin(1.0), 0.0]}]},
+           "winding_hints": [0, -1, 1]}
+    out = tmp_path / "ms"
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    data = json.loads((out / "multistart.json").read_text(), parse_constant=refuse)
+    h2 = np.array(data["h2_distance"], float)
+    assert h2.shape == (3, 3) and np.all(np.isfinite(h2))
+    assert np.all(h2[np.triu_indices(3, 1)] > 0)
 
 
 def test_one_winding_hint_in_a_list_runs_one_solve(tmp_path):

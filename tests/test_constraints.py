@@ -243,6 +243,19 @@ def test_seed_cut_locus_requires_hint():
         seed(c, m, 50)
 
 
+def test_integral_float_hint_is_the_integer_hint():
+    c = ConstraintSet.clamped([1, 0, 0], [0, 1, 0])
+    m = make_manifold("sphere:2")
+    h = _normalize_hint(m, 1.0)
+    assert np.issubdtype(h.dtype, np.integer) and h.tolist() == [1]
+    assert seed(c, m, 50, hint=1.0).samples.tobytes() == seed(c, m, 50, hint=1).samples.tobytes()
+
+
+def test_unknown_constraint_kind_is_refused():
+    with pytest.raises(ConfigError, match="unknown constraint kind 'bogus'"):
+        ConstraintSet("bogus")
+
+
 def test_seed_euclidean_rejects_nonzero_hint():
     c = ConstraintSet.clamped([0.0], [1.0])
     with pytest.raises(ConfigError):

@@ -93,6 +93,24 @@ def test_torus_loop_hints_two_clusters_distinct_winding():
         assert rep.winding_drift < 1e-9
 
 
+@pytest.mark.parametrize("mid", ["euclidean:2", "torus:2"])
+def test_flat_h2_distance_compares_derivative_fields_directly(mid):
+    # the tangent projection is a copy on a flat manifold, so the distance
+    # is the three sums of the plain differences, to the last bit
+    m = make_manifold(mid)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        a, b = _random_curve(m, rng, 40), _random_curve(m, rng, 40)
+        w = node_weights(a)
+        d0 = m.dist(a.samples, b.samples)
+        dv = a.derivative(1)[1] - b.derivative(1)[1]
+        da = a.derivative(2)[1] - b.derivative(2)[1]
+        total = np.sum(w * d0**2)
+        total += np.sum(w * np.sum(dv * dv, axis=-1))
+        total += np.sum(w * np.sum(da * da, axis=-1))
+        assert opt._h2_distance(a, b) == float(np.sqrt(total))
+
+
 # -- report invariants ------------------------------------------------------------------
 
 def test_monotone_descent_and_certificate():
@@ -1341,9 +1359,8 @@ def test_exp_has_one_definition():
 
 
 def test_flat_geometry_has_one_definition():
-    # the flat tangent projection, log, distance and transport are written in
-    # the base class only; Torus reaches its wrapped forms through
-    # relative_step
-    flat = ("project_tangent", "log", "dist", "transport")
+    # the flat tangent projection, log and distance are written in the base
+    # class only; Torus reaches its wrapped forms through relative_step
+    flat = ("project_tangent", "log", "dist")
     assert [(c.__name__, name) for c in (manifolds.Euclidean, manifolds.Torus)
             for name in flat if name in vars(c)] == [("Torus", "log")]

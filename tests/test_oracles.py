@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,91 @@ def test_geodesic_so3_zero_accel():
     c = geodesic(m, p, q).sample(100)
     a = c.derivative(2)[1]
     assert np.max(np.linalg.norm(a, axis=1)) < 1e-6
+
+
+def _rot(axis, angle):
+    """Rotation by angle about a coordinate axis, as a 3x3 matrix."""
+    c, s = np.cos(angle), np.sin(angle)
+    i, j = [k for k in range(3) if k != axis]
+    r = np.eye(3)
+    r[i, i] = r[j, j] = c
+    r[i, j], r[j, i] = -s, s
+    return r
+
+
+_S2_P = np.array([1.0, 0.0, 0.0])
+_S2_Q = np.array([0.2, 0.9, 0.4]) / np.linalg.norm([0.2, 0.9, 0.4])
+_SO3_P = (_rot(2, 0.4) @ _rot(0, 0.3)).reshape(9)
+_SO3_Q = (_rot(1, 1.1) @ _rot(2, -0.7)).reshape(9)
+
+# every family and branch of the closed-form oracles: the manifold id, or
+# "line" for conditional_line, and the arguments from p and q on; the loops
+# have q = p
+ORACLE_CASES = {
+    "euclidean:2": ("euclidean:2", ([0.3, -1.0], [2.0, 1.5])),
+    "torus:2-w0": ("torus:2", ([0.5, 6.0], [2.0, 0.7])),
+    "torus:2-w1": ("torus:2", ([0.5, 6.0], [2.0, 0.7], 1)),
+    "torus:2-loop": ("torus:2", ([0.5, 6.0], [0.5, 6.0], [1, 0])),
+    "sphere:2-w0": ("sphere:2", (_S2_P, _S2_Q)),
+    "sphere:2-w1": ("sphere:2", (_S2_P, _S2_Q, 1)),
+    "sphere:2-constant": ("sphere:2", (_S2_P, _S2_P)),
+    "sphere:2-loop": ("sphere:2", (_S2_P, _S2_P, 1, [0.0, 0.3, 1.0])),
+    "so3-w0": ("so3", (_SO3_P, _SO3_Q)),
+    "so3-w1": ("so3", (_SO3_P, _SO3_Q, 1)),
+    "so3-loop": ("so3", (_SO3_P, _SO3_P, 1)),
+    "conditional_line": ("line", ([0.3, -1.0], [2.0, 1.5], [1.0, 0.0])),
+}
+
+
+def _oracle(case):
+    mid, args = ORACLE_CASES[case]
+    if mid == "line":
+        return conditional_line(*args)[0]
+    return geodesic(make_manifold(mid), *args)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_oracle_velocity_is_the_derivative_of_point(case):
+    cf = _oracle(case)
+    m, t, h = cf.manifold, np.linspace(0.05, 0.95, 19), 1e-5
+    fd = m.relative_step(cf.point(t - h), cf.point(t + h)) / (2 * h)
+    assert np.max(np.abs(fd - cf.velocity(t))) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_oracle_speed_and_acceleration(case):
+    # geodesics and lines have zero acceleration and constant speed, so
+    # tension_value's shortcut through speed is its quadrature of the closures
+    cf = _oracle(case)
+    v, a = cf.velocity(T), cf.accel(T)
+    assert a.shape == v.shape and not np.any(a)
+    assert np.allclose(np.linalg.norm(v, axis=-1), cf.speed, rtol=1e-12, atol=0.0)
+    if cf.kind == "geodesic":
+        quadrature = tension_value(replace(cf, kind="closures"), 2.0)
+        assert tension_value(cf, 2.0) == pytest.approx(quadrature, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_oracle_endpoints(case):
+    cf = _oracle(case)
+    m = cf.manifold
+    p, q = (m.canonicalize(np.asarray(x, float)) for x in ORACLE_CASES[case][1][:2])
+    ends = cf.point(np.array([0.0, 1.0]))
+    assert m.dist(ends[0], p) <= 1e-12
+    assert m.dist(ends[1], q) <= 1e-12
+
+
+def test_geodesic_at_one_point_needs_its_loop_data():
+    sphere, so3 = make_manifold("sphere:2"), make_manifold("so3")
+    with pytest.raises(CutLocusError, match="plane"):
+        geodesic(sphere, _S2_P, _S2_P, winding=1)
+    with pytest.raises(ConfigError, match="p = q"):
+        geodesic(so3, _SO3_P, _SO3_P)
+    # a loop of SO(3) turns about the body z axis
+    cf = geodesic(so3, _SO3_P, _SO3_P, winding=1)
+    body = _SO3_P.reshape(3, 3).T @ cf.velocity(np.array([0.0]))[0].reshape(3, 3)
+    assert np.allclose(body, 2 * np.pi * np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
+                       atol=1e-12)
 
 
 # -- discrete consistency -----------------------------------------------------------------
