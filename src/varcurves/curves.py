@@ -64,8 +64,20 @@ def _csr(shape, rows) -> sp.csr_matrix:
                          shape=shape)
 
 
+class GridStencils(tuple):
+    """The Stencil of every order on one grid, indexed by order - 1, and in
+    derived what other modules compile from the grid alone (the solver's
+    model plans, optimize._stencil_matrices), by key, so that it is cached
+    and evicted with the stencils."""
+
+    def __new__(cls, stencils):
+        self = super().__new__(cls, stencils)
+        self.derived = {}
+        return self
+
+
 @lru_cache(maxsize=8)
-def stencil_operators(n: int, domain: str) -> Tuple[Stencil, ...]:
+def stencil_operators(n: int, domain: str) -> GridStencils:
     """The stencils of every order on the grid of size n, indexed by order - 1.
 
     D_k is P_k after the step matrix Delta, with the zeros that cancel in the
@@ -91,7 +103,7 @@ def stencil_operators(n: int, domain: str) -> Tuple[Stencil, ...]:
             for arr in (a.data, a.indices, a.indptr):
                 _read_only(arr)
         out.append(s)
-    return tuple(out)
+    return GridStencils(out)
 
 
 def _weights(order: int, n: int, ns: int, domain: str) -> np.ndarray:

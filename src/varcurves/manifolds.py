@@ -108,9 +108,11 @@ class Manifold:
         return np.array(a, float, copy=True)
 
     def tangent_frame(self, p: np.ndarray):
-        """An orthonormal basis of the tangent space at each sample p_j, as
-        the rows of frame[j], shape (n, dim, ambient_dim); None here, where
-        the tangent space is the whole ambient space at every point."""
+        """An orthonormal basis of the tangent space at each sample p_j of
+        the (n, ambient_dim) array p, with the samples last: frame[r, :, j]
+        is the r-th vector at p_j, shape (dim, ambient_dim, n), as the model
+        build reads it (proj_derivatives takes the same layout); None here,
+        where the tangent space is the whole ambient space at every point."""
         return None
 
     def dproj_bilinear(self, p: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -223,19 +225,33 @@ class Sphere(Manifold):
     def tangent_frame(self, p):
         """The rows l != i of the Householder reflection H = I - 2 v v^T / v.v,
         v = p + sign(p_i) e_i, with i the largest coordinate of p: H p is
-        -sign(p_i) e_i, so those rows are orthonormal and orthogonal to p."""
-        p = np.asarray(p, float)
-        n, m = p.shape
-        i = np.argmax(np.abs(p), axis=1)
-        # entries are picked by their flat index, which take and put use
-        # directly, where advanced indexing first broadcasts its index arrays
-        start = np.arange(0, n * m, m)
-        v = p.copy()
-        pi = v.take(start + i)
-        np.put(v, start + i, pi + np.where(pi < 0.0, -1.0, 1.0))
-        keep = (i[:, None] + np.arange(1, m)) % m   # the rows l != i, where v_l = p_l
-        return ((keep[:, :, None] == np.arange(m)) - (2.0 / row_dot(v, v))[:, None, None]
-                * p.take(start[:, None] + keep)[:, :, None] * v[:, None, :])
+        -sign(p_i) e_i, so those rows are orthonormal and orthogonal to p.
+        Built one ambient coordinate at a time over every sample: entries
+        are picked by the masks of i, without index arithmetic."""
+        pt = np.asarray(p, float).T
+        m, n = pt.shape
+        pivot = np.argmax(np.abs(pt), axis=0) == np.arange(m)[:, None]   # [c, j]: c is i at p_j
+
+        def picked(shift):
+            # coordinate (i + shift) mod m of each sample
+            out = pt[(m - 1 + shift) % m]
+            for c in range(m - 2, -1, -1):
+                out = np.where(pivot[c], pt[(c + shift) % m], out)
+            return out
+
+        pi = picked(0)
+        v = np.where(pivot, pi + np.where(pi < 0.0, -1.0, 1.0), pt)
+        # v.v of each sample as row_dot sums the rows of an (n, m) array in C
+        # order; its wide rows (numpy's pairwise sum) need that order
+        vt = v.T if m <= _FOLD_MAX_WIDTH else np.ascontiguousarray(v.T)
+        scale = 2.0 / row_dot(vt, vt)
+        frame = np.empty((m - 1, m, n))
+        for r in range(m - 1):
+            # row l = (i + r + 1) mod m of H, where v_l = p_l
+            coef = scale * picked(r + 1)
+            for c in range(m):
+                np.subtract(pivot[(c - r - 1) % m], coef * v[c], out=frame[r, c])
+        return frame
 
     def dproj_bilinear(self, p, u, w):
         p = np.asarray(p, float)
@@ -449,13 +465,17 @@ class SO3(Manifold):
 
     def tangent_frame(self, p):
         """The body frame p [e_i]_x / sqrt(2), i = 0, 1, 2: p^T times it is
-        skew, and the [e_i]_x are orthogonal with Frobenius norm sqrt(2)."""
-        # column c of p [e_i]_x is p (e_i x e_c), a column of p or its negative
-        c0, c1, c2 = np.moveaxis(self._mat(p), -1, 0)
-        z = np.zeros_like(c0)
-        e = np.stack([np.stack(cols, axis=-1) for cols in
-                      ((z, c2, -c1), (-c2, z, c0), (c1, -c0, z))], axis=1)
-        return self._vec(e) / np.sqrt(2.0)
+        skew, and the [e_i]_x are orthogonal with Frobenius norm sqrt(2).
+        Column c of p [e_i]_x is p (e_i x e_c), a column of p, its negative
+        or zero, so each entry is one entry of p / sqrt(2), negated or not,
+        or zero."""
+        q = np.asarray(p, float).T / np.sqrt(2.0)   # q[3 a + c, j] = p_j[a, c] / sqrt(2)
+        frame = np.zeros((3, 9, q.shape[1]))
+        for i, c, sign, col in ((0, 1, 1.0, 2), (0, 2, -1.0, 1), (1, 0, -1.0, 2),
+                                (1, 2, 1.0, 0), (2, 0, 1.0, 1), (2, 1, -1.0, 0)):
+            # entry (a, c) of p [e_i]_x is sign * p[a, col]
+            frame[i, c::3] = q[col::3] if sign > 0 else -q[col::3]
+        return frame
 
     @classmethod
     def _mat_t(cls, p):

@@ -43,32 +43,43 @@ x.e <= 1/2 at any iterate x within REBUILD_DIST of the build, so it keeps
 at least 3/4 of its squared norm in the tangent space.  F^-1 below stands
 for E H^-1 E^T, with H the model in use.
 
-A build reads each stencil D by its diagonals, D[j, j + p] for p = -2..2
-(_stencil_matrices).  They depend on the grid alone, so they are part of
-the grid's curves.Stencil records, in the one cache of
-curves.stencil_operators, read-only and without any coefficient, and each
-build multiplies them by c W as it goes.
+A build follows a plan of its grid (_ModelPlan, made by
+_stencil_matrices): each stencil D by its diagonals, D[j, j + p] for
+p = -2..2, the (p, s) pairs of the Gauss-Newton loop and the offsets of
+the curvature sums with their row spans, and the indices of the
+interval's end-row overlaps at offsets +-2.  It depends on the grid and
+the term orders alone, so it is compiled once per (N, domain, orders),
+read-only and without any coefficient, and kept with the grid's
+curves.Stencil records in the one cache of curves.stencil_operators.  What
+depends on the coefficients too (the row products c w D D) or on the free
+samples is made once per solve, at its first build, and shared by the
+solve's later builds (_solve_data); nothing of it outlives the solve.
 
-A build keeps its large working arrays in its thread's workspace
-(_Workspace, a threading.local): the frames with the samples last, the
-overlaps E_j^T E_(j+1), the block accumulator, the curvature's sums Z_j
-and the band storage, made on the first build of a shape (sample count,
-frame size k, ambient dimension) and reused by the next, for the
-WORKSPACE_SHAPES shapes used last, least recently used first out, as in
-curves.stencil_operators.  No factor keeps a view into it.  Made afresh,
-these arrays went back to the allocator after each build, which trimmed
-the heap, and the next build page-faulted them in again: on the
-benchmark pools at N = 1000, warm solves took about 230 minor faults
-each on S^2 and 770 on SO(3), and now take none.  The exact build reads
-the ambient gradient that gradient summed at the iterate, memoized on
-the curve for that spec object (functionals.ambient_gradient), and a
-rebuild whose exact model is refused factorizes the Gauss-Newton blocks
-of the same build.
+Manifold.tangent_frame gives the frames with the samples last, shape
+(k, ambient dimension, n), the layout of every product of the build, where
+numpy's elementwise loops run long.  On the interval the blocks are added
+straight into LAPACK's band storage, through a strided view of it
+(_accumulator); on the circle into an array that the sparse LU reads.  A
+build keeps its large working arrays in its thread's workspace
+(_Workspace, a threading.local): the band storage or block array, the
+overlaps E_j^T E_(j+1), the curvature's sums Z_j and their products, made
+on the first build of a shape (sample count, frame size k, ambient
+dimension) and reused by the next, for the WORKSPACE_SHAPES shapes used
+last, least recently used first out, as in curves.stencil_operators.  No
+factor keeps a view into it.  Made afresh, these arrays went back to the
+allocator after each build, which trimmed the heap, and the next build
+page-faulted them in again: on the benchmark pools at N = 1000, warm
+solves took about 230 minor faults each on S^2 and 770 on SO(3), and now
+take none.  The exact build reads the ambient gradient that gradient
+summed at the iterate, memoized on the curve for that spec object
+(functionals.ambient_gradient), and a rebuild whose exact model is refused
+factorizes the Gauss-Newton blocks of the same build.  A solve builds no
+model at an iterate where it stops.
 
 On a curved manifold the memory of the last LBFGS_MEMORY accepted steps
 s = -step*d and gradient changes y = g - g_prev supplies the curvature the
 model leaves out; it is cleared at every exact build.  A flat manifold's
-model is exact, so it keeps no pairs: on the five knots of the first
+model is exact, so it forms and keeps no pairs: on the five knots of the first
 benchmark winding sweep (torus:1, tension(1), N = 1000) the second step
 took the residual from 886 to 84 grad_tol with them, and to 2.2 without.  A
 pair is kept, as taken and in ambient coordinates and with its 1/(y.s), if
@@ -119,7 +130,7 @@ import numbers
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, fields, asdict, replace
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,7 +138,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .constraints import ConstraintSet, fixed_indices, free_mask, impose
-from .curves import DiscreteCurve, length, node_weights, stencil_operators, winding_vector
+from .curves import (DiscreteCurve, _read_only, length, node_weights, stencil_operators,
+                     winding_vector)
 from .errors import DegenerateCurveError, FactorizationError, UsageError
 from .functionals import (FunctionalSpec, ambient_gradient, el_residual, evaluate, gradient,
                           gradient_norm)
@@ -228,12 +240,78 @@ class SolveReport:
         }
 
 
-def _stencil_matrices(curve: DiscreteCurve) -> Tuple[np.ndarray, ...]:
-    """The sample-space difference operators D_1, D_2 of the curve's grid,
-    by diagonals: D[j, j + p] in e[p + 2, j] for p = -2..2
-    (curves.Stencil.diagonals).  Read-only and shared by every build on the
-    grid."""
-    return tuple(s.diagonals for s in stencil_operators(curve.grid_n, curve.domain))
+class _ModelPlan(NamedTuple):
+    """What a model build on one grid reads for one tuple of term orders,
+    the spec's coefficients apart: compiled once (_compile_plan), cached
+    with the grid's stencils and read-only.
+
+    Row spans are those of the structural nonzeros: the rows j where
+    w_j, D[j, j + p] and D[j, j + p + s] are all nonzero for some term.  So
+    they hold every row a coefficient leaves nonzero, and a row where the
+    product rounds to 0 adds exact zeros, which leave a block as it was.
+    """
+
+    diagonals: Tuple[np.ndarray, ...]   # each term's D by diagonals, D[j, j + p] in [p + 2, j]
+    steps: tuple       # the (j, j + 1 mod N) slices of the overlaps E_j^T E_(j+1)
+    far: tuple         # (rows j, j + p mod N) of each offset +-2 overlap in use
+    pairs: tuple       # (s, products' index, rows, block slice, left, right) per (p, s)
+    curvature: tuple   # (p, live terms, rows, (j, j + p mod N) slices, block slice) per p
+
+
+def _stencil_matrices(curve: DiscreteCurve, orders: Tuple[int, ...]) -> _ModelPlan:
+    """The model plan of the curve's grid for the term orders, compiled on
+    first use and kept with the grid's stencils (curves.GridStencils), in
+    the one cache of curves.stencil_operators."""
+    ops = stencil_operators(curve.grid_n, curve.domain)
+    key = ("model plan", orders)
+    plan = ops.derived.get(key)
+    if plan is None:
+        plan = ops.derived[key] = _compile_plan(ops, orders)
+    return plan
+
+
+def _compile_plan(ops, orders: Tuple[int, ...]) -> _ModelPlan:
+    """The plan of the grid's stencils ops for the term orders (_ModelPlan):
+    the overlaps and (p, s) pairs that _model_blocks reads and the offsets
+    that _add_curvature sums, each over the span of its rows."""
+    diagonals = tuple(ops[o - 1].diagonals for o in orders)
+    ns = ops[0].diagonals.shape[1]
+    # [term, p + 2, j]: w_j D[j, j + p] != 0
+    alive = np.array([(ops[o - 1].weights != 0.0) & (e[:5] != 0.0)
+                      for o, e in zip(orders, diagonals)])
+    far, pairs, curvature = {}, [], []
+
+    def overlap(p, rows):
+        """Where the build finds E_j^T E_(j+p) on the rows: (overlap, slice)
+        for p = +1 (0) and p = -1 (1), and a far overlap over the rows alone
+        (2 on); None for p = 0."""
+        if p == 0:
+            return None
+        if abs(p) == 1:
+            return (0 if p == 1 else 1), rows
+        key = p, rows.start, rows.stop
+        if key not in far:
+            far[key] = rows, _read_only((np.arange(rows.start, rows.stop) + p) % ns)
+        return 2 + list(far).index(key), slice(None)
+
+    # every pair (p, s) with p + s <= 2, over the span of its nonzero rows,
+    # so each block sums its rows' products in the order of p
+    for p in range(-2, 3):
+        for s in range(min(3, 3 - p)):
+            rows = _span(np.any(alive[:, p + 2] & alive[:, p + 2 + s], axis=0))
+            if rows is not None:
+                pairs.append((s, (p + 2, s, rows), rows,
+                              slice(rows.start + p + 2, rows.stop + p + 2),
+                              overlap(p, rows), overlap(p + s, rows)))
+        live = tuple(i for i, a in enumerate(alive) if a[p + 2].any())
+        if live:
+            spans = [_span(alive[i, p + 2]) for i in live]
+            rows = slice(min(s.start for s in spans), max(s.stop for s in spans))
+            start = rows.start + (p if p < 0 else 0) + 2
+            curvature.append((p, live, rows, tuple(_wrapped(rows, p, ns)),
+                              slice(start, start + rows.stop - rows.start)))
+    return _ModelPlan(diagonals, tuple(_wrapped(slice(0, ns), 1, ns)), tuple(far.values()),
+                      tuple(pairs), tuple(curvature))
 
 
 class _BandedCholesky:
@@ -259,10 +337,15 @@ def _check_lapack(routine: str, info: int):
 class _FramedModel:
     """The projected flat model in the tangent frames E of the samples:
     solve(b) is E H^-1 E^T b for the ambient rows b, given the factor of H;
-    exact tells whether H is the exact Hessian (_add_curvature)."""
+    exact tells whether H is the exact Hessian (_add_curvature).
+
+    It keeps the frame with the samples first, E_j^T in frame[j], where
+    E^T b sums each sample's row in the order numpy gives a contiguous
+    last axis; over the samples-last frame of the build, an einsum and a
+    fold over the ambient coordinates both round otherwise."""
 
     def __init__(self, frame: np.ndarray, factor, exact: bool):
-        self._frame = frame
+        self._frame = np.ascontiguousarray(frame.transpose(2, 0, 1))
         self._factor = factor
         self.exact = exact
 
@@ -283,7 +366,7 @@ class _Workspace(threading.local):
         self.shapes = OrderedDict()
 
     def arrays(self, ns: int, frame) -> dict:
-        key = (ns, 1, 1) if frame is None else (ns,) + frame.shape[1:]
+        key = (ns, 1, 1) if frame is None else (ns,) + frame.shape[:2]
         ws = self.shapes.pop(key, {})
         self.shapes[key] = ws
         if len(self.shapes) > WORKSPACE_SHAPES:
@@ -306,18 +389,40 @@ def _scratch(ws: dict, name: str, shape) -> np.ndarray:
 def _row_products(spec: FunctionalSpec, curve: DiscreteCurve):
     """Each term's products c w_j D[j, j+p] D[j, j+p+s] over the rows j of
     its stencil D, in an array indexed [p + 2, s, j] for p = -2..2 and
-    s = 0..2, from the grid's diagonals (_stencil_matrices)."""
-    diagonals = _stencil_matrices(curve)
+    s = 0..2, from the grid's diagonals (curves.Stencil.diagonals)."""
     out = []
     for t in spec.terms:
-        e = diagonals[t.order - 1]
-        we = t.coef * curve.stencil(t.order).weights * e
+        st = curve.stencil(t.order)
+        e = st.diagonals
+        we = t.coef * st.weights * e
         out.append(np.stack([we[:5] * e[s:s + 5] for s in range(3)], axis=1))
     return out
 
 
+def _solve_data(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray, framed: bool,
+                memo) -> dict:
+    """What every build of one solve reads that depends on the spec, the
+    grid and the free samples alone: the grid's plan (_stencil_matrices),
+    the fixed samples, the row products (_row_products; summed over the
+    terms for a framed build) and, per term, c w and c w D by diagonals for
+    _add_curvature.  Kept in memo, a dict that a solve passes to each of
+    its builds and drops when it ends; made afresh without one."""
+    data = {} if memo is None else memo
+    if not data:
+        # the plan first, so that a new grid's stencils are built inside it
+        data["plan"] = plan = _stencil_matrices(curve, tuple(t.order for t in spec.terms))
+        fixed = np.ones(curve.n_samples, bool)
+        fixed[free] = False
+        data["fixed"] = np.flatnonzero(fixed)
+        prods = _row_products(spec, curve)
+        data["products"] = sum(prods) if framed else prods
+        cw = [t.coef * curve.stencil(t.order).weights for t in spec.terms]
+        data["curvature"] = [(c, c * e[:5]) for c, e in zip(cw, plan.diagonals)]
+    return data
+
+
 def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndarray,
-                       exact: bool = False, fallback: bool = False):
+                       exact: bool = False, fallback: bool = False, memo=None):
     """Factorized model Hessian of the spec's terms on every sample,
     shifted by 1e-12*max(max diag, 1) on the diagonal; solve(b) applies its
     inverse to the ambient rows b of every sample: E H^-1 E^T b in the
@@ -332,11 +437,12 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
     unit diagonals that leave the shift as it was.
 
     The factor depends on the domain only.  On the interval the k x k
-    blocks of _model_blocks form a band of half-bandwidth 3k - 1,
-    factorized by banded Cholesky (LAPACK dpbtrf).  On the circle the
-    periodic wrap couples samples 0 and N-1, so H has no band in natural
-    order; the blocks go, with wrapped indices, into one sparse matrix for
-    sparse LU.  E^T g . H^-1 E^T g > 0 for any g with E^T g != 0.
+    blocks of _model_blocks form a band of half-bandwidth 3k - 1, built in
+    LAPACK's band storage (_accumulator) and factorized by banded Cholesky
+    (dpbtrf).  On the circle the periodic wrap couples samples 0 and N-1,
+    so H has no band in natural order; the blocks go, with wrapped indices,
+    into one sparse matrix for sparse LU.  E^T g . H^-1 E^T g > 0 for any g
+    with E^T g != 0.
 
     With exact, on a curved manifold, H is the exact Hessian
     (_add_curvature), and a build where it is not positive definite raises
@@ -346,39 +452,45 @@ def _flat_model_factor(spec: FunctionalSpec, curve: DiscreteCurve, free: np.ndar
     the Gauss-Newton model of the same frame and blocks instead, and the
     factor's exact is False.  A flat manifold's H is exact either way.
 
-    The build's working arrays are this thread's workspace (_Workspace);
-    the factor keeps its frame and the arrays LAPACK or SuperLU return,
-    none of them a view into the workspace.
+    memo is the solve's dict of _solve_data.  The build's working arrays
+    are this thread's workspace (_Workspace); the factor keeps its frame
+    and the arrays LAPACK or SuperLU return, none of them a view into the
+    workspace.
     """
     frame = curve.manifold.tangent_frame(curve.samples)
     exact = exact and frame is not None
-    blocks = _model_blocks(spec, curve, frame, exact, fallback)
+    data = _solve_data(spec, curve, free, frame is not None, memo)
+    blocks = _model_blocks(spec, curve, frame, exact, fallback, data)
     ws = _WORKSPACE.arrays(curve.n_samples, frame)
+    store = ws[_store_name(curve.domain)]
     try:
-        factor = _factor(blocks, free, curve.domain, exact, ws)
+        factor = _factor(blocks, store, data["fixed"], curve.domain, exact)
     except FactorizationError:
         if not (exact and fallback):
             raise
         exact = False
-        factor = _factor(_fold(ws["gauss_newton"]), free, curve.domain, False, ws)
+        store = ws[_store_name(curve.domain) + " gauss-newton"]
+        blocks = _fold(_accumulator(store, blocks.shape[-1], curve.domain), curve.domain)
+        factor = _factor(blocks, store, data["fixed"], curve.domain, False)
     return factor if frame is None else _FramedModel(frame, factor, exact)
 
 
-def _factor(blocks: np.ndarray, free: np.ndarray, domain: str, exact: bool, ws: dict):
-    """The factor of the model with the blocks H(a, a + s) in blocks[s, a]
-    (_flat_model_factor), each fixed sample decoupled in place; exact asks
-    for the refusal of a model that is not positive definite on the
-    circle (on the interval dpbtrf refuses it in any case)."""
+def _factor(blocks: np.ndarray, store: np.ndarray, fixed: np.ndarray, domain: str,
+            exact: bool):
+    """The factor of the model with the blocks H(a, a + s) in blocks[s, a],
+    a view of the build's store (_accumulator), each fixed sample decoupled
+    in place; exact asks for the refusal of a model that is not positive
+    definite on the circle (on the interval dpbtrf refuses it in any
+    case)."""
     ns, k = blocks.shape[1], blocks.shape[-1]
-    fixed = np.ones(ns, bool)
-    fixed[free] = False
-    fixed = np.flatnonzero(fixed)
     for s in range(3):   # H(a, a + s), a + s mod N, couples a fixed sample
         blocks[s, fixed] = 0.0
         blocks[s, fixed - s] = 0.0
     blocks[0, fixed] = np.eye(k)
     if domain == "interval":
-        return _BandedCholesky(_band(blocks, _scratch(ws, "band", (3 * k, ns * k))))
+        ab = store[k - 1:, 2 * k:(ns + 2) * k]
+        ab[0] += 1e-12 * max(float(ab[0].max()), 1.0)
+        return _BandedCholesky(ab)
     a, r = np.arange(ns)[:, None, None], np.arange(k)[:, None]
     ii, jj, vals = [], [], []
     for s in range(3):
@@ -407,102 +519,111 @@ def _definite_lu(h: sp.csc_matrix):
     return lu
 
 
+def _store_name(domain: str) -> str:
+    """The workspace name of a build's store (_accumulator)."""
+    return "band" if domain == "interval" else "blocks"
+
+
+def _accumulator(store: np.ndarray, k: int, domain: str) -> np.ndarray:
+    """The view acc[s, r, r2, a + 2] = H(a, a + s)[r, r2], a = -2..N + 1,
+    of a build's store, into which the build adds its blocks.
+
+    On the circle the store is that array.  On the interval it is LAPACK's
+    lower band storage of the model (_factor reads it), with k - 1 rows
+    above it and two samples' columns on each side: entry (r, r2) of
+    H(a, a + s) lies in row s*k + r2 - r of the band, at column a*k + r, an
+    affine function of (s, r, r2, a), so the blocks are a strided view of
+    the store and no two of their entries share one.  The entries r2 < r of
+    the diagonal blocks, which the band leaves out, fall into the rows
+    above it; the side columns are where the interval's blocks a = -2, -1,
+    N, N + 1 would be, which no build writes.
+    """
+    if domain == "circle":
+        return store
+    row, col = store.strides
+    return np.lib.stride_tricks.as_strided(
+        store[k - 1:], shape=(3, k, k, store.shape[1] // k),
+        strides=(k * row, col - row, row, k * col))
+
+
+def _fold(acc: np.ndarray, domain: str) -> np.ndarray:
+    """The blocks H(a, a + s) in blocks[s, a], as a view, of the
+    accumulator with H(a, a + s) in acc[s, :, :, a + 2] (_accumulator),
+    after the circle's wrap is folded in: a = -2, -1 are N - 2, N - 1 and
+    a = N, N + 1 are 0, 1 (on the interval they are not written)."""
+    ns = acc.shape[-1] - 4
+    if domain == "circle":
+        acc[..., 2:4] += acc[..., ns + 2:]
+        acc[..., ns:ns + 2] += acc[..., :2]
+    return acc[..., 2:ns + 2].transpose(0, 3, 1, 2)
+
+
 def _model_blocks(spec: FunctionalSpec, curve: DiscreteCurve, frame,
-                  exact: bool = False, fallback: bool = False) -> np.ndarray:
+                  exact: bool = False, fallback: bool = False, data=None) -> np.ndarray:
     """The model's k x k blocks H(a, a + s) in blocks[s, a], s = 0..2, built
     with the samples on the last axis, where numpy's elementwise loops run
     long: a view into this thread's workspace, valid until the next build
     of the same shape on the thread.
 
     Block (a, b) is sum_j S_j(a, b) (E_j^T E_a)^T (E_j^T E_b), with the row
-    products S_j(a, b) = sum c w_j D[j, a] D[j, b] of _row_products.  With
+    products S_j(a, b) = sum c w_j D[j, a] D[j, b] of _row_products, over
+    the pairs and row spans of the grid's plan (_stencil_matrices).  With
     no frame, k = 1 and every overlap E_j^T E_a is 1, so each block is the
     sum of its row products.  Those are added term by term, one offset at a
     time: summing the terms first, as the framed loop does, would round
     some flat entries differently (at N = 64 and tau = 0.7, for one).
 
     With exact, on a curved manifold, the curvature goes in too
-    (_add_curvature); with fallback as well, the Gauss-Newton accumulator
-    is copied to the workspace's "gauss_newton" before it does.
+    (_add_curvature); with fallback as well, the Gauss-Newton store is
+    copied to the workspace's "<store> gauss-newton" before it does.  data
+    is the solve's _solve_data, made here without it.
     """
-    ns = curve.n_samples
+    ns, domain = curve.n_samples, curve.domain
+    if data is None:
+        data = _solve_data(spec, curve, np.arange(ns), frame is not None, None)
+    plan = data["plan"]
     ws = _WORKSPACE.arrays(ns, frame)
+    k = 1 if frame is None else frame.shape[0]
+    name = _store_name(domain)
+    store = _scratch(ws, name, (4 * k - 1, (ns + 4) * k) if domain == "interval"
+                     else (3, k, k, ns + 4))
+    store.fill(0.0)
+    acc = _accumulator(store, k, domain)
+    prods = data["products"]
     if frame is None:
-        acc = _scratch(ws, "acc", (3, 1, 1, ns + 4))   # H(a, a + s) in acc[s, :, :, a + 2]
-        acc.fill(0.0)
-        scalars = acc[:, 0, 0]
-        for prods in _row_products(spec, curve):
+        scalars = acc[:, 0, 0]   # H(a, a + s) in scalars[s, a + 2]
+        for term_prods in prods:
             # row j adds its products to H(a, a + s), a = j + p
             for p in range(-2, 3):
-                scalars[:, p + 2:p + 2 + ns] += prods[p + 2]
-        return _fold(acc)
-    k, dim = frame.shape[1:]
-    ft = _scratch(ws, "frame", (k, dim, ns))
-    np.copyto(ft, frame.transpose(1, 2, 0))   # E_j^T in ft[:, :, j]
-    prods = sum(_row_products(spec, curve))
+                scalars[:, p + 2:p + 2 + ns] += term_prods[p + 2]
+        return _fold(acc, domain)
     step = _scratch(ws, "step", (k, k, ns))   # E_j^T E_(j+1)
-    for j, jp in _wrapped(slice(0, ns), 1, ns):
-        _row_dots(ft[:, :, j], ft[:, :, jp], step[:, :, j])
+    for j, jp in plan.steps:
+        _row_dots(frame[:, :, j], frame[:, :, jp], step[:, :, j])
     back = _scratch(ws, "back", (k, k, ns))   # E_(j-1)^T E_j
     back[:, :, 1:] = step[:, :, :-1]
     back[:, :, 0] = step[:, :, -1]
-    nearest = {1: step, -1: back.swapaxes(0, 1)}
+    # E_j^T E_(j+p) for p = 1, -1 and each far offset's rows
+    overlaps = [step, back.swapaxes(0, 1)] + [
+        _row_dots(frame[:, :, rows], frame.take(idx, axis=2)) for rows, idx in plan.far]
     dots, block = _scratch(ws, "dots", (k, k, ns)), _scratch(ws, "block", (k, k, ns))
-    acc = _scratch(ws, "acc", (3, k, k, ns + 4))
-    acc.fill(0.0)
-    far = {}   # the overlaps at offset +-2, by offset and row span
-
-    def overlap(p, rows):
-        """E_j^T E_(j+p) at the rows j of the slice, j + p mod N; None for
-        p = 0.  Offsets +-2 occur only in the interval's end rows: +2 in
-        row 0 and -2 in row N."""
-        if p == 0:
-            return None
-        if abs(p) == 1:
-            return nearest[p][:, :, rows]
-        key = p, rows.start, rows.stop
-        if key not in far:
-            j = np.arange(rows.start, rows.stop) + p
-            far[key] = _row_dots(ft[:, :, rows], ft.take(j, axis=2, mode="wrap"))
-        return far[key]
-
-    def add(p, s, rows):
-        """Row j's products into the block (a, a + s), a = j + p, for the
-        rows j of the slice."""
-        left, right = overlap(p, rows), overlap(p + s, rows)
+    eye = np.eye(k)[:, :, None]
+    for s, at, rows, dest, left, right in plan.pairs:
+        # row j's products into the block (a, a + s), a = j + p: left^T right
         out = block[:, :, :rows.stop - rows.start]
+        right = None if right is None else overlaps[right[0]][:, :, right[1]]
         if left is None:
-            term = np.eye(k)[:, :, None] if right is None else right
-        else:   # left^T right
-            left = left.swapaxes(0, 1)
+            term = eye if right is None else right
+        else:
+            left = overlaps[left[0]][:, :, left[1]].swapaxes(0, 1)
             term = left if right is None else _row_dots(left, right.swapaxes(0, 1),
                                                         dots[:, :, :out.shape[2]])
-        acc[s, :, :, rows.start + p + 2:rows.stop + p + 2] += np.multiply(
-            prods[p + 2, s, rows], term, out=out)
-
-    # every pair (p, s) with p + s <= 2, over the span of its nonzero
-    # rows, so each block sums its rows' products in the order of p
-    for p in range(-2, 3):
-        for s in range(min(3, 3 - p)):
-            rows = _span(prods[p + 2, s])
-            if rows is not None:
-                add(p, s, rows)
+        acc[s, :, :, dest] += np.multiply(prods[at], term, out=out)
     if exact:
         if fallback:
-            np.copyto(_scratch(ws, "gauss_newton", acc.shape), acc)
-        _add_curvature(acc, spec, curve, ws)
-    return _fold(acc)
-
-
-def _fold(acc: np.ndarray) -> np.ndarray:
-    """The blocks H(a, a + s) in blocks[s, a], as a view, of the
-    accumulator with H(a, a + s) in acc[s, :, :, a + 2], after the circle's
-    wrap is folded in: a = -2, -1 are N - 2, N - 1 and a = N, N + 1 are 0, 1
-    (on the interval these entries are 0)."""
-    ns = acc.shape[-1] - 4
-    acc[..., 2:4] += acc[..., ns + 2:]
-    acc[..., ns:ns + 2] += acc[..., :2]
-    return acc[..., 2:ns + 2].transpose(0, 3, 1, 2)
+            np.copyto(_scratch(ws, name + " gauss-newton", store.shape), store)
+        _add_curvature(acc, spec, curve, frame, plan, data["curvature"], ws)
+    return _fold(acc, domain)
 
 
 def _span(a: np.ndarray):
@@ -526,10 +647,11 @@ def _wrapped(rows: slice, p: int, n: int):
 
 
 def _add_curvature(acc: np.ndarray, spec: FunctionalSpec, curve: DiscreteCurve,
-                   ws: dict) -> None:
+                   frame: np.ndarray, plan: _ModelPlan, terms, ws: dict) -> None:
     """Add the second-order parts of the exact Hessian to the Gauss-Newton
     blocks in acc (H(a, a + s) in acc[s, :, :, a + 2]), with the frames of
-    tangent_frame in the workspace ws, E_j in ws["frame"][:, :, j].
+    tangent_frame, E_j in frame[:, :, j], and per term (c w, c w D by
+    diagonals) in terms (_solve_data).
 
     Each term is 1/2 c sum_j w_j q(x_j, u_j) in the raw stencil values
     u = D x: q = <u~, P(x) u~> on u~ = u minus the field's offset, plus
@@ -547,55 +669,48 @@ def _add_curvature(acc: np.ndarray, spec: FunctionalSpec, curve: DiscreteCurve,
       functionals.gradient memoized at this curve for this spec.
     The mixed blocks of every term at one offset p are summed as
     Z_j = sum c w_j D[j, j + p] Y_j before the one contraction with E_(j+p),
-    over the rows j where some term's D[j, j + p] is nonzero: all of them
-    for p = 0, +-1 and the interval's end row for p = +-2.
+    over the plan's rows for p: all of them for p = 0, +-1 and the
+    interval's end row for p = +-2.
     """
     m, t = curve.manifold, curve.times
     ns = curve.n_samples
-    ft = ws["frame"]
     xt = np.ascontiguousarray(curve.samples.T)
-    diagonals = _stencil_matrices(curve)
     diag = acc[0, :, :, 2:ns + 2]   # the blocks (a, a)
     diag += m.weingarten(xt, np.ascontiguousarray(ambient_gradient(spec, curve).T))
-    terms = []   # (c w_j D[j, j + p] in [p + 2, j], Y_j) per term
-    for term in spec.terms:
-        cw = term.coef * curve.stencil(term.order).weights
+    ys = []   # Y_j per term
+    for term, (cw, _) in zip(spec.terms, terms):
         f = term.field
         off = None if f is None else f.offset(t)
         u = curve.derivative(term.order)[0]
         u = np.ascontiguousarray((u if off is None else u - off).T)
-        y, node = m.proj_derivatives(xt, ft, u)
+        y, node = m.proj_derivatives(xt, frame, u)
         jac = None if f is None else f.jacobian(t)
         if jac is not None:
-            sj = jac[0] @ ft   # S E_j
+            sj = jac[0] @ frame   # S E_j
             if jac[1] is not None:
                 sj *= jac[1]
             y -= sj
             node += np.einsum("rmj,smj->rsj", sj, sj)
         diag += cw * node
-        terms.append((cw * diagonals[term.order - 1][:5], y))
-    z, zt = _scratch(ws, "z", ft.shape), _scratch(ws, "z_term", ft.shape)
+        ys.append(y)
+    z, zt = _scratch(ws, "z", frame.shape), _scratch(ws, "z_term", frame.shape)
     dots, block = ws["dots"], ws["block"]   # made by _model_blocks
-    for p in range(-2, 3):
-        live = [(alpha[p + 2], y) for alpha, y in terms if alpha[p + 2].any()]
-        if not live:
-            continue
-        spans = [_span(alpha) for alpha, _ in live]
-        rows = slice(min(s.start for s in spans), max(s.stop for s in spans))
+    for p, live, rows, wrapped, dest in plan.curvature:
         zp = z[:, :, rows]
-        for i, (alpha, y) in enumerate(live):
+        for i, term in enumerate(live):
+            alpha, y = terms[term][1][p + 2, rows], ys[term][:, :, rows]
             if i == 0:
-                np.multiply(alpha[rows], y[:, :, rows], out=zp)
+                np.multiply(alpha, y, out=zp)
             else:
-                zp += np.multiply(alpha[rows], y[:, :, rows], out=zt[:, :, rows])
+                zp += np.multiply(alpha, y, out=zt[:, :, rows])
         # E_(j+p) Z_j^T, the block (j + p, j) and the transpose of (j, j + p)
-        for j, jp in _wrapped(rows, p, ns):
-            _row_dots(ft[:, :, jp], z[:, :, j], dots[:, :, j])
+        for j, jp in wrapped:
+            _row_dots(frame[:, :, jp], z[:, :, j], dots[:, :, j])
         blk = dots[:, :, rows]
         if p < 0:
-            acc[-p, :, :, rows.start + p + 2:rows.stop + p + 2] += blk
+            acc[-p, :, :, dest] += blk
         elif p > 0:
-            acc[p, :, :, rows.start + 2:rows.stop + 2] += blk.swapaxes(0, 1)
+            acc[p, :, :, dest] += blk.swapaxes(0, 1)
         else:
             diag[:, :, rows] += np.add(blk, blk.swapaxes(0, 1), out=block[:, :, rows])
 
@@ -605,26 +720,6 @@ def _row_dots(u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     rows of u and v, for stacks of matrices with the samples last, summed in
     the order of i."""
     return np.einsum("rij,sij->rsj", u, v, out=out)
-
-
-def _band(blocks: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """LAPACK lower band storage, shifted, of the model on the interval's
-    samples, from its k x k blocks H(a, a + s) = blocks[s, a], s = 0..2,
-    written into ab, of shape (3k, N k).
-
-    The entry (r, r2) of H(a, a + s) lies in row s*k + r2 - r of the
-    storage, at column a*k + r.  Row r of the block fills consecutive rows
-    of the storage, all in one strided copy; its entries r2 < r - s*k lie
-    above the diagonal and are left out.
-    """
-    ns, k = blocks.shape[1], blocks.shape[-1]
-    ab.fill(0.0)
-    for s in range(3):
-        for r in range(k):
-            lo = max(r - s * k, 0)
-            ab[s * k + lo - r:(s + 1) * k - r, r:(ns - s) * k:k] = blocks[s, :ns - s, r, lo:].T
-    ab[0] += 1e-12 * max(float(ab[0].max()), 1.0)
-    return ab
 
 
 def _curve_stats(curve: DiscreteCurve) -> Tuple[float, float, float]:
@@ -698,8 +793,10 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
 
     # with no free sample the residual is exactly 0 and nothing is factorized.
     # The factor comes first, so a new grid's stencils are built inside
-    # _stencil_matrices, the assembly step
-    lu = _flat_model_factor(spec, x, free) if len(free) else None
+    # _stencil_matrices, the assembly step; memo keeps what the solve's
+    # builds share (_solve_data)
+    memo = {}
+    lu = _flat_model_factor(spec, x, free, memo=memo) if len(free) else None
     built_at = x.samples if isinstance(lu, _FramedModel) else None
     obj = evaluate(spec, x)
     g = gradient(spec, x, free)
@@ -712,7 +809,7 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         return project(lu.solve(v))
 
     # (s, y, 1/y.s), oldest first; a flat manifold's model is exact and keeps none
-    pairs = deque(maxlen=LBFGS_MEMORY if m.curved else 0)
+    pairs = deque(maxlen=LBFGS_MEMORY)
     it = 0
     verdict = "iter_limit"
     message = ""
@@ -726,6 +823,21 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         if it >= opts.max_iters:
             message = "iteration budget exhausted"
             break
+        if it and built_at is not None:
+            # an accepted step that the solve goes on from: where the exact
+            # model is not positive definite, the model in use stays at
+            # iterate 1, and a rebuild takes the Gauss-Newton model of the
+            # same build
+            far = np.max(row_norm(x.samples - built_at)) > REBUILD_DIST
+            if far or it == 1:
+                try:
+                    lu = _flat_model_factor(spec, x, free, exact=True, fallback=far, memo=memo)
+                    built_at = x.samples
+                    if lu.exact:
+                        pairs.clear()
+                except FactorizationError:
+                    if far:
+                        raise
 
         d = _two_loop(pairs, g, flat_direction, project)
         gd = _dot(g, d)
@@ -788,24 +900,11 @@ def minimize(spec: FunctionalSpec, constraint: ConstraintSet, x0: DiscreteCurve,
         else:
             g = gradient(spec, x, free)
             resid = gradient_norm(x, g)
-        # the pair is kept as taken, in ambient coordinates, and never changed
-        pair = _memory_pair(-step * d, g - g_prev)
-        if pair is not None:
-            pairs.append(pair)
-        if built_at is not None:
-            far = np.max(row_norm(x.samples - built_at)) > REBUILD_DIST
-            if far or it == 1:
-                # where the exact model is not positive definite, the model in
-                # use stays at iterate 1, and a rebuild takes the Gauss-Newton
-                # model of the same build
-                try:
-                    lu = _flat_model_factor(spec, x, free, exact=True, fallback=far)
-                    built_at = x.samples
-                    if lu.exact:
-                        pairs.clear()
-                except FactorizationError:
-                    if far:
-                        raise
+        if m.curved:
+            # the pair is kept as taken, in ambient coordinates, and never changed
+            pair = _memory_pair(-step * d, g - g_prev)
+            if pair is not None:
+                pairs.append(pair)
         history.append(HistoryRecord(it, obj, resid, None, None, None, step, phase,
                                      "noise" if noise_phase else "armijo"))
 

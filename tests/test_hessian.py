@@ -102,17 +102,17 @@ def _oracle_blocks(spec, curve):
     """The blocks H(a, a + s) in [s, a] and H(a + s, a) in [3 + s, a],
     s = 0..2, in the frames of tangent_frame, by the complex step."""
     m, x, ns = curve.manifold, curve.samples, curve.n_samples
-    frame = m.tangent_frame(x)
-    k = frame.shape[1]
+    frame = m.tangent_frame(x)   # E_j^T in frame[:, :, j]
+    k = frame.shape[0]
     out = np.zeros((6, ns, k, k))
     a = np.arange(ns)
     for c in range(5):
         for r in range(k):
             v = np.zeros_like(x)
-            v[c::5] = frame[c::5, r]
+            v[c::5] = frame[r, :, c::5].T
             hv = _riemannian_gradient(spec, m.name, curve.domain, curve.grid_n,
                                       x + 1j * H * v).imag / H
-            hv = np.einsum("jrm,jm->jr", frame, hv)   # row a: E_a H v
+            hv = np.einsum("rmj,jm->jr", frame, hv)   # row a: E_a H v
             for s in range(3):
                 for lo, j in ((0, a + s), (3, a - s)):
                     j = j % ns if curve.domain == "circle" else j

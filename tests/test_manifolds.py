@@ -157,11 +157,47 @@ def test_tangent_frame_is_orthonormal_and_tangent(mid):
     p = m.random_point(rng, 200)
     if mid.startswith("sphere"):
         p = np.vstack([p, np.eye(m.ambient_dim), -np.eye(m.ambient_dim)])
-    e = m.tangent_frame(p)
-    assert e.shape == (len(p), m.dim, m.ambient_dim)
+    frame = m.tangent_frame(p)
+    assert frame.shape == (m.dim, m.ambient_dim, len(p))   # the samples last
+    e = frame.transpose(2, 0, 1)   # E_j^T in e[j]
     eps = np.finfo(float).eps
     assert np.max(np.abs(e @ e.swapaxes(1, 2) - np.eye(m.dim))) <= 16 * eps
     assert np.max(np.abs(m.project_tangent(p[:, None], e) - e)) <= 16 * eps
+
+
+def _rowwise_frame(m, p):
+    """The frame with the samples first, written row by row from its
+    definition: the Householder rows on S^d, p [e_i]_x / sqrt(2) on SO(3)."""
+    if m.name == "so3":   # column c of p [e_i]_x is p (e_i x e_c)
+        c0, c1, c2 = np.moveaxis(p.reshape(-1, 3, 3), -1, 0)
+        z = np.zeros_like(c0)
+        e = np.stack([np.stack(cols, axis=-1) for cols in
+                      ((z, c2, -c1), (-c2, z, c0), (c1, -c0, z))], axis=1)
+        return e.reshape(-1, 3, 9) / np.sqrt(2.0)
+    n, d = p.shape
+    i = np.argmax(np.abs(p), axis=1)
+    v = p.copy()
+    v[np.arange(n), i] += np.where(p[np.arange(n), i] < 0.0, -1.0, 1.0)
+    keep = (i[:, None] + np.arange(1, d)) % d
+    return ((keep[:, :, None] == np.arange(d)) - (2.0 / np.sum(v * v, axis=1))[:, None, None]
+            * p[np.arange(n)[:, None], keep][:, :, None] * v[:, None, :])
+
+
+@pytest.mark.parametrize("mid", ["sphere:1", "sphere:2", "sphere:3", "sphere:8", "so3"])
+def test_tangent_frame_is_the_rowwise_frame_bitwise(mid):
+    # the samples-last frame is built one coordinate at a time; its bytes
+    # are those of the row-by-row definition, also at ties of the largest
+    # coordinate, at signed zeros and at the axes
+    m = mk(mid)
+    p = m.random_point(np.random.default_rng(19), 300)
+    if mid.startswith("sphere"):
+        tie = np.zeros((4, m.ambient_dim))
+        h = 0.5 ** 0.5
+        tie[:, :2] = [[h, -h], [-h, h], [-0.0, 1.0], [1.0, -0.0]]
+        p = np.vstack([p, tie, np.eye(m.ambient_dim), -np.eye(m.ambient_dim)])
+    else:
+        p = np.vstack([p, np.eye(3).ravel(), -np.eye(3).ravel() * [1, 1, 1, 1, -1, 1, 1, 1, -1]])
+    assert m.tangent_frame(p).tobytes() == _rowwise_frame(m, p).transpose(1, 2, 0).tobytes()
 
 
 @pytest.mark.parametrize("mid", ["euclidean:2", "torus:2"])

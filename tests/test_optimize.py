@@ -531,9 +531,9 @@ def test_far_apart_solve_rebuilds_the_model(monkeypatch):
     built = []
     factor = opt._flat_model_factor
 
-    def counted(spec, curve, free, exact=False, fallback=False):
+    def counted(spec, curve, free, exact=False, fallback=False, memo=None):
         built.append((curve.samples, exact))
-        return factor(spec, curve, free, exact=exact, fallback=fallback)
+        return factor(spec, curve, free, exact=exact, fallback=fallback, memo=memo)
 
     problem = _far_apart_problem("sphere:2", 1)
     iterate_1 = minimize(*problem, SolveOptions(max_iters=1)).minimizer
@@ -817,9 +817,9 @@ def test_saddle_arcs_keep_the_gauss_newton_model(monkeypatch, hint, n):
     built = []
     factor = opt._flat_model_factor
 
-    def logged(spec, curve, free, exact=False, fallback=False):
+    def logged(spec, curve, free, exact=False, fallback=False, memo=None):
         try:
-            out = factor(spec, curve, free, exact=exact, fallback=fallback)
+            out = factor(spec, curve, free, exact=exact, fallback=fallback, memo=memo)
         except FactorizationError:
             built.append((exact, "refused"))
             raise
@@ -830,7 +830,7 @@ def test_saddle_arcs_keep_the_gauss_newton_model(monkeypatch, hint, n):
     rep = minimize(*problem)
     assert built[:2] == [(False, "built"), (True, "refused")]
 
-    def gauss_newton_only(spec, curve, free, exact=False, fallback=False):
+    def gauss_newton_only(spec, curve, free, exact=False, fallback=False, memo=None):
         if exact and not fallback:
             raise FactorizationError("refused")
         return factor(spec, curve, free)   # a rebuild falls back to Gauss-Newton
@@ -860,6 +860,20 @@ def test_flat_solves_keep_no_pairs(monkeypatch, mid):
                    SolveOptions(grad_tol=0.0, max_iters=4))
     assert rep.iterations > 1
     assert set(sizes) == {0}
+
+
+@pytest.mark.parametrize("mid", ["euclidean:1", "torus:1"])
+def test_flat_solves_form_no_pairs(monkeypatch, mid):
+    # a flat manifold's memory stays empty, so a solve never forms a pair:
+    # neither its step and gradient change nor their dot products
+    def no_pair(s, y):
+        raise AssertionError("formed a memory pair on a flat manifold")
+
+    spec, c, _ = _torus_stall_problem()
+    x0 = seed(c, make_manifold(mid), 1000)
+    monkeypatch.setattr(opt, "_memory_pair", no_pair)
+    rep = minimize(spec, c, x0, SolveOptions(grad_tol=0.0, max_iters=4))
+    assert rep.iterations > 1
 
 
 @pytest.mark.parametrize("mid", ["sphere:2", "so3"])
@@ -1020,8 +1034,8 @@ def test_stencil_matrices_bit_identical_to_loop_build(domain, n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 64, 1000])
 def test_cached_diagonals_are_read_only_and_equal_a_fresh_extraction(domain, n):
     curve = _euclid_curve(domain, n)
-    diagonals = _stencil_matrices(curve)
-    again = _stencil_matrices(_euclid_curve(domain, n))   # one per grid
+    diagonals = _stencil_matrices(curve, (1, 2)).diagonals
+    again = _stencil_matrices(_euclid_curve(domain, n), (1, 2)).diagonals   # one per grid
     assert all(a is b for a, b in zip(diagonals, again))
     ns = curve.n_samples
     for order, (e, d) in enumerate(zip(diagonals, _csr_stencils(curve)), start=1):
@@ -1149,7 +1163,7 @@ def _dense_framed_model(spec, curve, free):
     samples, dense, from its definition: block (j, a) of Q D E is
     D[j, a] E_j^T E_a, with E the tangent frames.  Returns it and the free
     samples' frames."""
-    e = curve.manifold.tangent_frame(curve.samples)   # E_j^T in e[j]
+    e = curve.manifold.tangent_frame(curve.samples).transpose(2, 0, 1)   # E_j^T in e[j]
     ns, k = e.shape[:2]
     h = np.zeros((ns * k, ns * k))
     for t, d in zip(spec.terms, (_csr_stencils(curve)[t.order - 1] for t in spec.terms)):
@@ -1214,8 +1228,8 @@ def _framed_blocks_by_pairs(spec, curve, frame):
     """The framed model's blocks H(a, a + s) in blocks[s, a], from every
     (p, s) pair over its rows' span, each offset +-2 overlap formed afresh
     for each pair that reads it."""
-    ns, k = curve.n_samples, frame.shape[1]
-    ft = np.ascontiguousarray(frame.transpose(1, 2, 0))
+    ns, k = curve.n_samples, frame.shape[0]
+    ft = frame
     prods = sum(opt._row_products(spec, curve))
     step = opt._row_dots(ft, np.roll(ft, -1, axis=2))
     nearest = {1: step, -1: np.roll(step, 1, axis=2).swapaxes(0, 1)}
@@ -1279,10 +1293,10 @@ def _count_factorizations(monkeypatch):
         counts["splu"] += 1
         return splu(*args, **kwargs)
 
-    def marked_factor(*args):
+    def marked_factor(*args, **kwargs):
         inside.append(True)
         try:
-            return factor(*args)
+            return factor(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -1301,7 +1315,8 @@ def _count_factorizations(monkeypatch):
 
 def test_interval_solve_factors_without_splu_or_sparse_products(monkeypatch):
     spec, c, x0 = hermite_setup(200)
-    _stencil_matrices(x0)   # the grid's stencils are built once, before counting
+    # the grid's stencils and plan are built once, before counting
+    _stencil_matrices(x0, tuple(t.order for t in spec.terms))
     counts = _count_factorizations(monkeypatch)
     rep = minimize(spec, c, x0)
     assert rep.verdict == "converged"

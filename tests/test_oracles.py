@@ -6,6 +6,8 @@ import pytest
 from varcurves import (ConfigError, CutLocusError, FunctionalSpec, conditional_line,
                        evaluate, geodesic, hermite_cubic, make_manifold, tension_1d,
                        tension_value)
+from varcurves.errors import UsageError
+from varcurves.manifolds import Manifold
 
 T = np.linspace(0.0, 1.0, 101)
 
@@ -82,6 +84,23 @@ def test_tension_requires_positive_tau():
         tension_1d([0.0], [1.0], 0.0, "clamped", [0.0], [0.0])
 
 
+@pytest.mark.parametrize("v,w", [(None, [0.0]), ([0.0], None)])
+def test_clamped_tension_needs_end_velocities(v, w):
+    with pytest.raises(ConfigError, match="end velocities"):
+        tension_1d([0.0], [1.0], 2.0, "clamped", v, w)
+
+
+def test_tension_refuses_an_unknown_bc_kind():
+    with pytest.raises(ConfigError, match="bc_kind"):
+        tension_1d([0.0], [1.0], 2.0, "periodic", [0.0], [0.0])
+
+
+def test_tension_refuses_a_singular_system():
+    # tau^2 underflows to 0, so the natural conditions' two rows are zero
+    with pytest.raises(ConfigError, match="singular"):
+        tension_1d([0.0], [1.0], 1e-200, "position_only")
+
+
 # -- conditional_line ------------------------------------------------------------------
 
 def test_conditional_line_examples():
@@ -120,6 +139,25 @@ def test_geodesic_antipodal_needs_plane():
         geodesic(m, [1, 0, 0], [-1, 0, 0])
     cf = geodesic(m, [1, 0, 0], [-1, 0, 0], plane=[0, 1, 0])
     assert cf.speed == pytest.approx(np.pi)
+
+
+def test_geodesic_refuses_a_radial_plane():
+    m = make_manifold("sphere:2")
+    with pytest.raises(ConfigError, match="radial"):
+        geodesic(m, [1, 0, 0], [-1, 0, 0], plane=[2.0, 0, 0])
+
+
+def test_geodesic_refuses_a_winding_on_euclidean_space():
+    with pytest.raises(ConfigError, match="winding"):
+        geodesic(make_manifold("euclidean:2"), [0.0, 0.0], [1.0, 0.0], winding=1)
+
+
+def test_geodesic_refuses_an_unsupported_manifold():
+    class Plane(Manifold):   # the base class's flat geometry, none of the four kinds
+        name, ambient_dim = "plane", 2
+
+    with pytest.raises(UsageError, match="plane"):
+        geodesic(Plane(), [0.0, 0.0], [1.0, 0.0])
 
 
 def test_geodesic_so3_zero_accel():

@@ -1,4 +1,4 @@
-"""The model build's per-thread workspace, its row spans and the gradient memo.
+"""The model build's per-thread workspace, its plan and the gradient memo.
 
 A build keeps its working arrays in its thread's workspace
 (optimize._Workspace).  These tests check that no factor holds a view into
@@ -26,6 +26,7 @@ import varcurves.optimize as opt
 from varcurves import (ConstraintSet, DiscreteCurve, FunctionalSpec, SolveOptions, make_manifold,
                        minimize, seed)
 from varcurves.constraints import free_mask
+from varcurves.curves import stencil_operators
 from varcurves.errors import FactorizationError
 from varcurves.fields import PriorField
 from varcurves.functionals import ambient_gradient, gradient
@@ -81,17 +82,17 @@ def _workspace_arrays():
 
 
 def _captured_bands(monkeypatch, spec, curve, free):
-    """The band storage of the Gauss-Newton and the exact build, as built."""
+    """The band storage of the Gauss-Newton and the exact build, as
+    factorized."""
     bands = []
-    band = opt._band
 
-    def copied(blocks, ab):
-        out = band(blocks, ab)
-        bands.append(out.copy())
-        return out
+    class Copied(opt._BandedCholesky):
+        def __init__(self, ab):
+            bands.append(ab.copy())
+            super().__init__(ab)
 
     with monkeypatch.context() as mp:
-        mp.setattr(opt, "_band", copied)
+        mp.setattr(opt, "_BandedCholesky", Copied)
         for exact in (False, True):
             opt._flat_model_factor(spec, curve, free, exact)
     return bands
@@ -124,7 +125,6 @@ def _full_length_curvature(acc, spec, curve, ft):
     m, t = curve.manifold, curve.times
     ns = curve.n_samples
     xt = np.ascontiguousarray(curve.samples.T)
-    diagonals = opt._stencil_matrices(curve)
     diag = acc[0, :, :, 2:ns + 2]
     diag += m.weingarten(xt, np.ascontiguousarray(functionals._ambient_gradient(spec, curve).T))
     z = [None] * 5
@@ -143,7 +143,7 @@ def _full_length_curvature(acc, spec, curve, ft):
             y -= sj
             node += np.einsum("rmj,smj->rsj", sj, sj)
         diag += cw * node
-        for p, dp in zip(range(-2, 3), diagonals[term.order - 1][:5]):
+        for p, dp in zip(range(-2, 3), curve.stencil(term.order).diagonals[:5]):
             alpha = cw * dp
             if alpha.any():
                 z[p + 2] = alpha * y if z[p + 2] is None else z[p + 2] + alpha * y
@@ -183,9 +183,11 @@ def test_curvature_row_spans_give_the_full_length_bytes(mid, spec, domain):
     curve, _ = _bent(mid, domain, 1000)
     frame = curve.manifold.tangent_frame(curve.samples)
     got = opt._model_blocks(spec, curve, frame, exact=True, fallback=True).copy()
-    acc = opt._WORKSPACE.arrays(curve.n_samples, frame)["gauss_newton"].copy()
-    _full_length_curvature(acc, spec, curve, np.ascontiguousarray(frame.transpose(1, 2, 0)))
-    assert got.tobytes() == opt._fold(acc).tobytes()
+    name = opt._store_name(domain) + " gauss-newton"
+    store = opt._WORKSPACE.arrays(curve.n_samples, frame)[name].copy()
+    acc = opt._accumulator(store, frame.shape[0], domain)
+    _full_length_curvature(acc, spec, curve, frame)
+    assert got.tobytes() == opt._fold(acc, domain).tobytes()
 
 
 def _closed_loop(mid, n=64):
@@ -201,17 +203,17 @@ def _closed_loop(mid, n=64):
 
 def test_a_refused_rebuild_falls_back_on_its_own_frame_and_blocks(monkeypatch):
     # the tension(0.5) loop on S^2 refuses most exact rebuilds (its rigid
-    # rotations are null modes); each build takes one frame and one
-    # Gauss-Newton assembly, and the solve has the bytes of one that
-    # builds the fallback afresh
+    # rotations are null modes); each build takes one frame, the solve's
+    # first build the one assembly of the row products, and the solve has
+    # the bytes of one that builds the fallback afresh
     problem = FunctionalSpec.tension_cost(0.5), ConstraintSet.periodic(), _closed_loop("sphere:2")
     m = problem[2].manifold
     factor, frame, assemble = opt._flat_model_factor, type(m).tangent_frame, opt._row_products
     builds = []
 
-    def counted(spec, curve, free, exact=False, fallback=False):
+    def counted(spec, curve, free, exact=False, fallback=False, memo=None):
         builds.append({"frames": 0, "assemblies": 0, "fallback": fallback})
-        out = factor(spec, curve, free, exact, fallback)
+        out = factor(spec, curve, free, exact, fallback, memo)
         builds[-1]["exact"] = out.exact
         return out
 
@@ -230,11 +232,12 @@ def test_a_refused_rebuild_falls_back_on_its_own_frame_and_blocks(monkeypatch):
         mp.setattr(opt, "_row_products", assembled)
         rep = minimize(*problem)
     assert rep.verdict == "converged"
-    assert all(b["frames"] == 1 and b["assemblies"] == 1 for b in builds)
+    assert all(b["frames"] == 1 for b in builds)
+    assert [b["assemblies"] for b in builds] == [1] + [0] * (len(builds) - 1)
     refused = [b for b in builds if b["fallback"] and not b["exact"]]
     assert len(refused) >= 10
 
-    def two_builds(spec, curve, free, exact=False, fallback=False):
+    def two_builds(spec, curve, free, exact=False, fallback=False, memo=None):
         try:
             return factor(spec, curve, free, exact)
         except FactorizationError:
@@ -410,3 +413,75 @@ def test_gradient_memo_is_read_for_its_own_spec_only():
     assert gradient(specs[2], curve, free).tobytes() != first.tobytes()
     curve.clear_memo()
     assert "_spec_memo" not in vars(curve)
+
+
+# -- the model plan (optimize._stencil_matrices) --------------------------------
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+@pytest.mark.parametrize("mid", ["sphere:2", "so3"])
+def test_cold_and_warm_plans_build_the_same_bytes(mid, domain):
+    curve, free = _bent(mid, domain, 200 if domain == "interval" else 64)
+    spec, b = FunctionalSpec.tension_cost(0.7), _rhs(curve, free)
+    frame = curve.manifold.tangent_frame(curve.samples)
+
+    def built():
+        out = []
+        for exact in (False, True):
+            out.append(opt._model_blocks(spec, curve, frame, exact).tobytes())
+            out.append(opt._flat_model_factor(spec, curve, free, exact, fallback=True)
+                       .solve(b).tobytes())
+        return out
+
+    stencil_operators.cache_clear()   # the grid's stencils and plans
+    cold = built()
+    plans = stencil_operators(curve.grid_n, domain).derived
+    assert list(plans) == [("model plan", (2, 1))]
+    assert built() == cold
+    assert stencil_operators(curve.grid_n, domain).derived is plans
+
+
+def test_plan_arrays_are_read_only():
+    curve, _ = _bent("sphere:2", "interval", 200)
+    plan = opt._stencil_matrices(curve, (2, 1))
+    assert plan.far   # the interval's end rows read offsets +-2
+    for a in list(plan.diagonals) + [idx for _, idx in plan.far]:
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_specs_with_the_same_orders_share_one_plan():
+    curve, _ = _bent("sphere:2", "interval", 200)
+    other, _ = _bent("so3", "interval", 200)
+
+    def plan(spec, c):
+        return opt._stencil_matrices(c, tuple(t.order for t in spec.terms))
+
+    shared = plan(FunctionalSpec.tension_cost(0.7), curve)
+    assert plan(FunctionalSpec.tension_cost(3.0), other) is shared
+    assert plan(FunctionalSpec.energy(2), curve) is shared   # orders (2, 1) again
+    assert plan(FunctionalSpec.energy(1), curve) is not shared
+    longer, _ = _bent("sphere:2", "interval", 400)
+    assert plan(FunctionalSpec.tension_cost(0.7), longer) is not shared
+
+
+@pytest.mark.parametrize("opts", [SolveOptions(max_iters=1), SolveOptions(grad_tol=1e3)],
+                         ids=["max_iters", "grad_tol"])
+def test_a_solve_that_ends_at_its_first_iterate_builds_once(monkeypatch, opts):
+    # the exact model of iterate 1 would never be used: one Gauss-Newton build
+    entry = json.loads(_CASES.read_text(encoding="utf-8"))["sphere-solve"][0]
+    m = make_manifold(entry["manifold"])
+    c = ConstraintSet.interpolation(list(zip(KNOT_TIMES, entry["knots"])))
+    spec = FunctionalSpec.from_config(entry["functional"], m)
+    x0 = seed(c, m, 1000)
+    builds = []
+    factor = opt._flat_model_factor
+
+    def counted(spec, curve, free, exact=False, fallback=False, memo=None):
+        builds.append(exact)
+        return factor(spec, curve, free, exact, fallback, memo)
+
+    monkeypatch.setattr(opt, "_flat_model_factor", counted)
+    rep = minimize(spec, c, x0, opts)
+    assert rep.iterations == 1
+    assert builds == [False]
